@@ -1,0 +1,177 @@
+//! Golden pins of the telemetry folds on faulted runs.
+//!
+//! Every post-hoc consumer of the event stream — the run profile, the
+//! span forest and its exporters, the overhead partition, the critical
+//! path and the Chrome export — is folded from two runs with retries,
+//! resubmits and lineage regeneration, and the outputs are pinned byte
+//! for byte (large documents by length and digest). Attempt
+//! bookkeeping is where folds disagree first, so these runs are the
+//! ones that catch a fold pairing events with the wrong attempt.
+//!
+//! Regenerate after a deliberate change with:
+//! `GOLDEN_REGEN=1 cargo test -p gpuflow-runtime --test fold_pins`
+
+use std::fmt::Write as _;
+
+use gpuflow_cluster::{ClusterSpec, KernelWork, ProcessorKind, StorageArchitecture};
+use gpuflow_runtime::jobs::build;
+use gpuflow_runtime::trace_analysis::critical_path_from_telemetry;
+use gpuflow_runtime::{
+    run, to_chrome_trace, to_collapsed, CostProfile, Direction, FaultPlan, JobShape, JobSpec,
+    OverheadReport, RecoveryPolicy, RunConfig, RunProfile, RunReport, SchedulingPolicy, SpanForest,
+    Workflow, WorkflowBuilder,
+};
+
+const MB: u64 = 1 << 20;
+
+fn golden_compare(name: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        std::fs::write(&path, actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
+    assert_eq!(
+        actual, expected,
+        "{name} drifted from its golden file; if the change is deliberate, \
+         regenerate with GOLDEN_REGEN=1"
+    );
+}
+
+/// Length and FNV-1a digest of a document too large to pin verbatim.
+fn digest(doc: &str) -> String {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for b in doc.bytes() {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    format!("{} bytes fnv1a {h:016x}", doc.len())
+}
+
+/// Every fold of the run's telemetry, rendered into one pin document.
+fn render_folds(wf: &Workflow, report: &RunReport) -> String {
+    let log = &report.telemetry;
+    let makespan = report.makespan();
+    let mut out = String::from("-- profile --\n");
+    let profile = RunProfile::from_telemetry("pin", wf, log, makespan).expect("profile");
+    out.push_str(&profile.render());
+    let forest = SpanForest::from_telemetry(wf, log);
+    let _ = writeln!(out, "-- span summary --\n{}", forest.summary_json());
+    out.push_str("-- collapsed --\n");
+    out.push_str(&to_collapsed(&forest));
+    let _ = writeln!(out, "-- otlp --\n{}", digest(&forest.to_otlp_json()));
+    out.push_str("-- overhead --\n");
+    let overhead = OverheadReport::from_log(log, makespan);
+    for (name, ns) in overhead.buckets_ns() {
+        let _ = writeln!(out, "{name} {ns}");
+    }
+    let _ = writeln!(
+        out,
+        "decisions {} failures {} retries {}",
+        overhead.decisions, overhead.task_failures, overhead.retries
+    );
+    out.push_str("-- critical path --\n");
+    for hop in critical_path_from_telemetry(wf, log) {
+        let _ = writeln!(out, "t{} {}", hop.task.0, hop.end.as_nanos());
+    }
+    let _ = writeln!(out, "-- chrome --\n{}", digest(&to_chrome_trace(log)));
+    out
+}
+
+/// A GPU shared-disk replay: 24 jobs of every shape arriving over a
+/// quarter of a virtual second, a node crash with rejoin and a GPU
+/// failure (resubmits), and transient failures on one tenant's wide
+/// tasks (retries).
+#[test]
+fn gpu_chaos_replay_folds_match_golden() {
+    let jobs: Vec<JobSpec> = (0..24)
+        .map(|id| JobSpec {
+            id,
+            tenant: id % 3,
+            shape: JobShape::ALL[(id * 7 / 3) % 3],
+            tasks: 8 + (id * 5) % 24,
+            arrival_secs: id as f64 * 0.01,
+            priority: 0,
+        })
+        .collect();
+    let (wf, arrivals) = build(&jobs);
+    let plan = FaultPlan::new(0xF01D)
+        .with_node_crash(1, 0.1, Some(0.2))
+        .with_gpu_failure(3, 0.12)
+        .with_task_failures(Some("wide_t0"), 0.2);
+    let mut cfg = RunConfig::new(ClusterSpec::minotauro(), ProcessorKind::Gpu)
+        .with_storage(StorageArchitecture::SharedDisk)
+        .with_policy(SchedulingPolicy::GenerationOrder)
+        .with_seed(0xF01D)
+        .with_arrivals(arrivals)
+        .with_telemetry()
+        .with_faults(plan)
+        .with_recovery(RecoveryPolicy {
+            max_retries: 8,
+            ..RecoveryPolicy::default()
+        });
+    cfg.jitter_sigma = 0.0;
+    let report = run(&wf, &cfg).expect("recoverable plan completes");
+    assert!(report.recovery.retries > 0, "needs retries");
+    assert!(report.recovery.resubmissions > 0, "needs a resubmit");
+    golden_compare("folds_gpu_chaos_replay.txt", &render_folds(&wf, &report));
+}
+
+/// Independent chains `x -> a -> b -> c`, `width` of them.
+fn chains(width: usize) -> Workflow {
+    let cost = CostProfile::fully_parallel(KernelWork {
+        flops: 1e9,
+        bytes: 1e8,
+        parallelism: 1e9,
+    });
+    let mut b = WorkflowBuilder::new();
+    for i in 0..width {
+        let x = b.input(format!("x{i}"), MB);
+        let mut prev = x;
+        for stage in ["a", "b", "c"] {
+            let out = b.intermediate(format!("{stage}{i}"), MB);
+            b.submit(
+                stage,
+                cost,
+                &[(prev, Direction::In), (out, Direction::Out)],
+                false,
+            )
+            .expect("submit");
+            prev = out;
+        }
+    }
+    b.build()
+}
+
+/// A CPU local-disk run whose node crash destroys completed outputs,
+/// so lineage recovery re-dispatches completed tasks, plus transient
+/// failures on top.
+#[test]
+fn cpu_crash_regeneration_folds_match_golden() {
+    let wf = chains(6);
+    let mut base = RunConfig::new(ClusterSpec::tiny(), ProcessorKind::Cpu)
+        .with_storage(StorageArchitecture::LocalDisk);
+    base.jitter_sigma = 0.0;
+    let clean = run(&wf, &base).expect("fault-free run completes");
+    let plan = FaultPlan::new(5)
+        .with_task_failures(None, 0.2)
+        .with_node_crash(0, clean.makespan() * 0.5, Some(clean.makespan() * 0.1));
+    let cfg = base
+        .with_telemetry()
+        .with_faults(plan)
+        .with_recovery(RecoveryPolicy {
+            max_retries: 8,
+            ..RecoveryPolicy::default()
+        });
+    let report = run(&wf, &cfg).expect("recoverable plan completes");
+    assert!(
+        report.recovery.regenerated_tasks > 0,
+        "needs lineage regeneration: {:?}",
+        report.recovery
+    );
+    assert!(report.recovery.transient_failures > 0, "needs retries");
+    assert_eq!(report.output_fingerprint, clean.output_fingerprint);
+    golden_compare("folds_cpu_crash_regen.txt", &render_folds(&wf, &report));
+}
