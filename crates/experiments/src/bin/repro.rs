@@ -235,7 +235,10 @@ fn run_replay(args: &[String]) {
     if args.iter().any(|a| a == "--chaos") {
         spec.chaos = true;
     }
-    let report = replay::run(&spec);
+    let report = replay::run(&spec).unwrap_or_else(|err| {
+        eprintln!("replay: {err}");
+        std::process::exit(1);
+    });
     let text = report.render();
     println!("{text}");
     if let Some(path) = value_of("--out") {
@@ -313,7 +316,10 @@ fn run_spans(args: &[String]) {
     if let Some(v) = value_of("--interval") {
         spec.interval_secs = v.parse().expect("--interval takes seconds");
     }
-    let report = spans::run(&spec, rate, span_seed);
+    let report = spans::run(&spec, rate, span_seed).unwrap_or_else(|err| {
+        eprintln!("spans: {err}");
+        std::process::exit(1);
+    });
     let text = report.render();
     println!("{text}");
     if let Some(path) = value_of("--out") {

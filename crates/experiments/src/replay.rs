@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 
 use gpuflow_chaos::{mix64, FaultPlan};
 use gpuflow_cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
-use gpuflow_runtime::{MetricsRegistry, RunConfig, SchedulingPolicy};
+use gpuflow_runtime::{MetricsRegistry, RunConfig, RunError, SchedulingPolicy};
 use gpuflow_sim::SimDuration;
 
 pub use gpuflow_runtime::jobs::build;
@@ -188,7 +188,11 @@ pub struct ReplayReport {
 
 /// Runs a replay scenario end to end: sample jobs, build the workflow,
 /// execute with telemetry and per-job arrivals, fold the metrics.
-pub fn run(spec: &ReplaySpec) -> ReplayReport {
+///
+/// # Errors
+/// The run's [`RunError`], e.g. when the chaos plan exhausts a task's
+/// retry budget.
+pub fn run(spec: &ReplaySpec) -> Result<ReplayReport, RunError> {
     let jobs = generate(spec);
     let (workflow, arrivals) = build(&jobs);
     let tasks = workflow.tasks().len();
@@ -202,19 +206,19 @@ pub fn run(spec: &ReplaySpec) -> ReplayReport {
     if spec.chaos {
         cfg = cfg.with_faults(fault_plan(spec));
     }
-    let report = gpuflow_runtime::run(&workflow, &cfg).expect("replay scenario must complete");
+    let report = gpuflow_runtime::run(&workflow, &cfg)?;
     let metrics = MetricsRegistry::from_log(
         &report.telemetry,
         SimDuration::from_secs_f64(spec.interval_secs),
     );
-    ReplayReport {
+    Ok(ReplayReport {
         spec: spec.clone(),
         jobs,
         tasks,
         makespan: report.makespan(),
         metrics,
         fingerprint: report.output_fingerprint,
-    }
+    })
 }
 
 impl ReplayReport {
@@ -318,8 +322,8 @@ mod tests {
             jobs: 6,
             ..ReplaySpec::default()
         };
-        let a = run(&spec);
-        let b = run(&spec);
+        let a = run(&spec).expect("replay runs");
+        let b = run(&spec).expect("replay runs");
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.render(), b.render());
@@ -343,9 +347,27 @@ mod tests {
             chaos: true,
             ..base.clone()
         };
-        let a = run(&base);
-        let b = run(&chaos);
+        let a = run(&base).expect("replay runs");
+        let b = run(&chaos).expect("chaos replay recovers");
         assert!(b.makespan >= a.makespan, "faults cannot speed a run up");
         assert!(b.render().contains("-- fault plan --"));
+    }
+
+    /// A chaos plan that exhausts a task's retry budget is the run's
+    /// typed error, not a panic.
+    #[test]
+    fn exhausted_retry_budget_is_an_error() {
+        let spec = ReplaySpec {
+            seed: 5,
+            jobs: 60,
+            horizon_secs: 10.0,
+            chaos: true,
+            ..ReplaySpec::default()
+        };
+        let err = run(&spec).expect_err("seed 5 exhausts the default retry budget");
+        assert!(
+            matches!(err, RunError::TaskFailed { attempts: 4, .. }),
+            "{err}"
+        );
     }
 }

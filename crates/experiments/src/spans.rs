@@ -19,8 +19,8 @@ use std::fmt::Write as _;
 use gpuflow_cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
 use gpuflow_runtime::jobs::build_jobs;
 use gpuflow_runtime::{
-    to_collapsed, AlertRule, MetricsRegistry, RunConfig, SampleStats, SchedulingPolicy, SpanForest,
-    SpanSampler,
+    to_collapsed, AlertRule, MetricsRegistry, RunConfig, RunError, SampleStats, SchedulingPolicy,
+    SpanForest, SpanSampler,
 };
 use gpuflow_sim::SimDuration;
 
@@ -61,7 +61,11 @@ pub struct SpansReport {
 
 /// Runs the chaos replay scenario and folds its telemetry into spans,
 /// flame weights, sampler statistics, and the alert timeline.
-pub fn run(spec: &ReplaySpec, rate_ppm: u64, sampler_seed: u64) -> SpansReport {
+///
+/// # Errors
+/// The run's [`RunError`], e.g. when the chaos plan exhausts a task's
+/// retry budget.
+pub fn run(spec: &ReplaySpec, rate_ppm: u64, sampler_seed: u64) -> Result<SpansReport, RunError> {
     let jobs = replay::generate(spec);
     let (workflow, built) = build_jobs(&jobs);
     let mut arrivals = Vec::new();
@@ -83,7 +87,7 @@ pub fn run(spec: &ReplaySpec, rate_ppm: u64, sampler_seed: u64) -> SpansReport {
     if spec.chaos {
         cfg = cfg.with_faults(replay::fault_plan(spec));
     }
-    let report = gpuflow_runtime::run(&workflow, &cfg).expect("spans scenario must complete");
+    let report = gpuflow_runtime::run(&workflow, &cfg)?;
 
     let forest = SpanForest::from_telemetry(&workflow, &report.telemetry);
     let sampler = SpanSampler::new(sampler_seed, rate_ppm);
@@ -107,7 +111,7 @@ pub fn run(spec: &ReplaySpec, rate_ppm: u64, sampler_seed: u64) -> SpansReport {
     metrics.enable_alerts(AlertRule::standard());
     report.telemetry.replay(&mut metrics);
 
-    SpansReport {
+    Ok(SpansReport {
         spec: spec.clone(),
         rate_ppm,
         sampler_seed,
@@ -118,7 +122,7 @@ pub fn run(spec: &ReplaySpec, rate_ppm: u64, sampler_seed: u64) -> SpansReport {
         metrics,
         makespan: report.makespan(),
         fingerprint: report.output_fingerprint,
-    }
+    })
 }
 
 impl SpansReport {
@@ -262,15 +266,17 @@ mod tests {
     #[test]
     fn spans_run_is_bit_reproducible() {
         let spec = small_spec();
-        let a = run(&spec, DEFAULT_RATE_PPM, DEFAULT_SAMPLER_SEED);
-        let b = run(&spec, DEFAULT_RATE_PPM, DEFAULT_SAMPLER_SEED);
+        let a = run(&spec, DEFAULT_RATE_PPM, DEFAULT_SAMPLER_SEED).expect("spans run");
+        let b = run(&spec, DEFAULT_RATE_PPM, DEFAULT_SAMPLER_SEED).expect("spans run");
         assert_eq!(a.render(), b.render());
         assert_eq!(a.forest.to_otlp_json(), b.forest.to_otlp_json());
     }
 
     #[test]
     fn artifact_contains_every_section() {
-        let text = run(&small_spec(), DEFAULT_RATE_PPM, DEFAULT_SAMPLER_SEED).render();
+        let text = run(&small_spec(), DEFAULT_RATE_PPM, DEFAULT_SAMPLER_SEED)
+            .expect("spans run")
+            .render();
         for section in [
             "-- flame (collapsed stacks, virtual-ns weights) --",
             "-- span summary --",
@@ -285,7 +291,7 @@ mod tests {
 
     #[test]
     fn sampled_trace_respects_bound_and_keeps_critical_path() {
-        let r = run(&small_spec(), 50_000, DEFAULT_SAMPLER_SEED);
+        let r = run(&small_spec(), 50_000, DEFAULT_SAMPLER_SEED).expect("spans run");
         assert!(r.stats.kept <= r.bound, "{} > {}", r.stats.kept, r.bound);
         let critical_kept = r
             .sampled
@@ -294,6 +300,24 @@ mod tests {
             .filter(|t| t.on_critical_path)
             .count();
         assert_eq!(critical_kept, r.stats.critical, "critical span dropped");
+    }
+
+    /// A chaos plan that exhausts a task's retry budget is the run's
+    /// typed error, not a panic.
+    #[test]
+    fn exhausted_retry_budget_is_an_error() {
+        let spec = ReplaySpec {
+            seed: 5,
+            jobs: 60,
+            horizon_secs: 10.0,
+            ..small_spec()
+        };
+        let err = run(&spec, DEFAULT_RATE_PPM, DEFAULT_SAMPLER_SEED)
+            .expect_err("seed 5 exhausts the default retry budget");
+        assert!(
+            matches!(err, RunError::TaskFailed { attempts: 4, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -281,16 +281,16 @@ fn replay_artifact_is_identical_across_thread_counts() {
         chaos: true,
         ..replay::ReplaySpec::default()
     };
-    let single = replay::run(&spec).render();
+    let render = |spec: &replay::ReplaySpec| replay::run(spec).expect("replay runs").render();
+    let single = render(&spec);
     for threads in [4usize, 8] {
-        let runs = par_map(threads, &[(); 4], |_, _| replay::run(&spec).render());
+        let runs = par_map(threads, &[(); 4], |_, _| render(&spec));
         assert!(runs.iter().all(|r| *r == single), "{threads} threads");
     }
-    let other = replay::run(&replay::ReplaySpec {
+    let other = render(&replay::ReplaySpec {
         seed: 0xBEEF,
         ..spec
-    })
-    .render();
+    });
     assert_ne!(single, other, "seed must matter");
 }
 
@@ -307,7 +307,8 @@ fn span_flame_and_alert_outputs_are_identical_across_thread_counts() {
         ..replay::ReplaySpec::default()
     };
     let run_once = || {
-        let r = spans::run(&spec, spans::DEFAULT_RATE_PPM, spans::DEFAULT_SAMPLER_SEED);
+        let r = spans::run(&spec, spans::DEFAULT_RATE_PPM, spans::DEFAULT_SAMPLER_SEED)
+            .expect("spans run");
         let timeline = r
             .metrics
             .alerts()
@@ -334,7 +335,7 @@ fn sampler_fixture() -> &'static SpanForest {
             chaos: true,
             ..replay::ReplaySpec::default()
         };
-        spans::run(&spec, 0, 0).forest
+        spans::run(&spec, 0, 0).expect("spans run").forest
     })
 }
 

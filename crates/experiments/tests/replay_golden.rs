@@ -31,7 +31,7 @@ fn golden_compare(rel: &str, actual: &str) {
 /// The default scenario regenerates the committed artifact exactly.
 #[test]
 fn default_replay_artifact_matches_golden() {
-    let report = replay::run(&replay::ReplaySpec::default());
+    let report = replay::run(&replay::ReplaySpec::default()).expect("replay runs");
     golden_compare("artifacts/replay.txt", &report.render());
 }
 
@@ -40,7 +40,7 @@ fn default_replay_artifact_matches_golden() {
 /// apply to freshly generated output.
 #[test]
 fn replay_exposition_passes_the_format_checker() {
-    let report = replay::run(&replay::ReplaySpec::default());
+    let report = replay::run(&replay::ReplaySpec::default()).expect("replay runs");
     let stats = gpuflow_lint::promtext::check(&report.metrics.expose())
         .expect("exposition must be well-formed");
     assert!(stats.families >= 20, "expected the full family set");
@@ -56,8 +56,8 @@ fn chaos_replay_is_deterministic() {
         chaos: true,
         ..replay::ReplaySpec::default()
     };
-    let a = replay::run(&spec).render();
-    let b = replay::run(&spec).render();
+    let a = replay::run(&spec).expect("replay runs").render();
+    let b = replay::run(&spec).expect("replay runs").render();
     assert_eq!(a, b);
     assert!(a.contains("-- fault plan --"));
     assert!(a.contains("crash:node="), "plan must render its faults");
