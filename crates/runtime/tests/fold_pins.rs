@@ -8,18 +8,25 @@
 //! bookkeeping is where folds disagree first, so these runs are the
 //! ones that catch a fold pairing events with the wrong attempt.
 //!
+//! The `executor_*` pins cover executor paths that no other golden
+//! reaches: GPU-to-CPU fallback, the locality policies steering retries
+//! away from the failing node, the per-tenant job window, and
+//! multi-threaded CPU tasks across a crash. Their documents add the
+//! telemetry digest, the output fingerprint, the recovery counters and
+//! the makespan, so any change to the executor's decisions shows.
+//!
 //! Regenerate after a deliberate change with:
 //! `GOLDEN_REGEN=1 cargo test -p gpuflow-runtime --test fold_pins`
 
 use std::fmt::Write as _;
 
 use gpuflow_cluster::{ClusterSpec, KernelWork, ProcessorKind, StorageArchitecture};
-use gpuflow_runtime::jobs::build;
+use gpuflow_runtime::jobs::{build, build_jobs};
 use gpuflow_runtime::trace_analysis::critical_path_from_telemetry;
 use gpuflow_runtime::{
-    run, to_chrome_trace, to_collapsed, CostProfile, Direction, FaultPlan, JobShape, JobSpec,
-    OverheadReport, RecoveryPolicy, RunConfig, RunProfile, RunReport, SchedulingPolicy, SpanForest,
-    Workflow, WorkflowBuilder,
+    run, to_chrome_trace, to_collapsed, CostProfile, Direction, FaultPlan, JobSchedule, JobShape,
+    JobSpec, OverheadReport, RecoveryPolicy, RunConfig, RunProfile, RunReport, SchedulingPolicy,
+    SpanForest, TenantSpec, Workflow, WorkflowBuilder,
 };
 
 const MB: u64 = 1 << 20;
@@ -174,4 +181,151 @@ fn cpu_crash_regeneration_folds_match_golden() {
     assert!(report.recovery.transient_failures > 0, "needs retries");
     assert_eq!(report.output_fingerprint, clean.output_fingerprint);
     golden_compare("folds_cpu_crash_regen.txt", &render_folds(&wf, &report));
+}
+
+/// [`render_folds`] plus the run's own outputs: the telemetry stream's
+/// digest, the output fingerprint, the recovery counters and the
+/// makespan in nanoseconds.
+fn render_run(wf: &Workflow, report: &RunReport) -> String {
+    let mut out = render_folds(wf, report);
+    let _ = writeln!(
+        out,
+        "-- run --\ntelemetry {}\nfingerprint {:016x}\nrecovery {:?}\nmakespan_ns {}",
+        digest(&report.telemetry.to_jsonl()),
+        report.output_fingerprint,
+        report.recovery,
+        (report.makespan() * 1e9).round() as u64
+    );
+    out
+}
+
+/// Every GPU of node 0 fails, one while busy and one while idle, and
+/// the fallback policy moves node 0's GPU tasks onto its cores.
+#[test]
+fn executor_gpu_fallback_pins() {
+    let wf = chains(6);
+    let mut cluster = ClusterSpec::tiny();
+    cluster.node.gpus = 2;
+    let mut base = RunConfig::new(cluster, ProcessorKind::Gpu);
+    base.jitter_sigma = 0.0;
+    let clean = run(&wf, &base).expect("fault-free run completes");
+    let plan = FaultPlan::new(17)
+        .with_gpu_failure(0, clean.makespan() * 0.2)
+        .with_gpu_failure(0, clean.makespan() * 0.4);
+    let cfg = base
+        .with_telemetry()
+        .with_faults(plan)
+        .with_recovery(RecoveryPolicy {
+            gpu_to_cpu_fallback: true,
+            ..RecoveryPolicy::default()
+        });
+    let report = run(&wf, &cfg).expect("fallback keeps the run alive");
+    assert!(report.recovery.gpu_fallbacks > 0, "{:?}", report.recovery);
+    assert_eq!(report.output_fingerprint, clean.output_fingerprint);
+    golden_compare("executor_gpu_fallback.txt", &render_run(&wf, &report));
+}
+
+/// Chains of the given lengths, shortest first, so that generation
+/// order and upward rank disagree about what to dispatch.
+fn ragged_chains(lengths: &[usize]) -> Workflow {
+    let mut b = WorkflowBuilder::new();
+    for (i, &len) in lengths.iter().enumerate() {
+        let cost = CostProfile::fully_parallel(KernelWork {
+            flops: 1e9 * (1 + i % 3) as f64,
+            bytes: 1e8,
+            parallelism: 1e9,
+        });
+        let mut prev = b.input(format!("x{i}"), MB);
+        for s in 0..len {
+            let out = b.intermediate(format!("c{i}_{s}"), MB);
+            b.submit(
+                "link",
+                cost,
+                &[(prev, Direction::In), (out, Direction::Out)],
+                false,
+            )
+            .expect("submit");
+            prev = out;
+        }
+    }
+    b.build()
+}
+
+/// The two cache-scoring policies under transient failures: a retried
+/// task is steered away from the node that failed it.
+#[test]
+fn executor_locality_retry_pins() {
+    let wf = ragged_chains(&[1, 1, 1, 1, 1, 1, 2, 2, 3, 4, 5, 6]);
+    let mut doc = String::new();
+    for policy in [
+        SchedulingPolicy::DataLocality,
+        SchedulingPolicy::CriticalPath,
+    ] {
+        let mut cfg = RunConfig::new(ClusterSpec::tiny(), ProcessorKind::Cpu)
+            .with_storage(StorageArchitecture::LocalDisk)
+            .with_policy(policy)
+            .with_telemetry()
+            .with_faults(FaultPlan::new(29).with_task_failures(None, 0.25))
+            .with_recovery(RecoveryPolicy {
+                max_retries: 8,
+                resubmit_alternate: true,
+                ..RecoveryPolicy::default()
+            });
+        cfg.jitter_sigma = 0.0;
+        let report = run(&wf, &cfg).expect("recoverable plan completes");
+        assert!(report.recovery.retries > 0, "needs retries");
+        let _ = writeln!(doc, "== {policy:?} ==");
+        doc.push_str(&render_run(&wf, &report));
+    }
+    golden_compare("executor_locality_retry.txt", &doc);
+}
+
+/// A job gate with unequal tenant weights and a per-tenant cap of one
+/// job in flight.
+#[test]
+fn executor_tenant_window_pins() {
+    let specs: Vec<JobSpec> = (0..12)
+        .map(|id| JobSpec {
+            id,
+            tenant: id % 3,
+            shape: JobShape::ALL[id % 3],
+            tasks: 8 + (id * 3) % 12,
+            arrival_secs: id as f64 * 0.002,
+            priority: (id % 2) as u32,
+        })
+        .collect();
+    let (wf, built) = build_jobs(&specs);
+    let tenants = [("a", 1), ("b", 3), ("c", 2)]
+        .into_iter()
+        .map(|(name, weight)| TenantSpec {
+            name: name.to_string(),
+            weight,
+        })
+        .collect();
+    let mut sched = JobSchedule::assemble(tenants, &specs, &built, 2);
+    sched.max_inflight_per_tenant = 1;
+    let mut cfg = RunConfig::new(ClusterSpec::tiny(), ProcessorKind::Cpu)
+        .with_jobs(sched)
+        .with_telemetry();
+    cfg.jitter_sigma = 0.0;
+    let report = run(&wf, &cfg).expect("gated run completes");
+    golden_compare("executor_tenant_window.txt", &render_run(&wf, &report));
+}
+
+/// Two-thread CPU tasks on local disks through a node crash and
+/// rejoin.
+#[test]
+fn executor_threaded_crash_pins() {
+    let wf = chains(6);
+    let mut base = RunConfig::new(ClusterSpec::tiny(), ProcessorKind::Cpu)
+        .with_storage(StorageArchitecture::LocalDisk)
+        .with_cpu_threads(2);
+    base.jitter_sigma = 0.0;
+    let clean = run(&wf, &base).expect("fault-free run completes");
+    let plan =
+        FaultPlan::new(31).with_node_crash(1, clean.makespan() * 0.4, Some(clean.makespan() * 0.2));
+    let report = run(&wf, &base.with_telemetry().with_faults(plan)).expect("crash recovers");
+    assert!(report.recovery.resubmissions > 0, "{:?}", report.recovery);
+    assert_eq!(report.output_fingerprint, clean.output_fingerprint);
+    golden_compare("executor_threaded_crash.txt", &render_run(&wf, &report));
 }
