@@ -136,18 +136,18 @@ fn fig11_render_is_identical_across_thread_counts() {
 }
 
 /// Telemetry is an observer: enabling it must not perturb the simulated
-/// schedule. With telemetry off the artifacts (makespan, trace CSV) are
-/// byte-identical to a telemetry-on run of the same configuration — and
-/// the off-run's telemetry log is empty.
+/// schedule. With telemetry off the makespan and the task records are
+/// identical to a telemetry-on run of the same configuration — and the
+/// off-run's telemetry log is empty.
 #[test]
 fn telemetry_is_a_pure_observer() {
     let ctx = Context::default();
     let wf = canonical_matmul();
     let base = RunConfig::new(ctx.cluster.clone(), ProcessorKind::Gpu).with_seed(ctx.base_seed);
-    let off = gpuflow_runtime::run(&wf, &base.clone().with_trace()).expect("fits");
-    let on = gpuflow_runtime::run(&wf, &base.with_trace().with_telemetry()).expect("fits");
+    let off = gpuflow_runtime::run(&wf, &base.clone()).expect("fits");
+    let on = gpuflow_runtime::run(&wf, &base.with_telemetry()).expect("fits");
     assert_eq!(off.makespan().to_bits(), on.makespan().to_bits());
-    assert_eq!(off.trace.to_csv(), on.trace.to_csv());
+    assert_eq!(off.records, on.records);
     assert!(off.telemetry.is_empty(), "disabled telemetry stays empty");
     assert!(!on.telemetry.is_empty());
 }
@@ -168,14 +168,14 @@ fn telemetry_jsonl_is_identical_across_thread_counts() {
 
 /// An *empty* fault plan is a pure observer, exactly like disabled
 /// telemetry: attaching it (plus the default recovery policy) changes no
-/// artifact bit — makespan, trace CSV, telemetry JSONL, or fingerprint.
+/// artifact bit — makespan, task records, telemetry JSONL, or
+/// fingerprint.
 #[test]
 fn empty_fault_plan_is_a_pure_observer() {
     let ctx = Context::default();
     let wf = canonical_matmul();
     let base = RunConfig::new(ctx.cluster.clone(), ProcessorKind::Gpu)
         .with_seed(ctx.base_seed)
-        .with_trace()
         .with_telemetry();
     let off = gpuflow_runtime::run(&wf, &base.clone()).expect("fits");
     let on = gpuflow_runtime::run(
@@ -186,7 +186,7 @@ fn empty_fault_plan_is_a_pure_observer() {
     )
     .expect("fits");
     assert_eq!(off.makespan().to_bits(), on.makespan().to_bits());
-    assert_eq!(off.trace.to_csv(), on.trace.to_csv());
+    assert_eq!(off.records, on.records);
     assert_eq!(off.telemetry.to_jsonl(), on.telemetry.to_jsonl());
     assert_eq!(off.output_fingerprint, on.output_fingerprint);
     assert_eq!(on.recovery, gpuflow_runtime::RecoveryStats::default());

@@ -15,7 +15,7 @@ use gpuflow_sim::{SimDuration, SimTime};
 use crate::task::{TaskId, TaskType};
 
 /// Everything measured about one executed task.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskRecord {
     /// Task identifier.
     pub task: TaskId,

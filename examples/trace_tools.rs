@@ -9,25 +9,26 @@
 
 use gpuflow::algorithms::KmeansConfig;
 use gpuflow::cluster::{ClusterSpec, ProcessorKind};
-use gpuflow::runtime::{paraver_pcf, run, to_paraver_prv, trace_analysis as ta, RunConfig};
+use gpuflow::runtime::{paraver_pcf, run, to_paraver_prv, trace_analysis as ta, RunConfig, Trace};
 
 fn main() {
     let workflow = KmeansConfig::new(gpuflow::data::paper::kmeans_10gb(), 64, 100, 3)
         .expect("valid partitioning")
         .build_workflow();
     let cluster = ClusterSpec::minotauro();
-    let config = RunConfig::new(cluster.clone(), ProcessorKind::Gpu).with_trace();
+    let config = RunConfig::new(cluster.clone(), ProcessorKind::Gpu).with_telemetry();
     let report = run(&workflow, &config).expect("fits the cluster");
+    let trace = Trace::from_telemetry(&report.telemetry);
 
     println!("K-means 10 GB, 64 blocks, 100 clusters, 3 iterations, GPU run");
     println!(
         "makespan: {:.2} s, trace records: {}\n",
         report.makespan(),
-        report.trace.len()
+        trace.len()
     );
 
     // Where did the time go, cluster-wide? (the Fig. 7 stacked story)
-    let breakdown = ta::state_breakdown(&report.trace);
+    let breakdown = ta::state_breakdown(&trace);
     println!(
         "state breakdown ({:.1} core-seconds traced):",
         breakdown.total()
@@ -60,7 +61,7 @@ fn main() {
     );
 
     // Paraver export.
-    let prv = to_paraver_prv(&report.trace, cluster.nodes);
+    let prv = to_paraver_prv(&trace, cluster.nodes);
     let out_dir = std::env::temp_dir();
     let prv_path = out_dir.join("gpuflow_kmeans.prv");
     let pcf_path = out_dir.join("gpuflow_kmeans.pcf");
