@@ -272,18 +272,6 @@ impl RunProfile {
         ]
     }
 
-    /// Sum of the five buckets; equals [`RunProfile::makespan_ns`] for
-    /// any profile built by [`RunProfile::from_telemetry`].
-    pub fn buckets_total_ns(&self) -> u64 {
-        self.buckets().iter().map(|(_, v)| v).sum()
-    }
-
-    /// Completion time of the last critical-path task, ns (sum of the
-    /// segment spans).
-    pub fn critical_path_ns(&self) -> u64 {
-        self.critical_path.iter().map(|s| s.span_ns).sum()
-    }
-
     /// Serializes the profile to its line-oriented text format. The
     /// output is deterministic and [`RunProfile::parse`] inverts it
     /// exactly.

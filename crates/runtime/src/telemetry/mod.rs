@@ -11,10 +11,9 @@
 //!   [`TelemetryEvent`]s for task lifecycle, scheduler decisions (with
 //!   scored candidate sets and per-decision master overhead), cache
 //!   hit/miss/evict, link transfers, and per-node resource gauges;
-//! * pluggable **sinks** ([`TelemetrySink`]): a Chrome
-//!   `trace_event`/Perfetto exporter ([`to_chrome_trace`]), a
-//!   deterministic JSONL serializer ([`JsonlSink`]), and an in-memory
-//!   buffer ([`MemorySink`]);
+//! * exporters: a Chrome `trace_event`/Perfetto document
+//!   ([`to_chrome_trace`]) and, through the [`TelemetrySink`] replay
+//!   interface, a deterministic JSONL serializer ([`JsonlSink`]);
 //! * an [`OverheadReport`] decomposing the makespan into compute /
 //!   data-movement / recovery / master / idle buckets, after the
 //!   Dask-overheads analysis style.
@@ -60,7 +59,7 @@ mod timeline;
 use std::fmt::Write as _;
 
 pub use alert::{AlertEngine, AlertRule, AlertSeverity, AlertState, AlertTransition, RuleKind};
-pub use chrome::{to_chrome_trace, ChromeTraceSink};
+pub use chrome::to_chrome_trace;
 pub use diff::{
     BucketDelta, CriticalSegment, PathChange, PathDelta, ResourceProfile, RunDiff, RunProfile,
     TaskTypeProfile, TypeDelta,
@@ -73,7 +72,7 @@ pub use metrics::{
 };
 pub use overhead::OverheadReport;
 pub use sampler::{SampleStats, SpanSampler};
-pub use sink::{JsonlSink, MemorySink, TelemetrySink};
+pub use sink::{JsonlSink, TelemetrySink};
 pub use span::{PhaseSpan, SpanForest, SpanPhase, TaskSpans};
 pub use timeline::TaskTimeline;
 

@@ -1,14 +1,9 @@
 //! Pluggable telemetry sinks.
 //!
-//! A [`TelemetrySink`] consumes a replayed event stream. Three sinks
-//! ship with the runtime:
-//!
-//! * [`MemorySink`] — buffers events for programmatic analysis (this is
-//!   what [`super::TelemetryLog`] wraps);
-//! * [`JsonlSink`] — one deterministic JSON object per line, for
-//!   machine consumption;
-//! * [`super::ChromeTraceSink`] — a Chrome `trace_event` JSON document
-//!   viewable in Perfetto or `chrome://tracing`.
+//! A [`TelemetrySink`] consumes a replayed event stream: the
+//! [`JsonlSink`] writes one deterministic JSON object per line, for
+//! machine consumption, and the [`super::MetricsRegistry`] folds the
+//! stream into Prometheus metrics.
 
 use super::event::TelemetryEvent;
 
@@ -19,19 +14,6 @@ pub trait TelemetrySink {
 
     /// Signals the end of the stream (flush/assemble output).
     fn finish(&mut self) {}
-}
-
-/// Buffers cloned events in memory.
-#[derive(Debug, Clone, Default)]
-pub struct MemorySink {
-    /// The buffered events, in emission order.
-    pub events: Vec<TelemetryEvent>,
-}
-
-impl TelemetrySink for MemorySink {
-    fn on_event(&mut self, ev: &TelemetryEvent) {
-        self.events.push(ev.clone());
-    }
 }
 
 /// Serializes each event as one JSON line.
@@ -75,22 +57,6 @@ mod tests {
             at: SimTime::from_nanos(1),
             task: TaskId(task),
         }
-    }
-
-    #[test]
-    fn memory_sink_buffers_in_order() {
-        let mut s = MemorySink::default();
-        s.on_event(&ev(1));
-        s.on_event(&ev(2));
-        s.finish();
-        assert_eq!(s.events.len(), 2);
-        assert!(matches!(
-            s.events[1],
-            TelemetryEvent::TaskReady {
-                task: TaskId(2),
-                ..
-            }
-        ));
     }
 
     #[test]

@@ -82,8 +82,6 @@ pub struct BusyInterval {
     pub t0: SimTime,
     /// End.
     pub t1: SimTime,
-    /// Number of concurrently busy tasks over the interval (minimum 1).
-    pub min_concurrency: usize,
 }
 
 /// Per-node busy timelines derived from task records (a task is "busy"
@@ -115,21 +113,15 @@ pub(crate) fn merge_busy(
         let mut intervals = Vec::new();
         let mut depth = 0i32;
         let mut open_at = 0u64;
-        let mut min_c = usize::MAX;
         for (t, d) in evs {
             if depth == 0 && d > 0 {
                 open_at = t;
-                min_c = usize::MAX;
             }
             depth += d;
-            if depth > 0 {
-                min_c = min_c.min(depth as usize);
-            }
             if depth == 0 && t > open_at {
                 intervals.push(BusyInterval {
                     t0: SimTime::from_nanos(open_at),
                     t1: SimTime::from_nanos(t),
-                    min_concurrency: if min_c == usize::MAX { 1 } else { min_c },
                 });
             }
         }
