@@ -3,17 +3,12 @@
 //! scan the ready set and the nodes (CriticalPath, DataLocality). This
 //! is the proof harness for the incremental try_start fast path: the
 //! seed implementation re-collected and re-sorted the ready set on every
-//! decision, which is quadratic in the ready width.
-//!
-//! The `hot_loop` group drives the `repro perf` DAG shapes (wide /
-//! stencil / tree) through the arena executor at 100k tasks — the
-//! calendar-queue + O(1)-LRU hot path. Set `GPUFLOW_BENCH_FULL=1` to
-//! also run the million-task variants (several seconds per iteration;
-//! not part of the CI smoke).
+//! decision, which is quadratic in the ready width. The stress DAGs at
+//! 10^5 and 10^6 tasks are measured by `repro perf` (`--full` for the
+//! million-task runs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpuflow_cluster::{ClusterSpec, KernelWork, ProcessorKind, StorageArchitecture};
-use gpuflow_experiments::stress;
 use gpuflow_runtime::{
     run, CostProfile, Direction, RunConfig, SchedulingPolicy, Workflow, WorkflowBuilder,
 };
@@ -82,24 +77,5 @@ fn bench_ready_width(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_hot_loop(c: &mut Criterion) {
-    let mut g = c.benchmark_group("hot_loop");
-    g.sample_size(10);
-    let mut sizes = vec![100_000usize];
-    if std::env::var("GPUFLOW_BENCH_FULL").is_ok_and(|v| v == "1") {
-        sizes.push(1_000_000);
-    }
-    for &tasks in &sizes {
-        for shape in stress::Shape::ALL {
-            let wf = stress::build(shape, tasks);
-            let cfg = stress::stress_config();
-            g.bench_with_input(BenchmarkId::new(shape.label(), tasks), &wf, |b, wf| {
-                b.iter(|| black_box(run(wf, &cfg).expect("completes")))
-            });
-        }
-    }
-    g.finish();
-}
-
-criterion_group!(scheduler_stress, bench_ready_width, bench_hot_loop);
+criterion_group!(scheduler_stress, bench_ready_width);
 criterion_main!(scheduler_stress);
