@@ -1,26 +1,42 @@
-//! `repro` — regenerate the paper's tables and figures.
+//! `repro` — regenerate the paper's tables and figures, and check the
+//! committed copies under `artifacts/`.
 //!
 //! ```text
-//! repro all              # every artifact, paper-scale parameters
-//! repro fig1             # one artifact
-//! repro fig7a fig7b ...  # several
-//! repro fig11 --quick    # reduced sample set
-//! repro all --out DIR    # additionally write one text file per artifact
-//! repro all --threads N  # sweep-level parallelism (default: all cores,
-//!                        # or GPUFLOW_THREADS); results are identical
-//!                        # at every thread count
-//! repro all --telemetry DIR  # additionally run the canonical Matmul with
-//!                            # telemetry and write telemetry.jsonl,
+//! repro all                  # every committed artifact (below)
+//! repro fig1                 # one artifact
+//! repro fig7a fig7b ...      # several
+//! repro fig11 --quick        # reduced sample set
+//! repro all --out DIR        # additionally write DIR/<name>.txt per
+//!                            # artifact; `--out artifacts` re-blesses
+//! repro all --threads N      # sweep-level parallelism (default: all
+//!                            # cores, or GPUFLOW_THREADS); results are
+//!                            # identical at every thread count
+//! repro all --telemetry DIR  # additionally run the canonical Matmul
+//!                            # with telemetry and write telemetry.jsonl,
 //!                            # trace.chrome.json, decisions.log,
 //!                            # overhead.txt into DIR
-//! repro gate                 # perf-regression gate against committed
-//!                            # baselines (artifacts/baselines); exits 1
-//!                            # on regression or missing baseline
-//! repro gate --update        # rewrite the baseline profiles
-//! repro gate --baselines DIR --tolerance PCT --report FILE
-//! repro lint                 # workspace determinism & integer-time
-//!                            # lints (docs/static_analysis.md);
-//!                            # exits 1 on unsuppressed findings
+//! repro replay [--seed N] [--jobs N] [--tenants N] [--horizon SECS]
+//!              [--interval SECS] [--chaos]
+//!                            # production-trace replay scenario
+//!                            # (diurnal arrivals × heavy-tailed jobs ×
+//!                            # tenant mix) with metrics-over-time
+//! repro spans [replay flags] [--rate PPM] [--span-seed N] [--otlp FILE]
+//!                            # causal span traces, flame graph,
+//!                            # deterministic sampling and the SLO alert
+//!                            # timeline over the chaos replay scenario
+//! repro replay --from-log FILE   # deterministically re-execute a
+//!                                # recorded gpuflowd submission log;
+//!                                # prints the per-job fingerprints and
+//!                                # exposition — bit-identical to the
+//!                                # live daemon run at any --threads
+//! repro check                # regenerate and byte-compare every
+//!                            # committed artifact, validate the replay
+//!                            # and spans grammars, run the perf gate
+//!                            # against artifacts/baselines and the
+//!                            # 10^6-task sampler bound; prints one line
+//!                            # per check and exits 1 after reporting
+//!                            # every failure
+//! repro gate --update        # rewrite the perf-gate baseline profiles
 //! repro perf                 # master-overhead stress suite (host ns
 //!                            # per simulated task, 100k-task DAGs)
 //! repro perf --full          # million-task DAGs
@@ -28,561 +44,345 @@
 //! repro perf --check         # also compare against the committed
 //!                            # ceilings (artifacts/baselines/
 //!                            # perf_ns_per_task.txt); exits 1 on breach
-//! repro replay               # production-trace replay scenario
-//!                            # (diurnal arrivals × heavy-tailed jobs ×
-//!                            # tenant mix) with metrics-over-time
-//! repro replay --seed N --jobs N --tenants N --chaos
-//! repro replay --check       # validate the Prometheus exposition
-//!                            # (exits 1 on malformed output)
-//! repro replay --out FILE    # write the artifact to FILE
-//! repro replay --from-log FILE   # deterministically re-execute a
-//!                                # recorded gpuflowd submission log;
-//!                                # prints the per-job fingerprints and
-//!                                # exposition — bit-identical to the
-//!                                # live daemon run at any --threads
-//! repro spans                # causal span traces, flame graph,
-//!                            # deterministic sampling and the SLO
-//!                            # alert timeline over the chaos replay
-//!                            # scenario
-//! repro spans --rate PPM --span-seed N --otlp FILE --out FILE
-//! repro spans --check        # byte-diff against artifacts/spans.txt,
-//!                            # validate the collapsed-stack grammar
-//!                            # and the Prometheus exposition; exits 1
-//!                            # on any mismatch
-//! repro spans --stress       # 10^6-task DAG sampler bound check:
-//!                            # kept <= documented bound and 100%
-//!                            # critical-path retention; exits 1 on
-//!                            # breach (--tasks N, --shape S override)
 //! ```
 //!
-//! Artifacts: table1, fig1, fig6, fig7a, fig7b, fig8, fig9a, fig9b,
-//! fig10a, fig10b, fig11, fig12, plus the extensions `sensitivity`
-//! (resource-parameter sweeps the paper defers to future work),
-//! `generalizability` (the §5.5.1 parallel-fraction spectrum), `obs`
-//! (telemetry bundle: event summary + overhead decomposition), and
-//! `chaos` (fault-injection sensitivity: makespan and output
-//! convergence under transient failures and node crashes).
+//! Every artifact comes from one table ([`ARTIFACTS`]). The committed
+//! ones, which `all` writes and `check` compares, are the paper's
+//! table1, fig1, fig6, fig7a, fig7b, fig8, fig9a, fig9b, fig10a, fig10b,
+//! fig11 and fig12; the extensions `sensitivity` (resource-parameter
+//! sweeps the paper defers to future work), `generalizability` (the
+//! §5.5.1 parallel-fraction spectrum), `prediction`, `memory` and
+//! `ablation`; and `replay` and `spans`. Two targets are never
+//! committed: `obs` (telemetry bundle: event summary + overhead
+//! decomposition) and `chaos` (fault-injection sensitivity: makespan and
+//! output convergence under transient failures and node crashes).
+//! Host-timed `repro perf --check` stays outside `repro check`, so a
+//! failed check always means changed behaviour, never noise.
+//!
+//! Exit codes: `0` success, `1` a failed run or check, `2` a usage
+//! error.
 
+use std::path::Path;
+use std::process::ExitCode;
 use std::time::Instant;
 
+use gpuflow_experiments::gate::CaseStatus;
+use gpuflow_experiments::replay::ReplaySpec;
 use gpuflow_experiments::{
     ablation, factors, fault_sensitivity, fig1, fig10, fig11, fig12, fig6, fig7, fig8, fig9, gate,
     generalizability, memory, obs, prediction, replay, sensitivity, spans, stress, Context,
 };
 
-/// Runs the perf-regression gate (`repro gate [--update] [--baselines
-/// DIR] [--tolerance PCT] [--report FILE]`); exits nonzero on failure.
-fn run_gate(ctx: &Context, args: &[String]) {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let dir = value_of("--baselines").unwrap_or_else(|| "artifacts/baselines".to_string());
-    let dir = std::path::Path::new(&dir);
-    if args.iter().any(|a| a == "--update") {
-        let written = gate::update(ctx, dir).expect("write baseline profiles");
-        for path in &written {
-            eprintln!("[baseline -> {}]", path.display());
-        }
-        println!(
-            "updated {} baseline profiles in {}",
-            written.len(),
-            dir.display()
-        );
-        return;
-    }
-    let tolerance = value_of("--tolerance")
-        .map(|v| v.parse::<f64>().expect("--tolerance takes a percentage"))
-        .unwrap_or(gate::DEFAULT_TOLERANCE_PCT);
-    let report = gate::check(ctx, dir, tolerance);
-    let mut text = report.render();
-    if !report.passed() {
-        // A perf regression on a tree that also violates the determinism
-        // lints is usually the lint finding's fault; say so up front.
-        if let Some(note) = lint_note() {
-            text.push('\n');
-            text.push_str(&note);
-            text.push('\n');
-        }
-    }
-    println!("{text}");
-    if let Some(path) = value_of("--report") {
-        std::fs::write(&path, &text).expect("write gate report");
-        eprintln!("[gate report -> {path}]");
-    }
-    if !report.passed() {
-        std::process::exit(1);
-    }
+/// Where the committed artifacts live, relative to the workspace root.
+const ARTIFACT_DIR: &str = "artifacts";
+
+/// Where the perf gate's baseline profiles live.
+const BASELINE_DIR: &str = "artifacts/baselines";
+
+/// Flags that take a value.
+const VALUE_FLAGS: [&str; 14] = [
+    "--out",
+    "--threads",
+    "--telemetry",
+    "--seed",
+    "--jobs",
+    "--tenants",
+    "--horizon",
+    "--interval",
+    "--rate",
+    "--span-seed",
+    "--otlp",
+    "--from-log",
+    "--tasks",
+    "--thresholds",
+];
+
+/// Flags that take no value.
+const SWITCHES: [&str; 5] = ["--quick", "--chaos", "--update", "--full", "--check"];
+
+/// The flags `repro [all | NAME...]` takes.
+const RENDER_FLAGS: [&str; 13] = [
+    "--out",
+    "--threads",
+    "--telemetry",
+    "--quick",
+    "--seed",
+    "--jobs",
+    "--tenants",
+    "--horizon",
+    "--interval",
+    "--chaos",
+    "--rate",
+    "--span-seed",
+    "--otlp",
+];
+
+/// The command line: positional words and flags.
+#[derive(Default)]
+struct Args {
+    words: Vec<String>,
+    values: Vec<(String, String)>,
+    switches: Vec<String>,
 }
 
-/// Runs the master-overhead stress suite (`repro perf [--full]
-/// [--tasks N] [--check] [--thresholds FILE]`): million-task DAGs
-/// measured in host ns per simulated task. With `--check`, compares
-/// against the committed ceilings and exits nonzero on a breach.
-fn run_perf(args: &[String]) {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let full = args.iter().any(|a| a == "--full");
-    let tasks = value_of("--tasks")
-        .map(|v| v.parse::<usize>().expect("--tasks takes a number"))
-        .unwrap_or(if full { 1_000_000 } else { 100_000 });
-    let results = stress::run_suite(tasks);
-    println!("{}", stress::render(&results));
-    if args.iter().any(|a| a == "--check") {
-        let path = value_of("--thresholds")
-            .unwrap_or_else(|| "artifacts/baselines/perf_ns_per_task.txt".to_string());
-        match stress::check(&results, std::path::Path::new(&path)) {
-            Ok(verdicts) => println!("perf check: PASS\n{verdicts}"),
-            Err(verdicts) => {
-                eprintln!("perf check: FAIL\n{verdicts}");
-                std::process::exit(1);
+impl Args {
+    fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut args = Args::default();
+        let mut argv = argv.into_iter();
+        while let Some(arg) = argv.next() {
+            if VALUE_FLAGS.contains(&arg.as_str()) {
+                let value = argv.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                args.values.push((arg, value));
+            } else if SWITCHES.contains(&arg.as_str()) {
+                args.switches.push(arg);
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown flag '{arg}'"));
+            } else {
+                args.words.push(arg);
             }
         }
+        Ok(args)
     }
-}
 
-/// Runs a production-trace replay scenario (`repro replay [--seed N]
-/// [--jobs N] [--tenants N] [--horizon SECS] [--interval SECS]
-/// [--chaos] [--check] [--out FILE]`). The artifact is the scenario's
-/// submission log, metrics-over-time series, and final Prometheus
-/// exposition; with `--check`, the exposition is validated against the
-/// text-format grammar and the process exits nonzero on a violation —
-/// this is the zero-dependency checker the CI metrics-smoke job runs.
-/// `repro replay --from-log FILE`: re-executes a recorded `gpuflowd`
-/// submission journal by committing its decisions verbatim
-/// ([`gpuflow_daemon::DaemonCore::replay`]). The printed report —
-/// per-job output fingerprints plus the final Prometheus exposition —
-/// is bit-identical to the live daemon's `ctl report` output.
-fn run_replay_from_log(path: &str, args: &[String]) {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("repro replay: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let core = gpuflow_daemon::DaemonCore::replay(&text).unwrap_or_else(|e| {
-        eprintln!("repro replay: {path}: {e}");
-        std::process::exit(2);
-    });
-    let report = core.report();
-    print!("{report}");
-    if let Some(out) = value_of("--out") {
-        std::fs::write(&out, &report).expect("write replay report");
-        eprintln!("[replay -> {out}]");
+    fn switch(&self, flag: &str) -> bool {
+        self.switches.iter().any(|s| s == flag)
     }
-    if args.iter().any(|a| a == "--check") {
-        let text = core.metrics_text();
-        match gpuflow_lint::promtext::check(&text) {
-            Ok(stats) => println!(
-                "exposition check: PASS ({} families, {} samples)",
-                stats.families, stats.samples
-            ),
-            Err(err) => {
-                eprintln!("exposition check: FAIL\n{err}");
-                std::process::exit(1);
-            }
-        }
-        match gpuflow_lint::promtext::check_alert_families(&text) {
-            Ok(stats) => println!(
-                "alert surface check: PASS ({} alert samples, {} recording rules)",
-                stats.alert_samples, stats.recording_families
-            ),
-            Err(err) => {
-                eprintln!("alert surface check: FAIL\n{err}");
-                std::process::exit(1);
-            }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn num<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|_| format!("{flag} takes a number, got '{v}'")))
+            .transpose()
+    }
+
+    /// Fails on a flag the command does not take.
+    fn only(&self, allowed: &[&str]) -> Result<(), String> {
+        let mut flags = self.values.iter().map(|(f, _)| f).chain(&self.switches);
+        match flags.find(|f| !allowed.contains(&f.as_str())) {
+            Some(flag) => Err(format!("this command does not take {flag}")),
+            None => Ok(()),
         }
     }
 }
 
-fn run_replay(args: &[String]) {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    if let Some(path) = value_of("--from-log") {
-        run_replay_from_log(&path, args);
-        return;
-    }
-    let mut spec = replay::ReplaySpec::default();
-    if let Some(v) = value_of("--seed") {
-        spec.seed = v.parse().expect("--seed takes an integer");
-    }
-    if let Some(v) = value_of("--jobs") {
-        spec.jobs = v.parse().expect("--jobs takes a number");
-    }
-    if let Some(v) = value_of("--tenants") {
-        spec.tenants = v.parse().expect("--tenants takes a number");
-    }
-    if let Some(v) = value_of("--horizon") {
-        spec.horizon_secs = v.parse().expect("--horizon takes seconds");
-    }
-    if let Some(v) = value_of("--interval") {
-        spec.interval_secs = v.parse().expect("--interval takes seconds");
-    }
-    if args.iter().any(|a| a == "--chaos") {
-        spec.chaos = true;
-    }
-    let report = replay::run(&spec).unwrap_or_else(|err| {
-        eprintln!("replay: {err}");
-        std::process::exit(1);
-    });
-    let text = report.render();
-    println!("{text}");
-    if let Some(path) = value_of("--out") {
-        std::fs::write(&path, &text).expect("write replay artifact");
-        eprintln!("[replay -> {path}]");
-    }
-    if args.iter().any(|a| a == "--check") {
-        match gpuflow_lint::promtext::check(&report.metrics.expose()) {
-            Ok(stats) => println!(
-                "exposition check: PASS ({} families, {} samples)",
-                stats.families, stats.samples
-            ),
-            Err(err) => {
-                eprintln!("exposition check: FAIL\n{err}");
-                std::process::exit(1);
-            }
+/// What the artifact renderers read: the sweep context and the replay
+/// and span scenario. `repro check` renders with the defaults.
+struct Opts {
+    ctx: Context,
+    quick: bool,
+    spec: ReplaySpec,
+    rate_ppm: u64,
+    span_seed: u64,
+    otlp: Option<String>,
+}
+
+impl Opts {
+    fn new(ctx: Context) -> Opts {
+        Opts {
+            ctx,
+            quick: false,
+            spec: ReplaySpec::default(),
+            rate_ppm: spans::DEFAULT_RATE_PPM,
+            span_seed: spans::DEFAULT_SAMPLER_SEED,
+            otlp: None,
         }
+    }
+
+    fn from_args(ctx: Context, args: &Args) -> Result<Opts, String> {
+        let mut opts = Opts::new(ctx);
+        opts.quick = args.switch("--quick");
+        let spec = &mut opts.spec;
+        spec.seed = args.num("--seed")?.unwrap_or(spec.seed);
+        spec.jobs = args.num("--jobs")?.unwrap_or(spec.jobs);
+        spec.tenants = args.num("--tenants")?.unwrap_or(spec.tenants);
+        spec.horizon_secs = args.num("--horizon")?.unwrap_or(spec.horizon_secs);
+        spec.interval_secs = args.num("--interval")?.unwrap_or(spec.interval_secs);
+        spec.chaos = args.switch("--chaos");
+        opts.rate_ppm = args.num("--rate")?.unwrap_or(opts.rate_ppm);
+        opts.span_seed = args.num("--span-seed")?.unwrap_or(opts.span_seed);
+        opts.otlp = args.value("--otlp").map(String::from);
+        Ok(opts)
+    }
+
+    /// The span scenario: the replay scenario, always with chaos.
+    fn spans(&self) -> Result<spans::SpansReport, String> {
+        let spec = ReplaySpec {
+            chaos: true,
+            ..self.spec.clone()
+        };
+        spans::run(&spec, self.rate_ppm, self.span_seed).map_err(|e| e.to_string())
     }
 }
 
-/// Runs the span-trace scenario (`repro spans [--seed N] [--jobs N]
-/// [--tenants N] [--horizon SECS] [--interval SECS] [--rate PPM]
-/// [--span-seed N] [--otlp FILE] [--out FILE] [--check] [--stress
-/// [--tasks N] [--shape S]]`). The artifact is the chaos replay
-/// scenario's collapsed flame graph, span summary, sampler coverage,
-/// and SLO alert timeline; with `--check` it is byte-diffed against
-/// the committed golden and both output grammars are validated. With
-/// `--stress`, a million-task DAG (by default) checks the sampler's
-/// documented size bound and 100% critical-path retention instead.
-fn run_spans(args: &[String]) {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+/// Renders one artifact's text.
+type Render = fn(&Opts) -> Result<String, String>;
+
+/// The artifact table `all`, `<name>` and `check` dispatch through:
+/// name, whether `artifacts/<name>.txt` is committed (and so written by
+/// `all` and compared by `check`), and renderer.
+const ARTIFACTS: [(&str, bool, Render); 21] = [
+    ("table1", true, |_| Ok(factors::render())),
+    ("fig1", true, |o| Ok(fig1::run(&o.ctx).render())),
+    ("fig6", true, render_fig6),
+    ("fig7a", true, render_fig7a),
+    ("fig7b", true, render_fig7b),
+    ("fig8", true, |o| Ok(fig8::run(&o.ctx).render())),
+    ("fig9a", true, |o| Ok(fig9::run_9a(&o.ctx).render())),
+    ("fig9b", true, |o| Ok(fig9::run_9b(&o.ctx).render())),
+    ("fig10a", true, |o| Ok(fig10::run_matmul(&o.ctx).render())),
+    ("fig10b", true, |o| Ok(fig10::run_kmeans(&o.ctx).render())),
+    ("fig11", true, render_fig11),
+    ("fig12", true, |o| Ok(fig12::run(&o.ctx).render())),
+    ("sensitivity", true, |_| Ok(sensitivity::render_all())),
+    ("generalizability", true, |o| {
+        Ok(generalizability::run(&o.ctx).render())
+    }),
+    ("prediction", true, |o| Ok(prediction::run(&o.ctx).render())),
+    ("memory", true, |o| Ok(memory::run(&o.ctx).render())),
+    ("ablation", true, render_ablation),
+    ("replay", true, |o| {
+        replay::run(&o.spec)
+            .map(|r| r.render())
+            .map_err(|e| e.to_string())
+    }),
+    ("spans", true, render_spans),
+    ("obs", false, |o| Ok(obs::run(&o.ctx).render())),
+    ("chaos", false, |o| Ok(fault_sensitivity::run(&o.ctx).render())),
+];
+
+fn render_fig6(_: &Opts) -> Result<String, String> {
+    let f = fig6::run();
+    Ok(format!(
+        "{}\n--- kmeans DOT ---\n{}\n--- matmul DOT ---\n{}",
+        f.render(),
+        f.kmeans_dot,
+        f.matmul_dot
+    ))
+}
+
+fn render_fig7a(o: &Opts) -> Result<String, String> {
+    let run = |data| fig7::run_matmul(&o.ctx, &data, &fig7::MATMUL_GRIDS).render();
+    Ok(format!(
+        "{}\n{}",
+        run(gpuflow_data::paper::matmul_8gb()),
+        run(gpuflow_data::paper::matmul_32gb())
+    ))
+}
+
+fn render_fig7b(o: &Opts) -> Result<String, String> {
+    let run = |data| {
+        fig7::run_kmeans(
+            &o.ctx,
+            &data,
+            &fig7::KMEANS_GRIDS,
+            10,
+            fig7::KMEANS_ITERATIONS,
+        )
+        .render()
     };
-    let rate = value_of("--rate")
-        .map(|v| v.parse::<u64>().expect("--rate takes ppm"))
-        .unwrap_or(spans::DEFAULT_RATE_PPM);
-    let span_seed = value_of("--span-seed")
-        .map(|v| v.parse::<u64>().expect("--span-seed takes an integer"))
-        .unwrap_or(spans::DEFAULT_SAMPLER_SEED);
-    if args.iter().any(|a| a == "--stress") {
-        let tasks = value_of("--tasks")
-            .map(|v| v.parse::<usize>().expect("--tasks takes a number"))
-            .unwrap_or(1_000_000);
-        let shape = value_of("--shape")
-            .map(|v| stress::Shape::parse(&v).expect("--shape takes wide|stencil|tree"))
-            .unwrap_or(stress::Shape::Wide);
-        let verdict = spans::run_stress(shape, tasks, rate, span_seed);
-        let line = spans::render_stress(&verdict);
-        println!("{line}");
-        if !verdict.passed() {
-            eprintln!("spans stress check: FAIL");
-            std::process::exit(1);
-        }
-        return;
-    }
-    let mut spec = replay::ReplaySpec {
-        chaos: true,
-        ..replay::ReplaySpec::default()
+    Ok(format!(
+        "{}\n{}",
+        run(gpuflow_data::paper::kmeans_10gb()),
+        run(gpuflow_data::paper::kmeans_100gb())
+    ))
+}
+
+fn render_fig11(o: &Opts) -> Result<String, String> {
+    let fig = if o.quick {
+        fig11::run_quick(&o.ctx)
+    } else {
+        fig11::run(&o.ctx)
     };
-    if let Some(v) = value_of("--seed") {
-        spec.seed = v.parse().expect("--seed takes an integer");
-    }
-    if let Some(v) = value_of("--jobs") {
-        spec.jobs = v.parse().expect("--jobs takes a number");
-    }
-    if let Some(v) = value_of("--tenants") {
-        spec.tenants = v.parse().expect("--tenants takes a number");
-    }
-    if let Some(v) = value_of("--horizon") {
-        spec.horizon_secs = v.parse().expect("--horizon takes seconds");
-    }
-    if let Some(v) = value_of("--interval") {
-        spec.interval_secs = v.parse().expect("--interval takes seconds");
-    }
-    let report = spans::run(&spec, rate, span_seed).unwrap_or_else(|err| {
-        eprintln!("spans: {err}");
-        std::process::exit(1);
-    });
-    let text = report.render();
-    println!("{text}");
-    if let Some(path) = value_of("--out") {
-        std::fs::write(&path, &text).expect("write spans artifact");
-        eprintln!("[spans -> {path}]");
-    }
-    if let Some(path) = value_of("--otlp") {
-        std::fs::write(&path, report.sampled.to_otlp_json()).expect("write OTLP span JSON");
+    Ok(fig.render())
+}
+
+fn render_ablation(_: &Opts) -> Result<String, String> {
+    Ok(format!(
+        "{}\n{}",
+        ablation::run_scheduler_ablation().render(),
+        ablation::render_variance()
+    ))
+}
+
+/// The spans artifact; with `--otlp FILE` also writes the sampled
+/// forest as OTLP JSON.
+fn render_spans(o: &Opts) -> Result<String, String> {
+    let report = o.spans()?;
+    if let Some(path) = &o.otlp {
+        std::fs::write(path, report.sampled.to_otlp_json())
+            .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("[otlp -> {path}]");
     }
-    if args.iter().any(|a| a == "--check") {
-        let golden = value_of("--golden").unwrap_or_else(|| "artifacts/spans.txt".to_string());
-        let pinned = std::fs::read_to_string(&golden).unwrap_or_else(|e| {
-            eprintln!("spans check: cannot read {golden}: {e}");
-            std::process::exit(2);
-        });
-        let mut failed = false;
-        if pinned != text {
-            eprintln!("spans check: FAIL — output differs from {golden}");
-            failed = true;
-        }
-        if let Err(err) = gpuflow_lint::collapsed::check(&report.collapsed()) {
-            eprintln!("collapsed grammar check: FAIL\n{err}");
-            failed = true;
-        }
-        let exposition = report.metrics.expose();
-        match gpuflow_lint::promtext::check(&exposition) {
-            Ok(stats) => println!(
-                "exposition check: PASS ({} families, {} samples)",
-                stats.families, stats.samples
-            ),
-            Err(err) => {
-                eprintln!("exposition check: FAIL\n{err}");
-                failed = true;
-            }
-        }
-        match gpuflow_lint::promtext::check_alert_families(&exposition) {
-            Ok(stats) => println!(
-                "alert surface check: PASS ({} alert samples, {} recording rules)",
-                stats.alert_samples, stats.recording_families
-            ),
-            Err(err) => {
-                eprintln!("alert surface check: FAIL\n{err}");
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("spans check: PASS (byte-identical to {golden})");
-    }
+    Ok(report.render())
 }
 
-/// Returns a one-line warning when the workspace is not lint-clean,
-/// or `None` when it is (or when no workspace root can be found).
-fn lint_note() -> Option<String> {
-    let cwd = std::env::current_dir().ok()?;
-    let root = gpuflow_lint::workspace::find_root(&cwd)?;
-    let report = gpuflow_lint::run(&root).ok()?;
-    if report.clean() {
-        None
-    } else {
-        // Rule-code histogram, so the gate log itself says *what kind*
-        // of violation to suspect (a D2 wall clock explains drift; an
-        // A1 stale allow does not).
-        let mut by_rule: Vec<(gpuflow_lint::RuleCode, usize)> = Vec::new();
-        for f in &report.findings {
-            match by_rule.iter_mut().find(|(c, _)| *c == f.rule) {
-                Some((_, n)) => *n += 1,
-                None => by_rule.push((f.rule, 1)),
+/// `repro [all | NAME...]`: renders each target, prints it, and writes
+/// it to `--out DIR` when given.
+fn generate(ctx: Context, args: &Args) -> Result<ExitCode, String> {
+    let opts = Opts::from_args(ctx, args)?;
+    let mut targets: Vec<(&str, Render)> = Vec::new();
+    let words: Vec<&str> = match args.words.as_slice() {
+        [] => vec!["all"],
+        words => words.iter().map(String::as_str).collect(),
+    };
+    for word in words {
+        let picked: Vec<(&str, Render)> = ARTIFACTS
+            .iter()
+            .filter(|(name, committed, _)| *name == word || (word == "all" && *committed))
+            .map(|&(name, _, render)| (name, render))
+            .collect();
+        if picked.is_empty() {
+            return Err(format!("unknown artifact '{word}'"));
+        }
+        for target in picked {
+            if !targets.iter().any(|(name, _)| *name == target.0) {
+                targets.push(target);
             }
         }
-        by_rule.sort();
-        let histogram: Vec<String> = by_rule.iter().map(|(c, n)| format!("{c}: {n}")).collect();
-        Some(format!(
-            "note: the tree is not lint-clean ({} unsuppressed finding(s); {}) — run \
-             `gpuflow lint` and rule out a determinism violation before chasing the regression",
-            report.findings.len(),
-            histogram.join(", ")
-        ))
     }
-}
-
-/// Runs the workspace determinism & integer-time lint (`repro lint`);
-/// exits nonzero when unsuppressed findings remain.
-fn run_lint() {
-    let cwd = std::env::current_dir().expect("read current directory");
-    let root = gpuflow_lint::workspace::find_root(&cwd)
-        .expect("repro lint must run inside the cargo workspace");
-    let report = gpuflow_lint::run(&root).expect("scan workspace sources");
-    println!("{}", report.render());
-    if !report.clean() {
-        std::process::exit(1);
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // Replay and spans dispatch before the generic `--out DIR`
-    // handling: their `--out` names a file, not a directory.
-    if args.iter().any(|a| a == "replay") {
-        run_replay(&args);
-        return;
-    }
-    if args.iter().any(|a| a == "spans") {
-        run_spans(&args);
-        return;
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse::<usize>().expect("--threads takes a number"));
-    let telemetry_dir = args
-        .iter()
-        .position(|a| a == "--telemetry")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    if args.iter().any(|a| a == "gate") {
-        let ctx = Context::default().with_threads(threads.unwrap_or(0));
-        run_gate(&ctx, &args);
-        return;
-    }
-    if args.iter().any(|a| a == "lint") {
-        run_lint();
-        return;
-    }
-    if args.iter().any(|a| a == "perf") {
-        run_perf(&args);
-        return;
-    }
-    let mut skip_values: Vec<usize> = Vec::new();
-    for flag in ["--out", "--threads", "--telemetry"] {
-        if let Some(i) = args.iter().position(|a| a == flag) {
-            skip_values.extend([i, i + 1]);
+    let out_dir = args.value("--out").map(Path::new);
+    if let Some(dir) = out_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("repro: cannot create {}: {e}", dir.display());
+            return Ok(ExitCode::FAILURE);
         }
     }
-    let mut targets: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && !skip_values.contains(i))
-        .map(|(_, a)| a.as_str())
-        .collect();
-    if targets.is_empty() || targets.contains(&"all") {
-        let paper = [
-            "table1", "fig1", "fig6", "fig7a", "fig7b", "fig8", "fig9a", "fig9b", "fig10a",
-            "fig10b", "fig11", "fig12",
-        ];
-        let extras: Vec<&str> = targets.iter().copied().filter(|t| *t != "all").collect();
-        targets = paper.into_iter().chain(extras).collect();
-    }
-
-    let ctx = Context::default().with_threads(threads.unwrap_or(0));
-    for target in targets {
+    for (name, render) in targets {
         // lint: allow(D2, host progress timing printed to stderr only; never reaches an artifact)
         let t0 = Instant::now();
-        let output = match target {
-            "table1" => factors::render(),
-            "fig1" => fig1::run(&ctx).render(),
-            "fig6" => {
-                let f = fig6::run();
-                format!(
-                    "{}\n--- kmeans DOT ---\n{}\n--- matmul DOT ---\n{}",
-                    f.render(),
-                    f.kmeans_dot,
-                    f.matmul_dot
-                )
-            }
-            "fig7a" => {
-                let mut out = fig7::run_matmul(
-                    &ctx,
-                    &gpuflow_data::paper::matmul_8gb(),
-                    &fig7::MATMUL_GRIDS,
-                )
-                .render();
-                out.push('\n');
-                out.push_str(
-                    &fig7::run_matmul(
-                        &ctx,
-                        &gpuflow_data::paper::matmul_32gb(),
-                        &fig7::MATMUL_GRIDS,
-                    )
-                    .render(),
-                );
-                out
-            }
-            "fig7b" => {
-                let mut out = fig7::run_kmeans(
-                    &ctx,
-                    &gpuflow_data::paper::kmeans_10gb(),
-                    &fig7::KMEANS_GRIDS,
-                    10,
-                    fig7::KMEANS_ITERATIONS,
-                )
-                .render();
-                out.push('\n');
-                out.push_str(
-                    &fig7::run_kmeans(
-                        &ctx,
-                        &gpuflow_data::paper::kmeans_100gb(),
-                        &fig7::KMEANS_GRIDS,
-                        10,
-                        fig7::KMEANS_ITERATIONS,
-                    )
-                    .render(),
-                );
-                out
-            }
-            "fig8" => fig8::run(&ctx).render(),
-            "fig9a" => fig9::run_9a(&ctx).render(),
-            "fig9b" => fig9::run_9b(&ctx).render(),
-            "fig10a" => fig10::run_matmul(&ctx).render(),
-            "fig10b" => fig10::run_kmeans(&ctx).render(),
-            "fig11" => {
-                if quick {
-                    fig11::run_quick(&ctx).render()
-                } else {
-                    fig11::run(&ctx).render()
-                }
-            }
-            "fig12" => fig12::run(&ctx).render(),
-            "sensitivity" => sensitivity::render_all(),
-            "generalizability" => generalizability::run(&ctx).render(),
-            "prediction" => prediction::run(&ctx).render(),
-            "memory" => memory::run(&ctx).render(),
-            "obs" => obs::run(&ctx).render(),
-            "chaos" => fault_sensitivity::run(&ctx).render(),
-            "ablation" => format!(
-                "{}
-{}",
-                ablation::run_scheduler_ablation().render(),
-                ablation::render_variance()
-            ),
-            other => {
-                eprintln!("unknown artifact '{other}' (see --help in the source header)");
-                continue;
+        let output = match render(&opts) {
+            Ok(output) => output,
+            Err(e) => {
+                eprintln!("{name}: {e}");
+                return Ok(ExitCode::FAILURE);
             }
         };
         println!("{output}");
-        if let Some(dir) = &out_dir {
-            let path = std::path::Path::new(dir).join(format!("{target}.txt"));
-            std::fs::write(&path, &output).expect("write artifact file");
-            eprintln!("[{target} -> {}]", path.display());
+        if let Some(dir) = out_dir {
+            let path = dir.join(format!("{name}.txt"));
+            if let Err(e) = std::fs::write(&path, &output) {
+                eprintln!("repro: cannot write {}: {e}", path.display());
+                return Ok(ExitCode::FAILURE);
+            }
+            eprintln!("[{name} -> {}]", path.display());
         }
-        eprintln!("[{target} regenerated in {:.2?}]", t0.elapsed());
+        eprintln!("[{name} regenerated in {:.2?}]", t0.elapsed());
     }
 
-    if let Some(dir) = &telemetry_dir {
+    if let Some(dir) = args.value("--telemetry") {
         // lint: allow(D2, host progress timing printed to stderr only; never reaches an artifact)
         let t0 = Instant::now();
-        let bundle = obs::run(&ctx);
-        bundle
-            .write_dir(std::path::Path::new(dir))
-            .expect("write telemetry bundle");
+        let bundle = obs::run(&opts.ctx);
+        if let Err(e) = bundle.write_dir(Path::new(dir)) {
+            eprintln!("repro: cannot write the telemetry bundle to {dir}: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
         println!("{}", bundle.render());
         eprintln!(
             "[telemetry bundle ({} events) -> {dir} in {:.2?}]",
@@ -590,4 +390,254 @@ fn main() {
             t0.elapsed()
         );
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Byte-compares a freshly rendered artifact with its committed copy.
+fn compare(path: &Path, fresh: Result<String, String>) -> Result<String, String> {
+    let fresh = fresh?;
+    let committed = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    if fresh == committed {
+        return Ok(format!("byte-identical to {}", path.display()));
+    }
+    let line = fresh
+        .lines()
+        .zip(committed.lines())
+        .position(|(a, b)| a != b)
+        .unwrap_or_else(|| fresh.lines().count().min(committed.lines().count()));
+    Err(format!("differs from {} at line {}", path.display(), line + 1))
+}
+
+/// Validates a Prometheus text exposition.
+fn exposition(text: &str) -> Result<String, String> {
+    gpuflow_lint::promtext::check(text)
+        .map(|s| format!("{} families, {} samples", s.families, s.samples))
+}
+
+/// `repro check`: every deterministic check of the committed outputs.
+/// Prints one line per check and fails only after running them all.
+fn check(ctx: Context) -> ExitCode {
+    let opts = Opts::new(ctx);
+    let mut lines: Vec<(String, Result<String, String>)> = Vec::new();
+    let mut say = |name: &str, verdict: Result<String, String>| {
+        let tag = if verdict.is_ok() { "PASS" } else { "FAIL" };
+        let detail = verdict.as_ref().unwrap_or_else(|e| e);
+        println!("{tag}  {name:<30} {detail}");
+        lines.push((name.to_string(), verdict));
+    };
+
+    let dir = Path::new(ARTIFACT_DIR);
+    for (name, _, render) in ARTIFACTS.iter().filter(|(_, committed, _)| *committed) {
+        say(name, compare(&dir.join(format!("{name}.txt")), render(&opts)));
+    }
+    let mut stray: Vec<String> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| entry.file_name().into_string().ok())
+        .filter(|file| {
+            file.strip_suffix(".txt")
+                .is_some_and(|stem| !ARTIFACTS.iter().any(|(n, c, _)| *c && *n == stem))
+        })
+        .collect();
+    stray.sort();
+    for file in stray {
+        say(&file, Err(String::from("no artifact renders this file")));
+    }
+
+    match replay::run(&opts.spec) {
+        Ok(report) => say("replay exposition", exposition(&report.metrics.expose())),
+        Err(e) => say("replay exposition", Err(e.to_string())),
+    }
+    match opts.spans() {
+        Ok(report) => {
+            let text = report.metrics.expose();
+            say("spans exposition", exposition(&text));
+            let alerts = gpuflow_lint::promtext::check_alert_families(&text).map(|s| {
+                format!(
+                    "{} alert samples, {} recording rules",
+                    s.alert_samples, s.recording_families
+                )
+            });
+            say("spans alert surface", alerts);
+            let stacks = gpuflow_lint::collapsed::check(&report.collapsed())
+                .map(|s| format!("{} stacks, weight {}", s.stacks, s.total_weight));
+            say("spans collapsed stacks", stacks);
+        }
+        Err(e) => {
+            for name in [
+                "spans exposition",
+                "spans alert surface",
+                "spans collapsed stacks",
+            ] {
+                say(name, Err(e.clone()));
+            }
+        }
+    }
+
+    let gate = gate::check(
+        &opts.ctx,
+        Path::new(BASELINE_DIR),
+        gate::DEFAULT_TOLERANCE_PCT,
+    );
+    for case in &gate.results {
+        let makespan = format!("makespan {:.6} s", case.makespan_ns as f64 / 1e9);
+        let verdict = match &case.status {
+            CaseStatus::Pass => Ok(makespan),
+            CaseStatus::Fail(msgs) => Err(msgs.join("; ")),
+            CaseStatus::MissingBaseline => Err(format!(
+                "no baseline in {BASELINE_DIR}; run `repro gate --update` and commit it"
+            )),
+        };
+        say(&format!("gate {}", case.name), verdict);
+        if let (CaseStatus::Fail(_), Some(diff)) = (&case.status, &case.diff) {
+            for line in diff.render().lines() {
+                let pad = if line.is_empty() { "" } else { "      " };
+                println!("{pad}{line}");
+            }
+        }
+    }
+
+    let bound = spans::run_stress(
+        stress::Shape::Wide,
+        1_000_000,
+        spans::DEFAULT_RATE_PPM,
+        spans::DEFAULT_SAMPLER_SEED,
+    );
+    let line = spans::render_stress(&bound);
+    say(
+        "sampler bound",
+        if bound.passed() { Ok(line) } else { Err(line) },
+    );
+
+    let failed: Vec<&str> = lines
+        .iter()
+        .filter(|(_, v)| v.is_err())
+        .map(|(name, _)| name.as_str())
+        .collect();
+    if failed.is_empty() {
+        println!("repro check: all {} checks passed", lines.len());
+        ExitCode::SUCCESS
+    } else {
+        println!(
+            "repro check: {} of {} checks failed: {}",
+            failed.len(),
+            lines.len(),
+            failed.join(", ")
+        );
+        ExitCode::FAILURE
+    }
+}
+
+/// `repro gate --update`: rewrites the perf gate's baseline profiles.
+fn gate_update(ctx: &Context, args: &Args) -> Result<ExitCode, String> {
+    if !args.switch("--update") {
+        return Err(String::from(
+            "`repro gate` only takes --update; `repro check` runs the gate",
+        ));
+    }
+    let dir = Path::new(BASELINE_DIR);
+    match gate::update(ctx, dir) {
+        Ok(written) => {
+            for path in &written {
+                eprintln!("[baseline -> {}]", path.display());
+            }
+            println!(
+                "updated {} baseline profiles in {}",
+                written.len(),
+                dir.display()
+            );
+            Ok(ExitCode::SUCCESS)
+        }
+        Err(e) => {
+            eprintln!("repro gate: cannot write {}: {e}", dir.display());
+            Ok(ExitCode::FAILURE)
+        }
+    }
+}
+
+/// `repro perf`: million-task DAGs measured in host ns per simulated
+/// task. With `--check`, compares against the committed ceilings and
+/// fails on a breach.
+fn perf(args: &Args) -> Result<ExitCode, String> {
+    let default = if args.switch("--full") {
+        1_000_000
+    } else {
+        100_000
+    };
+    let results = stress::run_suite(args.num("--tasks")?.unwrap_or(default));
+    println!("{}", stress::render(&results));
+    if !args.switch("--check") {
+        return Ok(ExitCode::SUCCESS);
+    }
+    let path = args
+        .value("--thresholds")
+        .unwrap_or("artifacts/baselines/perf_ns_per_task.txt");
+    Ok(match stress::check(&results, Path::new(path)) {
+        Ok(verdicts) => {
+            println!("perf check: PASS\n{verdicts}");
+            ExitCode::SUCCESS
+        }
+        Err(verdicts) => {
+            eprintln!("perf check: FAIL\n{verdicts}");
+            ExitCode::FAILURE
+        }
+    })
+}
+
+/// `repro replay --from-log FILE`: re-executes a recorded `gpuflowd`
+/// submission journal by committing its decisions verbatim
+/// ([`gpuflow_daemon::DaemonCore::replay`]). The printed report —
+/// per-job output fingerprints plus the final Prometheus exposition —
+/// is bit-identical to the live daemon's `ctl report` output.
+fn replay_from_log(path: &str) -> ExitCode {
+    let core = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| {
+            gpuflow_daemon::DaemonCore::replay(&text).map_err(|e| format!("{path}: {e}"))
+        });
+    match core {
+        Ok(core) => {
+            print!("{}", core.report());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("repro replay: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+fn main() -> ExitCode {
+    let run = || -> Result<ExitCode, String> {
+        let args = Args::parse(std::env::args().skip(1))?;
+        let ctx = Context::default().with_threads(args.num("--threads")?.unwrap_or(0));
+        match (args.words.first().map(String::as_str), args.value("--from-log")) {
+            (Some("check"), _) => {
+                args.only(&["--threads"])?;
+                Ok(check(ctx))
+            }
+            (Some("gate"), _) => {
+                args.only(&["--threads", "--update"])?;
+                gate_update(&ctx, &args)
+            }
+            (Some("perf"), _) => {
+                args.only(&["--full", "--tasks", "--check", "--thresholds"])?;
+                perf(&args)
+            }
+            (Some("replay"), Some(path)) => {
+                args.only(&["--from-log"])?;
+                Ok(replay_from_log(path))
+            }
+            _ => {
+                args.only(&RENDER_FLAGS)?;
+                generate(ctx, &args)
+            }
+        }
+    };
+    run().unwrap_or_else(|msg| {
+        eprintln!("repro: {msg} (usage: the header of crates/experiments/src/bin/repro.rs)");
+        ExitCode::from(2)
+    })
 }
