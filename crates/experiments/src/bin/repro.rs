@@ -79,43 +79,12 @@ const ARTIFACT_DIR: &str = "artifacts";
 /// Where the perf gate's baseline profiles live.
 const BASELINE_DIR: &str = "artifacts/baselines";
 
-/// Flags that take a value.
-const VALUE_FLAGS: [&str; 14] = [
-    "--out",
-    "--threads",
-    "--telemetry",
-    "--seed",
-    "--jobs",
-    "--tenants",
-    "--horizon",
-    "--interval",
-    "--rate",
-    "--span-seed",
-    "--otlp",
-    "--from-log",
-    "--tasks",
-    "--thresholds",
-];
-
-/// Flags that take no value.
+/// Flags that take no value; every other flag takes one.
 const SWITCHES: [&str; 5] = ["--quick", "--chaos", "--update", "--full", "--check"];
 
 /// The flags `repro [all | NAME...]` takes.
-const RENDER_FLAGS: [&str; 13] = [
-    "--out",
-    "--threads",
-    "--telemetry",
-    "--quick",
-    "--seed",
-    "--jobs",
-    "--tenants",
-    "--horizon",
-    "--interval",
-    "--chaos",
-    "--rate",
-    "--span-seed",
-    "--otlp",
-];
+const RENDER_FLAGS: &str = "--out --threads --telemetry --quick --seed --jobs --tenants \
+                            --horizon --interval --chaos --rate --span-seed --otlp";
 
 /// The command line: positional words and flags.
 #[derive(Default)]
@@ -130,13 +99,11 @@ impl Args {
         let mut args = Args::default();
         let mut argv = argv.into_iter();
         while let Some(arg) = argv.next() {
-            if VALUE_FLAGS.contains(&arg.as_str()) {
-                let value = argv.next().ok_or_else(|| format!("{arg} needs a value"))?;
-                args.values.push((arg, value));
-            } else if SWITCHES.contains(&arg.as_str()) {
+            if SWITCHES.contains(&arg.as_str()) {
                 args.switches.push(arg);
             } else if arg.starts_with("--") {
-                return Err(format!("unknown flag '{arg}'"));
+                let value = argv.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                args.values.push((arg, value));
             } else {
                 args.words.push(arg);
             }
@@ -157,15 +124,19 @@ impl Args {
 
     fn num<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
         self.value(flag)
-            .map(|v| v.parse().map_err(|_| format!("{flag} takes a number, got '{v}'")))
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("{flag} takes a number, got '{v}'"))
+            })
             .transpose()
     }
 
-    /// Fails on a flag the command does not take.
-    fn only(&self, allowed: &[&str]) -> Result<(), String> {
+    /// Fails on a flag the command does not take (`allowed` lists them,
+    /// space-separated).
+    fn only(&self, allowed: &str) -> Result<(), String> {
         let mut flags = self.values.iter().map(|(f, _)| f).chain(&self.switches);
-        match flags.find(|f| !allowed.contains(&f.as_str())) {
-            Some(flag) => Err(format!("this command does not take {flag}")),
+        match flags.find(|f| !allowed.split_whitespace().any(|a| a == f.as_str())) {
+            Some(flag) => Err(format!("unknown flag {flag} for this command")),
             None => Ok(()),
         }
     }
@@ -253,7 +224,9 @@ const ARTIFACTS: [(&str, bool, Render); 21] = [
     }),
     ("spans", true, render_spans),
     ("obs", false, |o| Ok(obs::run(&o.ctx).render())),
-    ("chaos", false, |o| Ok(fault_sensitivity::run(&o.ctx).render())),
+    ("chaos", false, |o| {
+        Ok(fault_sensitivity::run(&o.ctx).render())
+    }),
 ];
 
 fn render_fig6(_: &Opts) -> Result<String, String> {
@@ -267,16 +240,16 @@ fn render_fig6(_: &Opts) -> Result<String, String> {
 }
 
 fn render_fig7a(o: &Opts) -> Result<String, String> {
-    let run = |data| fig7::run_matmul(&o.ctx, &data, &fig7::MATMUL_GRIDS).render();
+    let panel = |data| fig7::run_matmul(&o.ctx, &data, &fig7::MATMUL_GRIDS).render();
     Ok(format!(
         "{}\n{}",
-        run(gpuflow_data::paper::matmul_8gb()),
-        run(gpuflow_data::paper::matmul_32gb())
+        panel(gpuflow_data::paper::matmul_8gb()),
+        panel(gpuflow_data::paper::matmul_32gb())
     ))
 }
 
 fn render_fig7b(o: &Opts) -> Result<String, String> {
-    let run = |data| {
+    let panel = |data| {
         fig7::run_kmeans(
             &o.ctx,
             &data,
@@ -288,8 +261,8 @@ fn render_fig7b(o: &Opts) -> Result<String, String> {
     };
     Ok(format!(
         "{}\n{}",
-        run(gpuflow_data::paper::kmeans_10gb()),
-        run(gpuflow_data::paper::kmeans_100gb())
+        panel(gpuflow_data::paper::kmeans_10gb()),
+        panel(gpuflow_data::paper::kmeans_100gb())
     ))
 }
 
@@ -406,7 +379,11 @@ fn compare(path: &Path, fresh: Result<String, String>) -> Result<String, String>
         .zip(committed.lines())
         .position(|(a, b)| a != b)
         .unwrap_or_else(|| fresh.lines().count().min(committed.lines().count()));
-    Err(format!("differs from {} at line {}", path.display(), line + 1))
+    Err(format!(
+        "differs from {} at line {}",
+        path.display(),
+        line + 1
+    ))
 }
 
 /// Validates a Prometheus text exposition.
@@ -429,7 +406,10 @@ fn check(ctx: Context) -> ExitCode {
 
     let dir = Path::new(ARTIFACT_DIR);
     for (name, _, render) in ARTIFACTS.iter().filter(|(_, committed, _)| *committed) {
-        say(name, compare(&dir.join(format!("{name}.txt")), render(&opts)));
+        say(
+            name,
+            compare(&dir.join(format!("{name}.txt")), render(&opts)),
+        );
     }
     let mut stray: Vec<String> = std::fs::read_dir(dir)
         .into_iter()
@@ -613,25 +593,28 @@ fn main() -> ExitCode {
     let run = || -> Result<ExitCode, String> {
         let args = Args::parse(std::env::args().skip(1))?;
         let ctx = Context::default().with_threads(args.num("--threads")?.unwrap_or(0));
-        match (args.words.first().map(String::as_str), args.value("--from-log")) {
+        match (
+            args.words.first().map(String::as_str),
+            args.value("--from-log"),
+        ) {
             (Some("check"), _) => {
-                args.only(&["--threads"])?;
+                args.only("--threads")?;
                 Ok(check(ctx))
             }
             (Some("gate"), _) => {
-                args.only(&["--threads", "--update"])?;
+                args.only("--threads --update")?;
                 gate_update(&ctx, &args)
             }
             (Some("perf"), _) => {
-                args.only(&["--full", "--tasks", "--check", "--thresholds"])?;
+                args.only("--full --tasks --check --thresholds")?;
                 perf(&args)
             }
             (Some("replay"), Some(path)) => {
-                args.only(&["--from-log"])?;
+                args.only("--from-log")?;
                 Ok(replay_from_log(path))
             }
             _ => {
-                args.only(&RENDER_FLAGS)?;
+                args.only(RENDER_FLAGS)?;
                 generate(ctx, &args)
             }
         }

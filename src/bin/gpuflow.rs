@@ -16,6 +16,8 @@
 //! gpuflow cancel --port P --job N
 //! gpuflow ctl    <drain|health|report|metrics|alerts|log|shutdown> --port P
 //! gpuflow diff   A.profile B.profile [--json] [--out FILE]
+//! gpuflow lint   [--root DIR] [--json | --sarif] [--out FILE]
+//! gpuflow lint   --explain
 //! gpuflow doctor --workload matmul --rows 16384 --cols 16384 --grid 16
 //!                [run options] [--json]   (or: --profile FILE)
 //! gpuflow advise --workload matmul --rows 32768 --cols 32768
@@ -368,9 +370,16 @@ fn cmd_diff(a_path: &str, b_path: &str, args: &Args) -> Result<(), String> {
 }
 
 /// `gpuflow lint`: the workspace determinism & integer-time static
-/// analysis pass (rule catalog in docs/static_analysis.md). Exits
-/// nonzero when unsuppressed findings remain.
+/// analysis pass (rule catalog in docs/static_analysis.md, or
+/// `--explain`). Exits nonzero when unsuppressed findings remain.
 fn cmd_lint(args: &Args) -> Result<(), String> {
+    if args.flag("explain") {
+        let catalog: String = gpuflow_lint::RuleCode::ALL
+            .iter()
+            .map(|code| format!("{code} — {}\n  {}\n\n", code.summary(), code.explanation()))
+            .collect();
+        return emit(args, "rule catalog", &catalog);
+    }
     let root = match args.get("root") {
         Some(dir) => std::path::PathBuf::from(dir),
         None => {
@@ -565,6 +574,7 @@ fn help() {
          \u{20}                client verbs for the gpuflowd scheduler daemon (see docs/daemon.md)\n\
          \u{20} gpuflow diff   A.profile B.profile [--json] [--out FILE]\n\
          \u{20} gpuflow lint   [--root DIR] [--json | --sarif] [--out FILE]  determinism & time lints\n\
+         \u{20} gpuflow lint   --explain                 the rule catalog with its rationale\n\
          \u{20} gpuflow doctor --workload <w> --rows N --cols N --grid G [options] [--json]\n\
          \u{20} gpuflow doctor --profile FILE [--json]   (findings only, no what-ifs)\n\
          \u{20} gpuflow advise --workload <w> --rows N --cols N\n\
@@ -638,7 +648,7 @@ fn main() -> ExitCode {
                 "diff needs two profile files: gpuflow diff A.profile B.profile [--json] [--out FILE]",
             )),
         },
-        "lint" => Args::parse_with(rest, &["json", "sarif"]).and_then(|a| cmd_lint(&a)),
+        "lint" => Args::parse_with(rest, &["json", "sarif", "explain"]).and_then(|a| cmd_lint(&a)),
         "doctor" => Args::parse_with(rest, &["json"]).and_then(|a| cmd_doctor(&a)),
         "advise" => Args::parse(rest).and_then(|a| cmd_advise(&a)),
         "dag" => Args::parse(rest).and_then(|a| cmd_dag(&a)),
