@@ -1,7 +1,7 @@
 //! Golden-diagnostic tests: every fixture under `tests/fixtures/` is
 //! scanned and its findings (rule, line, col) are compared against the
 //! checked-in `.expected` file next to it. Regenerate expectations
-//! with `UPDATE_GOLDEN=1 cargo test -p gpuflow-lint --test golden`,
+//! with `GOLDEN_REGEN=1 cargo test -p gpuflow-lint --test golden`,
 //! then review the diff — the expectations are the spec.
 
 use std::path::{Path, PathBuf};
@@ -40,7 +40,7 @@ fn fixtures_match_expected_diagnostics() {
         let src = std::fs::read_to_string(&path).expect("read fixture");
         let got = render_findings(&name, &src);
         let expected_path = path.with_extension("expected");
-        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        if std::env::var_os("GOLDEN_REGEN").is_some() {
             std::fs::write(&expected_path, &got).expect("write expected file");
             continue;
         }
@@ -49,7 +49,7 @@ fn fixtures_match_expected_diagnostics() {
         assert_eq!(
             got, expected,
             "fixture {name} diverged from its .expected file \
-             (UPDATE_GOLDEN=1 regenerates after a deliberate rule change)"
+             (GOLDEN_REGEN=1 regenerates after a deliberate rule change)"
         );
     }
 }
