@@ -1,7 +1,8 @@
 //! End-to-end determinism contract: a live `gpuflowd` process driven
 //! over TCP, its recorded submission log, and `DaemonCore::replay` of
 //! that log must agree bit-for-bit — same per-job fingerprints, same
-//! journal text, same Prometheus exposition.
+//! journal text, same Prometheus exposition — and that exposition is
+//! well-formed.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -15,19 +16,31 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Spawns the real binary with a journal file and an ephemeral
-    /// port, and parses the announced address.
+    /// Spawns the real binary with a journal file, an ephemeral port
+    /// and an ephemeral metrics port, and parses the announced address.
     fn spawn(log_path: &str) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_gpuflowd"))
             .args(["--port", "0", "--log", log_path, "--seed", "0xBEEF"])
+            .args(["--metrics-port", "0"])
             .stdout(Stdio::piped())
             .spawn()
             .expect("spawn gpuflowd");
         let stdout = child.stdout.take().expect("piped stdout");
+        let mut stdout = BufReader::new(stdout);
         let mut line = String::new();
-        BufReader::new(stdout)
+        stdout
             .read_line(&mut line)
             .expect("read listen announcement");
+        // Read the metrics announcement too: the daemon must not write
+        // it into a closed pipe.
+        let mut metrics = String::new();
+        stdout
+            .read_line(&mut metrics)
+            .expect("read metrics announcement");
+        assert!(
+            metrics.starts_with("gpuflowd metrics on http://"),
+            "{metrics:?}"
+        );
         let port: u16 = line
             .trim()
             .rsplit(':')
@@ -87,6 +100,14 @@ fn live_daemon_log_and_replay_agree_bit_for_bit() {
     let live_log = request(p, "log").unwrap();
     let live_report = request(p, "report").unwrap();
     let live_queue = request(p, "queue json").unwrap();
+    assert!(
+        live_queue.contains("gpuflow.daemon.queue.v1"),
+        "{live_queue}"
+    );
+    let alerts = request(p, "alerts").unwrap();
+    for section in ["-- alert rules --", "-- job root spans --"] {
+        assert!(alerts.contains(section), "{alerts}");
+    }
     let health = request(p, "health").unwrap();
     assert!(health.starts_with("ok gpuflowd alive"), "{health}");
     assert_eq!(request(p, "shutdown").unwrap(), "ok shutting down\n");
@@ -100,6 +121,12 @@ fn live_daemon_log_and_replay_agree_bit_for_bit() {
     assert_eq!(replayed.journal_text(), disk_log);
     assert_eq!(replayed.report(), live_report);
     assert_eq!(replayed.queue_json(), live_queue);
+
+    // The replayed exposition passes the text-format and alert-surface
+    // grammars.
+    let exposition = replayed.metrics_text();
+    gpuflow_lint::promtext::check(&exposition).expect("valid exposition");
+    gpuflow_lint::promtext::check_alert_families(&exposition).expect("valid alert surface");
 
     // And replay is idempotent: a replay of the replay's journal is
     // identical again.

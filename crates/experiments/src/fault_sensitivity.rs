@@ -238,26 +238,31 @@ mod tests {
 
     #[test]
     fn recoverable_scenarios_converge_to_the_baseline_output() {
-        let study = run(&quick_ctx());
-        // Both workloads: fault-free + 6 scenarios.
-        assert_eq!(study.points.len(), 14);
-        for p in &study.points {
-            if p.makespan.is_some() && p.scenario != "fault-free" {
-                assert!(
-                    p.converged,
-                    "{} under '{}' completed with a different answer",
-                    p.workload, p.scenario
-                );
+        // The tiny cluster, and the default Minotauro one `repro chaos`
+        // sweeps.
+        for ctx in [quick_ctx(), Context::default()] {
+            let study = run(&ctx);
+            // Both workloads: fault-free + 6 scenarios.
+            assert_eq!(study.points.len(), 14);
+            for p in &study.points {
+                if p.makespan.is_some() && p.scenario != "fault-free" {
+                    assert!(
+                        p.converged,
+                        "{} under '{}' completed with a different answer",
+                        p.workload, p.scenario
+                    );
+                }
             }
+            // The crash scenarios must demonstrate actual recovery work.
+            assert!(
+                study
+                    .points
+                    .iter()
+                    .any(|p| p.scenario.starts_with("crash") && p.recovery_work > 0),
+                "crashes must trigger recovery"
+            );
+            assert!(study.render().contains("crash+rejoin n0"));
         }
-        // The crash scenarios must demonstrate actual recovery work.
-        assert!(
-            study
-                .points
-                .iter()
-                .any(|p| p.scenario.starts_with("crash") && p.recovery_work > 0),
-            "crashes must trigger recovery"
-        );
     }
 
     #[test]

@@ -99,11 +99,39 @@ mod tests {
         let b = bundle();
         assert!(b.events > 0);
         assert_eq!(b.jsonl.lines().count(), b.events);
-        assert!(b.chrome.contains("traceEvents"));
+        assert!(
+            b.jsonl.contains("{\"ev\":\"decision\""),
+            "decision events expected"
+        );
         assert!(b.decisions.lines().count() > 1, "decision rows expected");
         // Buckets partition the makespan (acceptance: within 1 %).
         let gap = (b.overhead.total() - b.makespan).abs();
         assert!(gap <= 0.01 * b.makespan, "gap {gap} vs {}", b.makespan);
+
+        // The bundle as `repro --telemetry DIR` writes it: every view
+        // lands on disk, and the Chrome trace parses with duration spans
+        // and counter tracks.
+        let dir = std::env::temp_dir().join(format!("gpuflow_obs_bundle_{}", std::process::id()));
+        b.write_dir(&dir).expect("write the bundle");
+        let read =
+            |file: &str| std::fs::read_to_string(dir.join(file)).expect("read a bundle file");
+        assert_eq!(read("telemetry.jsonl"), b.jsonl);
+        assert_eq!(read("decisions.log"), b.decisions);
+        assert_eq!(read("overhead.txt"), b.overhead.render());
+        let chrome = gpuflow_lint::json::parse(&read("trace.chrome.json")).expect("trace parses");
+        let events = chrome
+            .get("traceEvents")
+            .and_then(|v| v.as_array())
+            .expect("traceEvents array");
+        for ph in ["X", "C"] {
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.get("ph").and_then(|v| v.as_str()) == Some(ph)),
+                "no {ph} events"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -270,6 +270,36 @@ mod tests {
         let b = run(&spec, DEFAULT_RATE_PPM, DEFAULT_SAMPLER_SEED).expect("spans run");
         assert_eq!(a.render(), b.render());
         assert_eq!(a.forest.to_otlp_json(), b.forest.to_otlp_json());
+
+        // The sampled OTLP export (what `repro spans --otlp` writes)
+        // parses into a forest of roots and children with 16-hex ids.
+        let otlp = gpuflow_lint::json::parse(&a.sampled.to_otlp_json()).expect("OTLP parses");
+        let spans = otlp
+            .get("resourceSpans")
+            .and_then(|v| v.as_array())
+            .and_then(|r| r.first())
+            .and_then(|r| r.get("scopeSpans"))
+            .and_then(|v| v.as_array())
+            .and_then(|s| s.first())
+            .and_then(|s| s.get("spans"))
+            .and_then(|v| v.as_array())
+            .expect("resourceSpans[0].scopeSpans[0].spans");
+        let roots = spans
+            .iter()
+            .filter(|s| s.get("parentSpanId").is_none())
+            .count();
+        assert!(
+            0 < roots && roots < spans.len(),
+            "{roots} roots of {}",
+            spans.len()
+        );
+        for span in spans {
+            let id = span.get("spanId").and_then(|v| v.as_str()).expect("spanId");
+            assert!(
+                id.len() == 16 && id.bytes().all(|b| b.is_ascii_hexdigit()),
+                "span id {id}"
+            );
+        }
     }
 
     #[test]

@@ -35,16 +35,22 @@ fn default_replay_artifact_matches_golden() {
     golden_compare("artifacts/replay.txt", &report.render());
 }
 
-/// The artifact's exposition section is valid Prometheus text format —
-/// the same check `repro replay --check` and the CI metrics-smoke job
-/// apply to freshly generated output.
+/// The exposition is valid Prometheus text format for the default
+/// scenario (as `repro check` also checks) and for a short chaos replay.
 #[test]
 fn replay_exposition_passes_the_format_checker() {
-    let report = replay::run(&replay::ReplaySpec::default()).expect("replay runs");
-    let stats = gpuflow_lint::promtext::check(&report.metrics.expose())
-        .expect("exposition must be well-formed");
-    assert!(stats.families >= 20, "expected the full family set");
-    assert!(stats.samples > 50);
+    let chaos = replay::ReplaySpec {
+        jobs: 8,
+        chaos: true,
+        ..replay::ReplaySpec::default()
+    };
+    for spec in [replay::ReplaySpec::default(), chaos] {
+        let report = replay::run(&spec).expect("replay runs");
+        let stats = gpuflow_lint::promtext::check(&report.metrics.expose())
+            .unwrap_or_else(|e| panic!("exposition of {spec:?} is malformed: {e}"));
+        assert!(stats.families >= 20, "expected the full family set");
+        assert!(stats.samples > 50);
+    }
 }
 
 /// Chaos replays are themselves deterministic: same seed, same plan,

@@ -3,7 +3,9 @@
 //! checked-in example-shaped schemas (`tests/schemas/*.json`) using the
 //! lint crate's dependency-free JSON parser. A key added, removed, or
 //! retyped in either emitter fails this suite before it breaks a
-//! downstream consumer.
+//! downstream consumer. The other CLI views checked here (the Chrome
+//! trace and event log of a faulted run, the flame graph, the doctor
+//! report, a rejected `submit`) are parsed the same way.
 
 use std::path::Path;
 use std::process::Command;
@@ -20,16 +22,20 @@ fn schema(name: &str) -> json::Value {
 }
 
 fn gpuflow(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_gpuflow"))
-        .args(args)
-        .output()
-        .expect("run gpuflow binary");
+    let out = gpuflow_status(args);
     assert!(
         out.status.success(),
         "gpuflow {args:?} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
+
+fn gpuflow_status(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_gpuflow"))
+        .args(args)
+        .output()
+        .expect("run gpuflow binary")
 }
 
 const RUN: [&str; 8] = [
@@ -197,4 +203,123 @@ fn lint_sarif_is_valid_and_carries_the_rule_catalog() {
         gpuflow_lint::RuleCode::ALL.len(),
         "every rule code is declared in the SARIF catalog"
     );
+}
+
+/// The kmeans run the CLI views below share: small, local disk, and a
+/// node crash with rejoin plus transient task failures under `--faults`.
+const KMEANS: [&str; 10] = [
+    "--workload",
+    "kmeans",
+    "--rows",
+    "100000",
+    "--cols",
+    "32",
+    "--grid",
+    "16",
+    "--storage",
+    "local",
+];
+const FAULTS: [&str; 2] = [
+    "--faults",
+    "seed:42;crash:node=1,at=0.05,rejoin=0.05;taskfail:p=0.05",
+];
+
+#[test]
+fn obs_chrome_export_parses_and_marks_faults() {
+    for faults in [&[][..], &FAULTS[..]] {
+        let mut args = vec!["obs", "export-chrome"];
+        args.extend(KMEANS);
+        args.extend(faults);
+        let out = gpuflow(&args);
+        let value = json::parse(&out).expect("obs export-chrome output parses");
+        let events = value
+            .get("traceEvents")
+            .and_then(|v| v.as_array())
+            .expect("traceEvents array");
+        let has = |key: &str, pred: &dyn Fn(&str) -> bool| {
+            events
+                .iter()
+                .any(|e| e.get(key).and_then(|v| v.as_str()).is_some_and(pred))
+        };
+        assert!(has("ph", &|ph| ph == "X"), "no duration spans: {args:?}");
+        assert!(has("ph", &|ph| ph == "C"), "no counter tracks: {args:?}");
+        if !faults.is_empty() {
+            assert!(has("ph", &|ph| ph == "i"), "no instant markers");
+            assert!(has("name", &|n| n == "node down"), "no node-down marker");
+            assert!(has("name", &|n| n.starts_with("fault:")), "no fault marker");
+        }
+    }
+    // The event log of the faulted run records the recovery timeline.
+    let mut args = vec!["obs", "jsonl"];
+    args.extend(KMEANS);
+    args.extend(FAULTS);
+    let out = gpuflow(&args);
+    for ev in ["node-down", "retry"] {
+        let tag = format!("\"ev\":\"{ev}\"");
+        assert!(out.lines().any(|l| l.contains(&tag)), "no {ev} event");
+    }
+}
+
+#[test]
+fn obs_flame_passes_the_collapsed_stack_grammar() {
+    let mut args = vec!["obs", "flame"];
+    args.extend(KMEANS);
+    let out = gpuflow(&args);
+    gpuflow_lint::collapsed::check(&out).expect("collapsed-stack grammar");
+    assert!(out.starts_with("gpuflow;"), "flame root is gpuflow:\n{out}");
+}
+
+#[test]
+fn doctor_prints_its_findings() {
+    let out = gpuflow(&[
+        "doctor",
+        "--workload",
+        "matmul",
+        "--rows",
+        "4000",
+        "--cols",
+        "4000",
+        "--grid",
+        "4",
+        "--processor",
+        "gpu",
+    ]);
+    assert!(out.contains("\nfindings:\n"), "{out}");
+    assert!(out.contains("what-if predictions"), "{out}");
+}
+
+/// `gpuflow submit` prints a daemon's `err` reply and exits nonzero, so
+/// scripts can branch on a typed reject. The daemon is a one-reply stub.
+#[test]
+fn submit_exits_nonzero_on_a_reject() {
+    use std::io::{BufRead, BufReader, Write};
+    let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind stub daemon");
+    let port = listener.local_addr().expect("stub address").port();
+    let stub = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept the submit");
+        let mut request = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut request)
+            .expect("read the request line");
+        (&stream)
+            .write_all(b"err reject reason=unknown-tenant\n")
+            .expect("write the reply");
+        request
+    });
+    let out = gpuflow_status(&[
+        "submit",
+        "--port",
+        &port.to_string(),
+        "--tenant",
+        "nobody",
+        "--tasks",
+        "4",
+    ]);
+    // Unblocks the stub's accept in case the CLI never connected.
+    let _ = std::net::TcpStream::connect(("127.0.0.1", port));
+    let request = stub.join().expect("stub daemon");
+    assert!(request.starts_with("submit tenant=nobody"), "{request}");
+    assert!(!out.status.success(), "a rejected submit must exit nonzero");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("reason=unknown-tenant"), "{stdout}");
 }

@@ -3,7 +3,7 @@
 //! a finished run) and the `gpuflow serve` HTTP endpoint (live scrape
 //! of an executing run). Both outputs must satisfy the Prometheus text
 //! exposition grammar as enforced by the lint crate's zero-dependency
-//! checker — the same validator CI's metrics-smoke job runs.
+//! checker — the same validator `repro check` runs.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -48,8 +48,9 @@ fn obs_metrics_exposition_is_valid_and_stable() {
     for family in [
         "gpuflow_sim_time_seconds",
         "gpuflow_tasks_completed_total",
+        "# TYPE gpuflow_task_duration_seconds histogram",
         "gpuflow_task_duration_seconds_bucket",
-        "gpuflow_transfer_bytes_total",
+        "gpuflow_transfer_bytes_total{link=",
     ] {
         assert!(a.contains(family), "missing {family}");
     }
