@@ -348,7 +348,7 @@ fn cmd_daemon(verb: &str, args: &Args) -> Result<(), String> {
 }
 
 /// Reads and parses a profile file written by `gpuflow obs profile` or
-/// `repro gate`.
+/// `repro gate --update`.
 fn read_profile(path: &str) -> Result<RunProfile, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     RunProfile::parse(&text).map_err(|e| format!("{path}: {e}"))
