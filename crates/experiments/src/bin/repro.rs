@@ -143,7 +143,8 @@ impl Args {
 }
 
 /// What the artifact renderers read: the sweep context and the replay
-/// and span scenario. `repro check` renders with the defaults.
+/// and span scenario. Without flags (as in `repro check`) these are the
+/// defaults the committed artifacts were rendered with.
 struct Opts {
     ctx: Context,
     quick: bool,
@@ -154,31 +155,25 @@ struct Opts {
 }
 
 impl Opts {
-    fn new(ctx: Context) -> Opts {
-        Opts {
-            ctx,
-            quick: false,
-            spec: ReplaySpec::default(),
-            rate_ppm: spans::DEFAULT_RATE_PPM,
-            span_seed: spans::DEFAULT_SAMPLER_SEED,
-            otlp: None,
-        }
-    }
-
-    fn from_args(ctx: Context, args: &Args) -> Result<Opts, String> {
-        let mut opts = Opts::new(ctx);
-        opts.quick = args.switch("--quick");
-        let spec = &mut opts.spec;
-        spec.seed = args.num("--seed")?.unwrap_or(spec.seed);
-        spec.jobs = args.num("--jobs")?.unwrap_or(spec.jobs);
-        spec.tenants = args.num("--tenants")?.unwrap_or(spec.tenants);
-        spec.horizon_secs = args.num("--horizon")?.unwrap_or(spec.horizon_secs);
-        spec.interval_secs = args.num("--interval")?.unwrap_or(spec.interval_secs);
-        spec.chaos = args.switch("--chaos");
-        opts.rate_ppm = args.num("--rate")?.unwrap_or(opts.rate_ppm);
-        opts.span_seed = args.num("--span-seed")?.unwrap_or(opts.span_seed);
-        opts.otlp = args.value("--otlp").map(String::from);
-        Ok(opts)
+    fn from_args(args: &Args) -> Result<Opts, String> {
+        let d = ReplaySpec::default();
+        Ok(Opts {
+            ctx: Context::default().with_threads(args.num("--threads")?.unwrap_or(0)),
+            quick: args.switch("--quick"),
+            spec: ReplaySpec {
+                seed: args.num("--seed")?.unwrap_or(d.seed),
+                tenants: args.num("--tenants")?.unwrap_or(d.tenants),
+                jobs: args.num("--jobs")?.unwrap_or(d.jobs),
+                horizon_secs: args.num("--horizon")?.unwrap_or(d.horizon_secs),
+                chaos: args.switch("--chaos"),
+                interval_secs: args.num("--interval")?.unwrap_or(d.interval_secs),
+            },
+            rate_ppm: args.num("--rate")?.unwrap_or(spans::DEFAULT_RATE_PPM),
+            span_seed: args
+                .num("--span-seed")?
+                .unwrap_or(spans::DEFAULT_SAMPLER_SEED),
+            otlp: args.value("--otlp").map(String::from),
+        })
     }
 
     /// The span scenario: the replay scenario, always with chaos.
@@ -297,8 +292,8 @@ fn render_spans(o: &Opts) -> Result<String, String> {
 
 /// `repro [all | NAME...]`: renders each target, prints it, and writes
 /// it to `--out DIR` when given.
-fn generate(ctx: Context, args: &Args) -> Result<ExitCode, String> {
-    let opts = Opts::from_args(ctx, args)?;
+fn generate(args: &Args) -> Result<ExitCode, String> {
+    let opts = Opts::from_args(args)?;
     let mut targets: Vec<(&str, Render)> = Vec::new();
     let words: Vec<&str> = match args.words.as_slice() {
         [] => vec!["all"],
@@ -320,48 +315,43 @@ fn generate(ctx: Context, args: &Args) -> Result<ExitCode, String> {
         }
     }
     let out_dir = args.value("--out").map(Path::new);
-    if let Some(dir) = out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("repro: cannot create {}: {e}", dir.display());
-            return Ok(ExitCode::FAILURE);
-        }
-    }
-    for (name, render) in targets {
-        // lint: allow(D2, host progress timing printed to stderr only; never reaches an artifact)
-        let t0 = Instant::now();
-        let output = match render(&opts) {
-            Ok(output) => output,
-            Err(e) => {
-                eprintln!("{name}: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
-        };
-        println!("{output}");
+    let render_all = || -> Result<(), String> {
         if let Some(dir) = out_dir {
-            let path = dir.join(format!("{name}.txt"));
-            if let Err(e) = std::fs::write(&path, &output) {
-                eprintln!("repro: cannot write {}: {e}", path.display());
-                return Ok(ExitCode::FAILURE);
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        }
+        for (name, render) in targets {
+            // lint: allow(D2, host progress timing printed to stderr only; never reaches an artifact)
+            let t0 = Instant::now();
+            let output = render(&opts).map_err(|e| format!("{name}: {e}"))?;
+            println!("{output}");
+            if let Some(dir) = out_dir {
+                let path = dir.join(format!("{name}.txt"));
+                std::fs::write(&path, &output)
+                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                eprintln!("[{name} -> {}]", path.display());
             }
-            eprintln!("[{name} -> {}]", path.display());
+            eprintln!("[{name} regenerated in {:.2?}]", t0.elapsed());
         }
-        eprintln!("[{name} regenerated in {:.2?}]", t0.elapsed());
-    }
-
-    if let Some(dir) = args.value("--telemetry") {
-        // lint: allow(D2, host progress timing printed to stderr only; never reaches an artifact)
-        let t0 = Instant::now();
-        let bundle = obs::run(&opts.ctx);
-        if let Err(e) = bundle.write_dir(Path::new(dir)) {
-            eprintln!("repro: cannot write the telemetry bundle to {dir}: {e}");
-            return Ok(ExitCode::FAILURE);
+        if let Some(dir) = args.value("--telemetry") {
+            // lint: allow(D2, host progress timing printed to stderr only; never reaches an artifact)
+            let t0 = Instant::now();
+            let bundle = obs::run(&opts.ctx);
+            bundle
+                .write_dir(Path::new(dir))
+                .map_err(|e| format!("cannot write the telemetry bundle to {dir}: {e}"))?;
+            println!("{}", bundle.render());
+            eprintln!(
+                "[telemetry bundle ({} events) -> {dir} in {:.2?}]",
+                bundle.events,
+                t0.elapsed()
+            );
         }
-        println!("{}", bundle.render());
-        eprintln!(
-            "[telemetry bundle ({} events) -> {dir} in {:.2?}]",
-            bundle.events,
-            t0.elapsed()
-        );
+        Ok(())
+    };
+    if let Err(e) = render_all() {
+        eprintln!("repro: {e}");
+        return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -394,8 +384,7 @@ fn exposition(text: &str) -> Result<String, String> {
 
 /// `repro check`: every deterministic check of the committed outputs.
 /// Prints one line per check and fails only after running them all.
-fn check(ctx: Context) -> ExitCode {
-    let opts = Opts::new(ctx);
+fn check(opts: &Opts) -> ExitCode {
     let mut lines: Vec<(String, Result<String, String>)> = Vec::new();
     let mut say = |name: &str, verdict: Result<String, String>| {
         let tag = if verdict.is_ok() { "PASS" } else { "FAIL" };
@@ -408,7 +397,7 @@ fn check(ctx: Context) -> ExitCode {
     for (name, _, render) in ARTIFACTS.iter().filter(|(_, committed, _)| *committed) {
         say(
             name,
-            compare(&dir.join(format!("{name}.txt")), render(&opts)),
+            compare(&dir.join(format!("{name}.txt")), render(opts)),
         );
     }
     let mut stray: Vec<String> = std::fs::read_dir(dir)
@@ -426,35 +415,37 @@ fn check(ctx: Context) -> ExitCode {
         say(&file, Err(String::from("no artifact renders this file")));
     }
 
-    match replay::run(&opts.spec) {
-        Ok(report) => say("replay exposition", exposition(&report.metrics.expose())),
-        Err(e) => say("replay exposition", Err(e.to_string())),
-    }
-    match opts.spans() {
-        Ok(report) => {
-            let text = report.metrics.expose();
-            say("spans exposition", exposition(&text));
-            let alerts = gpuflow_lint::promtext::check_alert_families(&text).map(|s| {
+    let replay = replay::run(&opts.spec).map_err(|e| e.to_string());
+    say(
+        "replay exposition",
+        replay.and_then(|r| exposition(&r.metrics.expose())),
+    );
+    let spans = opts.spans();
+    let with_spans = |check: fn(&spans::SpansReport) -> Result<String, String>| {
+        spans.as_ref().map_err(String::clone).and_then(check)
+    };
+    say(
+        "spans exposition",
+        with_spans(|r| exposition(&r.metrics.expose())),
+    );
+    say(
+        "spans alert surface",
+        with_spans(|r| {
+            gpuflow_lint::promtext::check_alert_families(&r.metrics.expose()).map(|s| {
                 format!(
                     "{} alert samples, {} recording rules",
                     s.alert_samples, s.recording_families
                 )
-            });
-            say("spans alert surface", alerts);
-            let stacks = gpuflow_lint::collapsed::check(&report.collapsed())
-                .map(|s| format!("{} stacks, weight {}", s.stacks, s.total_weight));
-            say("spans collapsed stacks", stacks);
-        }
-        Err(e) => {
-            for name in [
-                "spans exposition",
-                "spans alert surface",
-                "spans collapsed stacks",
-            ] {
-                say(name, Err(e.clone()));
-            }
-        }
-    }
+            })
+        }),
+    );
+    say(
+        "spans collapsed stacks",
+        with_spans(|r| {
+            gpuflow_lint::collapsed::check(&r.collapsed())
+                .map(|s| format!("{} stacks, weight {}", s.stacks, s.total_weight))
+        }),
+    );
 
     let gate = gate::check(
         &opts.ctx,
@@ -511,14 +502,9 @@ fn check(ctx: Context) -> ExitCode {
 }
 
 /// `repro gate --update`: rewrites the perf gate's baseline profiles.
-fn gate_update(ctx: &Context, args: &Args) -> Result<ExitCode, String> {
-    if !args.switch("--update") {
-        return Err(String::from(
-            "`repro gate` only takes --update; `repro check` runs the gate",
-        ));
-    }
+fn gate_update(opts: &Opts) -> ExitCode {
     let dir = Path::new(BASELINE_DIR);
-    match gate::update(ctx, dir) {
+    match gate::update(&opts.ctx, dir) {
         Ok(written) => {
             for path in &written {
                 eprintln!("[baseline -> {}]", path.display());
@@ -528,11 +514,11 @@ fn gate_update(ctx: &Context, args: &Args) -> Result<ExitCode, String> {
                 written.len(),
                 dir.display()
             );
-            Ok(ExitCode::SUCCESS)
+            ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("repro gate: cannot write {}: {e}", dir.display());
-            Ok(ExitCode::FAILURE)
+            ExitCode::FAILURE
         }
     }
 }
@@ -592,19 +578,21 @@ fn replay_from_log(path: &str) -> ExitCode {
 fn main() -> ExitCode {
     let run = || -> Result<ExitCode, String> {
         let args = Args::parse(std::env::args().skip(1))?;
-        let ctx = Context::default().with_threads(args.num("--threads")?.unwrap_or(0));
         match (
             args.words.first().map(String::as_str),
             args.value("--from-log"),
         ) {
             (Some("check"), _) => {
                 args.only("--threads")?;
-                Ok(check(ctx))
+                Ok(check(&Opts::from_args(&args)?))
             }
-            (Some("gate"), _) => {
+            (Some("gate"), _) if args.switch("--update") => {
                 args.only("--threads --update")?;
-                gate_update(&ctx, &args)
+                Ok(gate_update(&Opts::from_args(&args)?))
             }
+            (Some("gate"), _) => Err(String::from(
+                "`repro gate` only takes --update; `repro check` runs the gate",
+            )),
             (Some("perf"), _) => {
                 args.only("--full --tasks --check --thresholds")?;
                 perf(&args)
@@ -615,7 +603,7 @@ fn main() -> ExitCode {
             }
             _ => {
                 args.only(RENDER_FLAGS)?;
-                generate(ctx, &args)
+                generate(&args)
             }
         }
     };
