@@ -385,12 +385,18 @@ fn exposition(text: &str) -> Result<String, String> {
 /// `repro check`: every deterministic check of the committed outputs.
 /// Prints one line per check and fails only after running them all.
 fn check(opts: &Opts) -> ExitCode {
-    let mut lines: Vec<(String, Result<String, String>)> = Vec::new();
+    let mut checks = 0;
+    let mut failed: Vec<String> = Vec::new();
     let mut say = |name: &str, verdict: Result<String, String>| {
-        let tag = if verdict.is_ok() { "PASS" } else { "FAIL" };
-        let detail = verdict.as_ref().unwrap_or_else(|e| e);
+        checks += 1;
+        let (tag, detail) = match verdict {
+            Ok(detail) => ("PASS", detail),
+            Err(detail) => {
+                failed.push(name.to_string());
+                ("FAIL", detail)
+            }
+        };
         println!("{tag}  {name:<30} {detail}");
-        lines.push((name.to_string(), verdict));
     };
 
     let dir = Path::new(ARTIFACT_DIR);
@@ -482,19 +488,13 @@ fn check(opts: &Opts) -> ExitCode {
         if bound.passed() { Ok(line) } else { Err(line) },
     );
 
-    let failed: Vec<&str> = lines
-        .iter()
-        .filter(|(_, v)| v.is_err())
-        .map(|(name, _)| name.as_str())
-        .collect();
     if failed.is_empty() {
-        println!("repro check: all {} checks passed", lines.len());
+        println!("repro check: all {checks} checks passed");
         ExitCode::SUCCESS
     } else {
         println!(
-            "repro check: {} of {} checks failed: {}",
+            "repro check: {} of {checks} checks failed: {}",
             failed.len(),
-            lines.len(),
             failed.join(", ")
         );
         ExitCode::FAILURE
