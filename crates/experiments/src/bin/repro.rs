@@ -66,7 +66,6 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use gpuflow_experiments::gate::CaseStatus;
 use gpuflow_experiments::replay::ReplaySpec;
 use gpuflow_experiments::{
     ablation, factors, fault_sensitivity, fig1, fig10, fig11, fig12, fig6, fig7, fig8, fig9, gate,
@@ -458,22 +457,16 @@ fn check(opts: &Opts) -> ExitCode {
         Path::new(BASELINE_DIR),
         gate::DEFAULT_TOLERANCE_PCT,
     );
-    for case in &gate.results {
-        let makespan = format!("makespan {:.6} s", case.makespan_ns as f64 / 1e9);
-        let verdict = match &case.status {
-            CaseStatus::Pass => Ok(makespan),
-            CaseStatus::Fail(msgs) => Err(msgs.join("; ")),
-            CaseStatus::MissingBaseline => Err(format!(
-                "no baseline in {BASELINE_DIR}; run `repro gate --update` and commit it"
-            )),
-        };
-        say(&format!("gate {}", case.name), verdict);
-        if let (CaseStatus::Fail(_), Some(diff)) = (&case.status, &case.diff) {
-            for line in diff.render().lines() {
-                let pad = if line.is_empty() { "" } else { "      " };
-                println!("{pad}{line}");
-            }
-        }
+    say(
+        "perf gate",
+        if gate.passed() {
+            Ok(format!("{} cases", gate.results.len()))
+        } else {
+            Err(String::from("see the gate report below"))
+        },
+    );
+    if !gate.passed() {
+        print!("{}", gate.render());
     }
 
     let bound = spans::run_stress(
