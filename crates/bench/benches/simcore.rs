@@ -1,8 +1,9 @@
 //! Microbenchmarks of the simulation substrate: event queue throughput,
-//! fair-share link rescheduling, grouped-link water-filling.
+//! flow churn on a one-group link (a PCIe bus or a local disk) and
+//! water-filling on a multi-group link (GPFS behind per-node NICs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpuflow_sim::{Engine, FairShareLink, FcfsPool, GroupedLink, SimDuration, SimTime};
+use gpuflow_sim::{Engine, GroupedLink, SimDuration, SimTime};
 use std::hint::black_box;
 
 fn bench_engine(c: &mut Criterion) {
@@ -34,10 +35,10 @@ fn bench_fair_share_link(c: &mut Criterion) {
     for &flows in &[8usize, 64, 256] {
         g.bench_with_input(BenchmarkId::new("churn", flows), &flows, |b, &flows| {
             b.iter(|| {
-                let mut link = FairShareLink::new(1e9);
+                let mut link = GroupedLink::new(1e9, 1, 1e9);
                 let mut now = SimTime::ZERO;
                 for i in 0..flows {
-                    link.start(now, 1e6 + i as f64);
+                    link.start(now, 0, 1e6 + i as f64);
                     now += SimDuration::from_micros(10);
                 }
                 let mut done = 0usize;
@@ -81,28 +82,10 @@ fn bench_grouped_link(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_pool(c: &mut Criterion) {
-    c.bench_function("fcfs_pool_churn", |b| {
-        b.iter(|| {
-            let mut pool: FcfsPool<u32> = FcfsPool::new(16);
-            let mut t = SimTime::ZERO;
-            for i in 0..1_000u32 {
-                pool.try_acquire(t, i);
-                t += SimDuration::from_micros(1);
-                if i >= 16 {
-                    black_box(pool.release(t));
-                }
-            }
-            black_box(pool.in_use())
-        })
-    });
-}
-
 criterion_group!(
     simcore,
     bench_engine,
     bench_fair_share_link,
-    bench_grouped_link,
-    bench_pool
+    bench_grouped_link
 );
 criterion_main!(simcore);

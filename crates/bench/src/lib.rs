@@ -6,7 +6,8 @@
 //!   regenerates the artifact (reduced parameter sweeps keep wall time
 //!   tractable; run the `repro` binary for the full-scale tables);
 //! * `simcore` — microbenchmarks of the simulation substrate (event
-//!   queue, fair-share links, grouped links);
+//!   queue, flow churn on one-group links, water-filling on grouped
+//!   links);
 //! * `runtime` — executor scaling with task count, scheduler policy
 //!   ablation, cache on/off ablation;
 //! * `analysis` — Spearman correlation and matrix construction costs.

@@ -1,14 +1,14 @@
 //! # gpuflow-sim — deterministic discrete-event simulation kernel
 //!
 //! The substrate under every performance number in this repository: a
-//! minimal, deterministic discrete-event core with three reusable resource
-//! models:
+//! minimal, deterministic discrete-event core with one resource model and
+//! a noise source:
 //!
-//! * [`Engine`] — a timestamped event queue with stable FIFO tie-breaking;
-//! * [`FcfsPool`] — counted resources (CPU cores, GPU devices) with FIFO
-//!   wait queues and utilization accounting;
-//! * [`FairShareLink`] — progressive-filling bandwidth sharing (PCIe,
-//!   disks, NICs, the GPFS backend);
+//! * [`Engine`] — a timestamped event queue (a calendar queue) with
+//!   stable FIFO tie-breaking;
+//! * [`GroupedLink`] — max-min fair bandwidth sharing, the one flow
+//!   solver: a one-group link for each PCIe bus and local disk, and the
+//!   GPFS backend behind one front-end (NIC) per node;
 //! * [`Jitter`] — seeded multiplicative noise modelling OS-level run-to-run
 //!   variation.
 //!
@@ -22,13 +22,9 @@
 mod engine;
 mod grouped_link;
 mod jitter;
-mod link;
-mod pool;
 mod time;
 
 pub use engine::{Engine, Scheduled};
-pub use grouped_link::GroupedLink;
+pub use grouped_link::{FlowId, GroupedLink};
 pub use jitter::Jitter;
-pub use link::{FairShareLink, FlowId};
-pub use pool::{Acquire, FcfsPool};
 pub use time::{SimDuration, SimTime};

@@ -1,7 +1,7 @@
 //! Property suites for the simulation primitives under random operation
 //! sequences.
 
-use gpuflow_sim::{Acquire, Engine, FairShareLink, FcfsPool, GroupedLink, SimDuration, SimTime};
+use gpuflow_sim::{Engine, GroupedLink, SimTime};
 use proptest::prelude::*;
 
 /// The previous engine implementation — a `BinaryHeap` min-ordered on
@@ -41,67 +41,6 @@ impl ReferenceHeap {
 }
 
 proptest! {
-    /// A pool never exceeds its capacity and serves waiters strictly
-    /// FIFO, under any interleaving of acquires and releases.
-    #[test]
-    fn pool_respects_capacity_and_fifo(
-        capacity in 1usize..8,
-        ops in prop::collection::vec(prop::bool::ANY, 1..200),
-    ) {
-        let mut pool: FcfsPool<u32> = FcfsPool::new(capacity);
-        let mut t = SimTime::ZERO;
-        let mut next_ticket = 0u32;
-        let mut queued: std::collections::VecDeque<u32> = Default::default();
-        let mut held = 0usize;
-        for op in ops {
-            t += SimDuration::from_micros(1);
-            if op {
-                match pool.try_acquire(t, next_ticket) {
-                    Acquire::Granted => {
-                        prop_assert!(queued.is_empty(), "grants only when nobody waits");
-                        held += 1;
-                    }
-                    Acquire::Queued => queued.push_back(next_ticket),
-                }
-                next_ticket += 1;
-            } else if held > 0 {
-                match pool.release(t) {
-                    Some(ticket) => {
-                        // FIFO handover to the oldest waiter.
-                        prop_assert_eq!(Some(ticket), queued.pop_front());
-                    }
-                    None => {
-                        prop_assert!(queued.is_empty());
-                        held -= 1;
-                    }
-                }
-            }
-            prop_assert!(pool.in_use() <= capacity);
-            prop_assert_eq!(pool.in_use(), held);
-            prop_assert_eq!(pool.queue_len(), queued.len());
-        }
-    }
-
-    /// Utilization accounting integrates to at most capacity x elapsed.
-    #[test]
-    fn pool_utilization_bounded(
-        capacity in 1usize..6,
-        holds in prop::collection::vec(1u64..1000, 1..50),
-    ) {
-        let mut pool: FcfsPool<usize> = FcfsPool::new(capacity);
-        let mut t = SimTime::ZERO;
-        for (i, h) in holds.iter().enumerate() {
-            if pool.available() > 0 {
-                pool.try_acquire(t, i);
-            } else {
-                pool.release(t);
-            }
-            t += SimDuration::from_micros(*h);
-        }
-        let u = pool.utilization(t);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&u));
-    }
-
     /// Two links fed the same flows complete them in the same order
     /// (determinism), and a faster link never finishes later.
     #[test]
@@ -109,9 +48,9 @@ proptest! {
         sizes in prop::collection::vec(10.0f64..1e6, 1..30),
     ) {
         let drain = |capacity: f64| {
-            let mut link = FairShareLink::new(capacity);
+            let mut link = GroupedLink::new(capacity, 1, capacity);
             for (i, &s) in sizes.iter().enumerate() {
-                link.start(SimTime::from_nanos(i as u64 * 1000), s);
+                link.start(SimTime::from_nanos(i as u64 * 1000), 0, s);
             }
             let mut now = SimTime::from_nanos(sizes.len() as u64 * 1000);
             let mut done = Vec::new();

@@ -6,7 +6,7 @@ use gpuflow::analysis::{ranks, spearman};
 use gpuflow::cluster::{ClusterSpec, KernelWork, ProcessorKind};
 use gpuflow::data::{BlockCoord, BlockDim, DatasetDim, DatasetSpec, DsArray, DsArraySpec, GridDim};
 use gpuflow::runtime::{run, CostProfile, Direction, RunConfig, Trace, WorkflowBuilder};
-use gpuflow::sim::{Engine, FairShareLink, GroupedLink, SimTime};
+use gpuflow::sim::{Engine, GroupedLink, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -71,19 +71,19 @@ proptest! {
         prop_assert_eq!(popped, times.len());
     }
 
-    /// Fair-share links deliver every flow and conserve bytes (within the
-    /// nanosecond tick rounding).
+    /// Fair-share (one-group) links deliver every flow and conserve bytes
+    /// (within the nanosecond tick rounding).
     #[test]
     fn fair_share_link_delivers_all_flows(
         sizes in prop::collection::vec(1.0f64..1e7, 1..40),
         gaps in prop::collection::vec(0u64..1_000_000u64, 1..40),
     ) {
-        let mut link = FairShareLink::new(1e8);
+        let mut link = GroupedLink::new(1e8, 1, 1e8);
         let mut now = SimTime::ZERO;
         let n = sizes.len().min(gaps.len());
         for i in 0..n {
             now = SimTime::from_nanos(now.as_nanos() + gaps[i]);
-            link.start(now, sizes[i]);
+            link.start(now, 0, sizes[i]);
         }
         let mut delivered = 0usize;
         let mut guard = 0;
@@ -98,7 +98,7 @@ proptest! {
     }
 
     /// Grouped links never exceed the backend or the per-group front-end
-    /// caps, whatever the flow mix.
+    /// caps, whatever the flow mix, and conserve bytes while draining.
     #[test]
     fn grouped_link_respects_caps(
         flows in prop::collection::vec((0usize..8, 1.0f64..1e7), 1..64),
@@ -116,6 +116,7 @@ proptest! {
             delivered += link.harvest(now).len();
         }
         prop_assert_eq!(delivered, flows.len());
+        prop_assert!(link.bytes_in_flight() < 1.0);
     }
 
     /// Spearman stays in [-1, 1], is symmetric, and is invariant under
