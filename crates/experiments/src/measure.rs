@@ -123,11 +123,8 @@ impl fmt::Display for Outcome {
 pub struct Context {
     /// The simulated cluster (Minotauro by default).
     pub cluster: ClusterSpec,
-    /// Base jitter seed; repeat runs offset it.
+    /// Jitter seed of every run.
     pub base_seed: u64,
-    /// Repetitions per configuration. The paper runs six and discards the
-    /// warm-up; we average `repeats` already-warm simulated runs.
-    pub repeats: u32,
     /// Worker threads for sweep parallelism: `0` (the default) resolves
     /// via [`auto_threads`]. Results are bit-identical at every setting.
     pub threads: usize,
@@ -138,20 +135,12 @@ impl Default for Context {
         Context {
             cluster: ClusterSpec::minotauro(),
             base_seed: 0x9E37,
-            repeats: 1,
             threads: 0,
         }
     }
 }
 
 impl Context {
-    /// A context averaging `repeats` seeded runs per configuration.
-    pub fn with_repeats(mut self, repeats: u32) -> Self {
-        assert!(repeats > 0, "need at least one repetition");
-        self.repeats = repeats;
-        self
-    }
-
     /// A context running sweeps on `threads` workers (`0` = auto).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -177,9 +166,7 @@ impl Context {
         par_map(self.effective_threads(), items, f)
     }
 
-    /// Runs `workflow` once per repetition and returns the first outcome
-    /// (reports carry per-seed noise; OOM is deterministic, so any
-    /// repetition would fail identically).
+    /// Runs `workflow` once under `base_seed`.
     pub fn run(
         &self,
         workflow: &Workflow,
@@ -187,24 +174,16 @@ impl Context {
         storage: StorageArchitecture,
         policy: SchedulingPolicy,
     ) -> Outcome {
-        let mut first: Option<RunReport> = None;
-        for rep in 0..self.repeats {
-            let cfg = RunConfig::new(self.cluster.clone(), processor)
-                .with_storage(storage)
-                .with_policy(policy)
-                .with_seed(self.base_seed.wrapping_add(rep as u64));
-            match gpuflow_runtime::run(workflow, &cfg) {
-                Ok(report) => {
-                    // Keep the median-ish (first) report; repeats exist to
-                    // let callers average makespans.
-                    first.get_or_insert(report);
-                }
-                Err(RunError::GpuOom { .. }) => return Outcome::GpuOom,
-                Err(RunError::HostOom { .. }) => return Outcome::CpuOom,
-                Err(other) => panic!("unexpected run failure: {other}"),
-            }
+        let cfg = RunConfig::new(self.cluster.clone(), processor)
+            .with_storage(storage)
+            .with_policy(policy)
+            .with_seed(self.base_seed);
+        match gpuflow_runtime::run(workflow, &cfg) {
+            Ok(report) => Outcome::Ok(Box::new(report)),
+            Err(RunError::GpuOom { .. }) => Outcome::GpuOom,
+            Err(RunError::HostOom { .. }) => Outcome::CpuOom,
+            Err(other) => panic!("unexpected run failure: {other}"),
         }
-        Outcome::Ok(Box::new(first.expect("at least one repetition")))
     }
 
     /// Runs with the paper's defaults: shared disk, generation order.
@@ -241,18 +220,5 @@ mod tests {
         assert!(out.label(|r| r.makespan()).parse::<f64>().is_ok());
         assert_eq!(Outcome::GpuOom.label(|_| 0.0), "GPU OOM");
         assert!(Outcome::CpuOom.report().is_none());
-    }
-
-    #[test]
-    fn repeats_do_not_change_success() {
-        let ctx = Context {
-            cluster: ClusterSpec::tiny(),
-            ..Default::default()
-        }
-        .with_repeats(3);
-        assert!(ctx
-            .run_default(&tiny_workflow(), ProcessorKind::Cpu)
-            .report()
-            .is_some());
     }
 }
