@@ -16,10 +16,10 @@
 //! Drive it through the `repro` binary:
 //!
 //! ```text
-//! repro gate                     # compare against artifacts/baselines
+//! repro check                    # among the other golden checks, compare
+//!                                # against artifacts/baselines with
+//!                                # DEFAULT_TOLERANCE_PCT
 //! repro gate --update            # rewrite the baselines
-//! repro gate --tolerance 2.5     # percent slack (default 1.0)
-//! repro gate --report FILE       # also write the report to FILE
 //! ```
 
 use std::fmt::Write as _;

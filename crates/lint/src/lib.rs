@@ -2,8 +2,8 @@
 //! analysis pass.
 //!
 //! Every result this repo produces rests on two invariants that are
-//! otherwise only checked *dynamically* (by regenerating all 17
-//! artifacts and diffing bytes):
+//! otherwise only checked *dynamically* (by `repro check`, which
+//! regenerates every committed artifact and diffs bytes):
 //!
 //! 1. runs are bit-for-bit deterministic — no hash-order iteration, no
 //!    wall clocks, no raw threads, no float-order drift on result
@@ -17,14 +17,13 @@
 //! See `docs/static_analysis.md` for the rule catalog and the
 //! `// lint: allow(CODE, reason)` suppression grammar.
 //!
-//! Entry points: [`run`] (whole tree, used by `gpuflow lint` and
-//! `repro lint`), [`scan::scan_file`] (one file, used by the golden
-//! fixture tests), [`json`] (parser + shape checker backing the CLI
-//! JSON schema tests), [`promtext`] (Prometheus text-exposition
-//! validator backing `repro replay --check` and the CI metrics-smoke
-//! job, including the SLO alert/recording-rule surface), and
-//! [`collapsed`] (collapsed-stack flame-graph grammar backing
-//! `repro spans --check` and the CI spans-smoke job).
+//! Entry points: [`run`] (whole tree, used by `gpuflow lint`),
+//! [`scan::scan_file`] (one file, used by the golden fixture tests),
+//! [`json`] (parser + shape checker backing the CLI JSON schema tests),
+//! [`promtext`] (Prometheus text-exposition validator, including the
+//! SLO alert/recording-rule surface, backing `repro check`'s replay and
+//! spans grammar checks), and [`collapsed`] (collapsed-stack flame-graph
+//! grammar backing `repro check`'s spans collapsed-stack check).
 
 pub mod allow;
 pub mod collapsed;

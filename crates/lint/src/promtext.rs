@@ -2,9 +2,10 @@
 //! (version 0.0.4) — the format `gpuflow obs metrics`, `gpuflow serve`,
 //! and `repro replay` emit.
 //!
-//! The CI `metrics-smoke` job and the replay `--check` flag run scraped
-//! snapshots through [`check`], so a malformed exposition fails the
-//! build without any Prometheus binary in the container. The grammar
+//! `repro check` runs the replay and spans expositions through
+//! [`check`], and the metrics integration tests run live scrapes
+//! through it, so a malformed exposition fails the build without any
+//! Prometheus binary in the container. The grammar
 //! enforced here is the subset the official parser requires:
 //!
 //! * `# HELP <name> <text>` and `# TYPE <name> <kind>` comment lines,

@@ -34,7 +34,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`sim`] | `gpuflow-sim` | discrete-event engine, resource pools, fair-share links |
+//! | [`sim`] | `gpuflow-sim` | discrete-event engine, max-min bandwidth links, jitter |
 //! | [`cluster`] | `gpuflow-cluster` | CPU/GPU roofline models, PCIe, disks, topology |
 //! | [`data`] | `gpuflow-data` | blocked arrays, partitioning algebra, dataset generators |
 //! | [`runtime`] | `gpuflow-runtime` | data-dependency DAGs, schedulers, the executor |
