@@ -94,7 +94,8 @@ impl<'a> Exec<'a> {
     /// task enters the queue, except the master's silent re-queue of a
     /// decision a fault overtook.
     pub(super) fn admit(&mut self, tid: TaskId) {
-        self.ready.insert(self.upward_rank[tid.0 as usize], tid);
+        self.ready
+            .insert(self.upward_rank[tid.0 as usize], tid, self.lane(tid));
         if self.bus.active() {
             let at = self.now();
             self.bus.push(TelemetryEvent::TaskReady { at, task: tid });

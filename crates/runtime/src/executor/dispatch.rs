@@ -6,9 +6,9 @@ use gpuflow_chaos::mix64;
 use gpuflow_cluster::ProcessorKind;
 use gpuflow_sim::{SimDuration, SimTime};
 
-use crate::data::DataVersion;
+use crate::data::{DataId, DataVersion};
 use crate::metrics::TaskRecord;
-use crate::scheduler::{decision_overhead, place, NodeAvail, ReadyQueue, SchedulingPolicy};
+use crate::scheduler::{decision_overhead, place, NodeAvail, ReadyLane, SchedulingPolicy};
 use crate::task::TaskId;
 use crate::telemetry::{CandidateScore, SchedulerDecision, TelemetryEvent};
 
@@ -22,15 +22,26 @@ impl Exec<'_> {
         self.cfg.processor == ProcessorKind::Gpu && !t.cpu_only && t.cost.parallel.flops > 0.0
     }
 
+    /// The ready lane `tid` waits in: GPU tasks wait for a GPU slot,
+    /// serial tasks for one core, CPU tasks with a parallel fraction
+    /// for the configured thread count.
+    pub(super) fn lane(&self, tid: TaskId) -> ReadyLane {
+        if self.is_gpu_task(tid) {
+            ReadyLane::Gpu
+        } else if self.wf.task(tid).cost.parallel.flops <= 0.0 {
+            ReadyLane::OneCore
+        } else {
+            ReadyLane::Threads
+        }
+    }
+
     /// Host cores a task occupies: GPU tasks and serial tasks hold one;
     /// CPU tasks with a parallel fraction hold the configured thread
     /// count.
     fn cores_needed(&self, tid: TaskId) -> usize {
-        let t = self.wf.task(tid);
-        if self.is_gpu_task(tid) || t.cost.parallel.flops <= 0.0 {
-            1
-        } else {
-            self.cfg.cpu_threads_per_task
+        match self.lane(tid) {
+            ReadyLane::Gpu | ReadyLane::OneCore => 1,
+            ReadyLane::Threads => self.cfg.cpu_threads_per_task,
         }
     }
 
@@ -65,6 +76,20 @@ impl Exec<'_> {
         mix64(0x9E37_79B9_7F4A_7C15 ^ ((v.id.0 as u64) << 32) ^ v.version as u64)
     }
 
+    /// Fills `out` with each `(data, version)` access resolved to
+    /// `(version, bytes)`, reusing its allocation.
+    fn resolve(
+        &self,
+        accesses: impl Iterator<Item = (DataId, u32)>,
+        out: &mut Vec<(DataVersion, u64)>,
+    ) {
+        let reg = self.wf.registry();
+        out.clear();
+        out.extend(
+            accesses.map(|(id, version)| (DataVersion { id, version }, reg.object(id).bytes)),
+        );
+    }
+
     /// Free execution slots on `node` for `tid`.
     fn free_slots(&self, node: usize, tid: TaskId) -> usize {
         let (cores, gpu_slots) = self.offer(node);
@@ -96,7 +121,7 @@ impl Exec<'_> {
             }
             if self.free_slots(node, tid) == 0 {
                 if !self.in_backoff[i] {
-                    self.ready.insert(self.upward_rank[i], tid);
+                    self.ready.insert(self.upward_rank[i], tid, self.lane(tid));
                 }
                 self.try_start_master();
                 return Ok(());
@@ -114,8 +139,9 @@ impl Exec<'_> {
         // O(nodes) pre-aggregates. `place` succeeds exactly when some
         // node has a free slot for the task's resource kind, i.e. when
         // the matching aggregate below is non-zero — so the first ready
-        // task (in dispatch order) passing these O(1) tests is the one
-        // the seed implementation placed after scoring every candidate.
+        // task (in dispatch order) in a lane these O(1) tests allow is
+        // the one the seed implementation placed after scoring every
+        // candidate.
         let (mut max_free_cores, mut total_free_gpu_slots) = (0, 0);
         for node in 0..self.cfg.cluster.nodes {
             let (cores, gpu_slots) = self.offer(node);
@@ -125,20 +151,6 @@ impl Exec<'_> {
         if max_free_cores == 0 {
             return;
         }
-        // Find-and-remove in one queue walk. `queue_depth` is sampled
-        // first so telemetry still counts the chosen task (the seed
-        // removed it only after scoring).
-        let queue_depth = self.ready.len();
-        let mut queue = std::mem::replace(&mut self.ready, ReadyQueue::new(self.cfg.policy));
-        let chosen = queue.take_first(|tid| {
-            if self.is_gpu_task(tid) {
-                total_free_gpu_slots > 0
-            } else {
-                self.cores_needed(tid) <= max_free_cores
-            }
-        });
-        self.ready = queue;
-        let Some(tid) = chosen else { return };
         // Host-side decision timing, only when someone will consume it.
         let host_t0 = if self.cfg.collect_telemetry {
             // lint: allow(D2, host overhead probe; host_nanos is excluded from artifact serialization)
@@ -146,10 +158,20 @@ impl Exec<'_> {
         } else {
             None
         };
+        // `queue_depth` is sampled first so telemetry still counts the
+        // chosen task (the seed removed it only after scoring).
+        let queue_depth = self.ready.len();
+        let chosen = self.ready.take_first(|lane| match lane {
+            ReadyLane::Gpu => total_free_gpu_slots > 0,
+            ReadyLane::OneCore => max_free_cores >= 1,
+            ReadyLane::Threads => max_free_cores >= self.cfg.cpu_threads_per_task,
+        });
+        let Some(tid) = chosen else { return };
 
         // Score the nodes exactly once, for the task that will be
         // placed. The task's reads are resolved to `(version, bytes)`
-        // once, then each node only pays a cache peek per read.
+        // once, then each node only pays a cache peek per read; without
+        // cache scoring (fixed per run) `reads` stays empty.
         let score_cache = matches!(
             self.cfg.policy,
             SchedulingPolicy::DataLocality | SchedulingPolicy::CriticalPath
@@ -157,12 +179,8 @@ impl Exec<'_> {
         let mut avail = std::mem::take(&mut self.avail_scratch);
         let mut reads = std::mem::take(&mut self.reads_scratch);
         avail.clear();
-        reads.clear();
         if score_cache {
-            let reg = self.wf.registry();
-            reads.extend(self.wf.task(tid).reads().map(|(data, version)| {
-                (DataVersion { id: data, version }, reg.object(data).bytes)
-            }));
+            self.resolve(self.wf.task(tid).reads(), &mut reads);
         }
         for node in 0..self.cfg.cluster.nodes {
             let free_slots = self.free_slots(node, tid);
@@ -239,21 +257,12 @@ impl Exec<'_> {
             self.stats.gpu_fallbacks += 1;
         }
         self.attempts[tid.0 as usize] += 1;
-        let reg = self.wf.registry();
         // Reuse buffers from a finished attempt; steady-state dispatch
         // then allocates nothing.
         let (mut inputs, mut outputs, mut core_ids) = self.run_pool.pop().unwrap_or_default();
-        inputs.clear();
-        outputs.clear();
+        self.resolve(spec.reads(), &mut inputs);
+        self.resolve(spec.writes(), &mut outputs);
         core_ids.clear();
-        inputs
-            .extend(spec.reads().map(|(data, version)| {
-                (DataVersion { id: data, version }, reg.object(data).bytes)
-            }));
-        outputs
-            .extend(spec.writes().map(|(data, version)| {
-                (DataVersion { id: data, version }, reg.object(data).bytes)
-            }));
         let in_bytes: u64 = inputs.iter().map(|(_, b)| b).sum();
         let out_bytes: u64 = outputs.iter().map(|(_, b)| b).sum();
 

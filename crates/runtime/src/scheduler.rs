@@ -82,20 +82,39 @@ impl Ord for RankKey {
     }
 }
 
-/// The executor's ready set, kept in dispatch order so every scheduling
-/// decision starts from the front instead of re-sorting the whole set.
+/// The resource class a ready task waits for. A task's class follows
+/// from its processor and cost, so it is fixed for the whole run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadyLane {
+    /// A GPU slot: one device plus the host core that drives it.
+    Gpu,
+    /// One host core (serial tasks).
+    OneCore,
+    /// `cpu_threads_per_task` host cores (CPU tasks with a parallel
+    /// fraction).
+    Threads,
+}
+
+impl ReadyLane {
+    /// Every lane, in index order.
+    pub const ALL: [ReadyLane; 3] = [ReadyLane::Gpu, ReadyLane::OneCore, ReadyLane::Threads];
+}
+
+/// The executor's ready set: one ordered set per [`ReadyLane`], so a
+/// scheduling decision reads only the head of each lane it can place
+/// instead of walking tasks that wait for a busy resource.
 ///
-/// Iteration order is the order the seed executor produced by sorting on
-/// each decision:
+/// Merged over the lanes, dispatch order is the order the seed executor
+/// produced by sorting on each decision:
 ///
 /// * [`SchedulingPolicy::CriticalPath`] — descending upward rank, ties
 ///   on ascending task id (HEFT dispatch order);
 /// * the other policies ignore ranks (every task is keyed with rank 0),
-///   so iteration is plain ascending task id — generation order.
+///   so the order is plain ascending task id — generation order.
 #[derive(Debug, Clone)]
 pub struct ReadyQueue {
     use_rank: bool,
-    set: BTreeSet<(Reverse<RankKey>, TaskId)>,
+    lanes: [BTreeSet<(Reverse<RankKey>, TaskId)>; 3],
 }
 
 impl ReadyQueue {
@@ -103,52 +122,40 @@ impl ReadyQueue {
     pub fn new(policy: SchedulingPolicy) -> Self {
         ReadyQueue {
             use_rank: policy == SchedulingPolicy::CriticalPath,
-            set: BTreeSet::new(),
+            lanes: Default::default(),
         }
     }
 
-    fn key(&self, rank: f64, task: TaskId) -> (Reverse<RankKey>, TaskId) {
+    /// Inserts `task` with its upward rank into `lane`. Re-inserting is
+    /// a no-op as long as the rank and lane are unchanged (both are
+    /// fixed per run).
+    pub fn insert(&mut self, rank: f64, task: TaskId, lane: ReadyLane) {
         let rank = if self.use_rank { rank } else { 0.0 };
-        (Reverse(RankKey::new(rank)), task)
+        self.lanes[lane as usize].insert((Reverse(RankKey::new(rank)), task));
     }
 
-    /// Inserts `task` with its upward rank. Re-inserting is a no-op as
-    /// long as the rank is unchanged (ranks are fixed per run).
-    pub fn insert(&mut self, rank: f64, task: TaskId) {
-        let key = self.key(rank, task);
-        self.set.insert(key);
-    }
-
-    /// Removes `task`, which must have been inserted with `rank`.
-    /// Returns whether it was present.
-    pub fn remove(&mut self, rank: f64, task: TaskId) -> bool {
-        let key = self.key(rank, task);
-        self.set.remove(&key)
-    }
-
-    /// Tasks in dispatch order.
-    pub fn iter(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.set.iter().map(|&(_, task)| task)
-    }
-
-    /// Removes and returns the first task (in dispatch order) matching
-    /// `pred` — the find and the removal fused into one walk, instead of
-    /// the find-then-keyed-remove pair that re-derived the ordering key
-    /// and searched the tree a second time.
-    pub fn take_first(&mut self, mut pred: impl FnMut(TaskId) -> bool) -> Option<TaskId> {
-        let key = self.set.iter().find(|&&(_, task)| pred(task)).copied()?;
-        self.set.remove(&key);
-        Some(key.1)
+    /// Removes and returns the first task in dispatch order among the
+    /// lanes `eligible` allows: the smallest of their heads. Reads only
+    /// the first entry of each lane, so a decision costs O(lanes · log n)
+    /// whether or not it finds a task.
+    pub fn take_first(&mut self, eligible: impl Fn(ReadyLane) -> bool) -> Option<TaskId> {
+        let lane = ReadyLane::ALL
+            .into_iter()
+            .filter(|&lane| eligible(lane))
+            .filter_map(|lane| self.lanes[lane as usize].first().map(|head| (head, lane)))
+            .min_by_key(|&(head, _)| head)?
+            .1;
+        self.lanes[lane as usize].pop_first().map(|(_, task)| task)
     }
 
     /// Number of ready tasks.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.lanes.iter().map(BTreeSet::len).sum()
     }
 
     /// Whether no task is ready.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.lanes.iter().all(BTreeSet::is_empty)
     }
 }
 
@@ -194,22 +201,6 @@ pub fn place(policy: SchedulingPolicy, nodes: &[NodeAvail], rotation: usize) -> 
     }
 }
 
-/// Picks a `(task, node)` assignment, or `None` when nothing can run.
-///
-/// `ready` is in generation order — both PyCOMPSs policies honour it for
-/// *which* task runs next and differ only in *where* — but a head task
-/// with no placeable node does not block later ready tasks whose resource
-/// kind is available.
-pub fn pick(
-    policy: SchedulingPolicy,
-    ready: &[TaskId],
-    nodes_for: impl Fn(TaskId) -> Vec<NodeAvail>,
-) -> Option<(TaskId, usize)> {
-    ready
-        .iter()
-        .find_map(|&task| place(policy, &nodes_for(task), 0).map(|node| (task, node)))
-}
-
 /// Master-side cost of one scheduling decision for `policy`.
 pub fn decision_overhead(
     policy: SchedulingPolicy,
@@ -239,31 +230,17 @@ mod tests {
     }
 
     #[test]
-    fn returns_none_when_no_ready_tasks() {
-        assert_eq!(
-            pick(SchedulingPolicy::GenerationOrder, &[], |_| avail(&[(
-                0, 4, 0
-            )])),
-            None
-        );
-    }
-
-    #[test]
     fn returns_none_when_no_free_slots() {
-        let got = pick(SchedulingPolicy::GenerationOrder, &[TaskId(0)], |_| {
-            avail(&[(0, 0, 0), (1, 0, 0)])
-        });
-        assert_eq!(got, None);
-    }
-
-    #[test]
-    fn generation_order_picks_first_ready_task() {
-        let got = pick(
+        let nodes = avail(&[(0, 0, 0), (1, 0, 0)]);
+        for policy in [
             SchedulingPolicy::GenerationOrder,
-            &[TaskId(3), TaskId(7)],
-            |_| avail(&[(0, 1, 0)]),
-        );
-        assert_eq!(got, Some((TaskId(3), 0)));
+            SchedulingPolicy::DataLocality,
+            SchedulingPolicy::CriticalPath,
+        ] {
+            for rot in 0..3 {
+                assert_eq!(place(policy, &nodes, rot), None, "{policy:?}");
+            }
+        }
     }
 
     #[test]
@@ -288,34 +265,30 @@ mod tests {
 
     #[test]
     fn locality_prefers_cached_bytes() {
-        let got = pick(SchedulingPolicy::DataLocality, &[TaskId(0)], |_| {
-            avail(&[(0, 3, 10), (1, 1, 500), (2, 2, 10)])
-        });
-        assert_eq!(got, Some((TaskId(0), 1)));
+        let nodes = avail(&[(0, 3, 10), (1, 1, 500), (2, 2, 10)]);
+        assert_eq!(place(SchedulingPolicy::DataLocality, &nodes, 0), Some(1));
     }
 
     #[test]
     fn locality_falls_back_to_free_slots_on_tie() {
-        let got = pick(SchedulingPolicy::DataLocality, &[TaskId(0)], |_| {
-            avail(&[(0, 1, 0), (1, 4, 0)])
-        });
-        assert_eq!(got, Some((TaskId(0), 1)));
+        let nodes = avail(&[(0, 1, 0), (1, 4, 0)]);
+        assert_eq!(place(SchedulingPolicy::DataLocality, &nodes, 0), Some(1));
     }
 
     #[test]
     fn locality_skips_full_nodes_even_if_cached() {
-        let got = pick(SchedulingPolicy::DataLocality, &[TaskId(0)], |_| {
-            avail(&[(0, 0, 10_000), (1, 1, 0)])
-        });
-        assert_eq!(got, Some((TaskId(0), 1)));
+        let nodes = avail(&[(0, 0, 10_000), (1, 1, 0)]);
+        assert_eq!(place(SchedulingPolicy::DataLocality, &nodes, 0), Some(1));
     }
 
     #[test]
-    fn pick_uses_rotation_zero() {
-        let got = pick(SchedulingPolicy::GenerationOrder, &[TaskId(0)], |_| {
-            avail(&[(2, 2, 0), (0, 2, 0), (1, 2, 0)])
-        });
-        assert_eq!(got, Some((TaskId(0), 2)), "first slice entry at rotation 0");
+    fn generation_order_rotation_zero_takes_the_first_entry() {
+        let nodes = avail(&[(2, 2, 0), (0, 2, 0), (1, 2, 0)]);
+        assert_eq!(
+            place(SchedulingPolicy::GenerationOrder, &nodes, 0),
+            Some(2),
+            "first slice entry at rotation 0"
+        );
     }
 
     #[test]
@@ -347,15 +320,23 @@ mod tests {
         );
     }
 
+    /// Pops every task with all lanes allowed: the merged dispatch order.
+    fn drain(q: &mut ReadyQueue) -> Vec<TaskId> {
+        std::iter::from_fn(|| q.take_first(|_| true)).collect()
+    }
+
     #[test]
     fn ready_queue_critical_path_orders_by_rank_then_id() {
         let mut q = ReadyQueue::new(SchedulingPolicy::CriticalPath);
-        q.insert(1.0, TaskId(5));
-        q.insert(3.0, TaskId(9));
-        q.insert(3.0, TaskId(2));
-        q.insert(0.5, TaskId(0));
-        let order: Vec<TaskId> = q.iter().collect();
-        assert_eq!(order, vec![TaskId(2), TaskId(9), TaskId(5), TaskId(0)]);
+        q.insert(1.0, TaskId(5), ReadyLane::OneCore);
+        q.insert(3.0, TaskId(9), ReadyLane::Gpu);
+        q.insert(3.0, TaskId(2), ReadyLane::Threads);
+        q.insert(0.5, TaskId(0), ReadyLane::Gpu);
+        assert_eq!(
+            drain(&mut q),
+            vec![TaskId(2), TaskId(9), TaskId(5), TaskId(0)]
+        );
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -365,36 +346,36 @@ mod tests {
             SchedulingPolicy::DataLocality,
         ] {
             let mut q = ReadyQueue::new(policy);
-            q.insert(1.0, TaskId(5));
-            q.insert(9.0, TaskId(7));
-            q.insert(4.0, TaskId(1));
-            let order: Vec<TaskId> = q.iter().collect();
-            assert_eq!(order, vec![TaskId(1), TaskId(5), TaskId(7)], "{policy:?}");
+            q.insert(1.0, TaskId(5), ReadyLane::Gpu);
+            q.insert(9.0, TaskId(7), ReadyLane::OneCore);
+            q.insert(4.0, TaskId(1), ReadyLane::Gpu);
+            assert_eq!(
+                drain(&mut q),
+                vec![TaskId(1), TaskId(5), TaskId(7)],
+                "{policy:?}"
+            );
         }
     }
 
     #[test]
     fn take_first_removes_the_first_match_in_dispatch_order() {
         let mut q = ReadyQueue::new(SchedulingPolicy::GenerationOrder);
-        q.insert(0.0, TaskId(2));
-        q.insert(0.0, TaskId(5));
-        q.insert(0.0, TaskId(8));
-        assert_eq!(q.take_first(|t| t.0 > 3), Some(TaskId(5)));
-        assert_eq!(q.len(), 2);
+        q.insert(0.0, TaskId(2), ReadyLane::Gpu);
+        q.insert(0.0, TaskId(5), ReadyLane::OneCore);
+        q.insert(0.0, TaskId(8), ReadyLane::Threads);
+        q.insert(0.0, TaskId(9), ReadyLane::OneCore);
+        // The GPU head comes first but its lane is blocked.
+        let no_gpu = |lane| lane != ReadyLane::Gpu;
+        assert_eq!(q.take_first(no_gpu), Some(TaskId(5)));
+        assert_eq!(q.len(), 3);
+        assert_eq!(
+            q.take_first(|lane| lane == ReadyLane::Threads),
+            Some(TaskId(8))
+        );
         assert_eq!(q.take_first(|_| true), Some(TaskId(2)));
-        assert_eq!(q.take_first(|t| t.0 == 1), None);
+        assert_eq!(q.take_first(|lane| lane == ReadyLane::Gpu), None);
+        assert_eq!(q.take_first(|_| false), None);
         assert_eq!(q.len(), 1, "no match leaves the queue untouched");
-    }
-
-    #[test]
-    fn ready_queue_remove_uses_the_insertion_rank() {
-        let mut q = ReadyQueue::new(SchedulingPolicy::CriticalPath);
-        q.insert(2.5, TaskId(3));
-        q.insert(1.0, TaskId(4));
-        assert!(q.remove(2.5, TaskId(3)));
-        assert!(!q.remove(2.5, TaskId(3)), "already gone");
-        assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        assert_eq!(q.iter().next(), Some(TaskId(4)));
     }
 }

@@ -41,9 +41,10 @@ pub struct SchedulerDecision {
     /// Modelled master-side overhead of the decision, in simulation
     /// time.
     pub sim_overhead: SimDuration,
-    /// Wall-clock nanoseconds the host spent making this decision.
-    /// Nondeterministic; excluded from the JSONL export so event
-    /// streams stay byte-identical across runs.
+    /// Wall-clock nanoseconds the host spent making this decision, from
+    /// the ready-queue search through placement. Nondeterministic;
+    /// excluded from the JSONL export so event streams stay
+    /// byte-identical across runs.
     pub host_nanos: u64,
     /// The scored candidate set, one entry per cluster node.
     pub candidates: Vec<CandidateScore>,
