@@ -1,10 +1,13 @@
 //! Scheduler-stress benchmark: thousands of simultaneously ready tasks
-//! on a wide cluster, under the two policies whose placement decisions
-//! scan the ready set and the nodes (CriticalPath, DataLocality). This
-//! is the proof harness for the incremental try_start fast path: the
-//! seed implementation re-collected and re-sorted the ready set on every
-//! decision, which is quadratic in the ready width. The stress DAGs at
-//! 10^5 and 10^6 tasks are measured by `repro perf` (`--full` for the
+//! on a wide cluster. The CPU cases run the two policies whose placement
+//! decisions score the nodes (CriticalPath, DataLocality); every CPU
+//! worker waits for one core, so a decision always takes the head of the
+//! ready queue. The GPU case runs generation order on a Minotauro-shaped
+//! cluster (32 GPUs behind 128 cores): once every GPU is busy, cores are
+//! still free, so every task completion starts a decision that finds no
+//! placeable GPU task among the thousands ready; the per-lane ready
+//! queue answers that from the lane heads. The stress DAGs at 10^5
+//! and 10^6 tasks are measured by `repro perf` (`--full` for the
 //! million-task runs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -73,6 +76,13 @@ fn bench_ready_width(c: &mut Criterion) {
                 b.iter(|| black_box(run(wf, &cfg).expect("fits")))
             });
         }
+        let gpu = format!("gpu {}", SchedulingPolicy::GenerationOrder.label());
+        g.bench_with_input(BenchmarkId::new(&gpu, width), &wf, |b, wf| {
+            let cfg = RunConfig::new(wide_cluster(8), ProcessorKind::Gpu)
+                .with_policy(SchedulingPolicy::GenerationOrder)
+                .with_storage(StorageArchitecture::SharedDisk);
+            b.iter(|| black_box(run(wf, &cfg).expect("fits")))
+        });
     }
     g.finish();
 }
