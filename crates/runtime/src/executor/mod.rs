@@ -12,11 +12,15 @@
 //!
 //! Resource contention is modelled with counted slots per node for CPU
 //! cores and GPU devices, and with `gpuflow-sim`'s one flow solver,
-//! [`GroupedLink`], for bandwidth: a one-group link per PCIe bus and per
-//! node-local disk, and the shared file system as per-node NICs in front
-//! of the GPFS backend. A per-node object cache lets well-placed tasks
-//! skip deserialization, which is the mechanism coupling scheduling
-//! policy and storage architecture.
+//! [`GroupedLink`](gpuflow_sim::GroupedLink), for bandwidth: a one-group
+//! link per PCIe bus and per node-local disk, and the shared file system
+//! as per-node NICs in front of the GPFS backend. Each link keeps at most
+//! one armed `LinkTick` at its next flow completion: a flow start or a
+//! tick's harvest cancels the armed tick and schedules one at the new
+//! next completion, and a harvested flow whose attempt was aborted is
+//! dropped by its `(task, attempt)` owner tag. A per-node object cache
+//! lets well-placed tasks skip deserialization, which is the mechanism
+//! coupling scheduling policy and storage architecture.
 //!
 //! This module holds [`run`], the run state and its event loop; each
 //! concern lives in its own submodule: `api` (configuration, errors,
@@ -35,7 +39,7 @@ use fxhash::{FxHashMap, FxHashSet};
 
 use gpuflow_chaos::{mix64, FaultPlan};
 use gpuflow_cluster::ProcessorKind;
-use gpuflow_sim::{Engine, FlowId, GroupedLink, Jitter, SimTime};
+use gpuflow_sim::{Engine, Jitter, SimTime};
 
 use crate::cache::BlockCache;
 use crate::data::DataVersion;
@@ -46,7 +50,7 @@ use crate::telemetry::EventBus;
 use crate::workflow::Workflow;
 
 use admission::JobGate;
-use pipeline::{LinkKey, RunBuffers, TaskRun};
+use pipeline::{Link, LinkKey, RunBuffers, TaskRun};
 use recovery::{fault_timeline, FaultAction};
 
 use api::validate;
@@ -86,7 +90,9 @@ enum Ev {
     /// Stage delay for a task attempt; the attempt tag lets delays from
     /// an aborted attempt be recognised as stale and dropped.
     TaskDelay(TaskId, u32),
-    LinkTick(LinkKey, u64),
+    /// The armed tick of a link: its next flow completion. A link has
+    /// at most one pending tick (a superseded one is cancelled).
+    LinkTick(LinkKey),
     /// A discrete fault from the plan (index into the fault timeline).
     Fault(usize),
     /// End of a transient-failure backoff window.
@@ -114,10 +120,11 @@ struct Exec<'a> {
     peak_cores: Vec<usize>,
     ram_used: Vec<u64>,
     peak_ram: u64,
-    pcie: Vec<GroupedLink>,
-    disks: Vec<GroupedLink>,
-    shared: GroupedLink,
-    flow_task: FxHashMap<(LinkKey, FlowId), TaskId>,
+    pcie: Vec<Link>,
+    disks: Vec<Link>,
+    shared: Link,
+    /// Owners of the flows a link tick harvested (reused buffer).
+    harvested: Vec<(TaskId, u32)>,
     // Scheduling.
     /// HEFT-style upward rank per task (estimated seconds on the
     /// critical path to the sink), used by the CriticalPath policy.
@@ -250,7 +257,7 @@ impl<'a> Exec<'a> {
         let pending_bound =
             c.total_cpu_cores() + c.total_gpus() + 2 * nodes + fault_timeline.len() + 8;
         // A PCIe bus or a local disk: one front-end as wide as its backend.
-        let channel = |bps| GroupedLink::new(bps, 1, bps);
+        let channel = |bps| Link::new(bps, 1, bps);
         Exec {
             wf,
             cfg,
@@ -272,8 +279,8 @@ impl<'a> Exec<'a> {
             disks: (0..nodes)
                 .map(|_| channel(c.node.local_disk.bandwidth_bps))
                 .collect(),
-            shared: GroupedLink::new(c.shared_disk.bandwidth_bps, nodes, c.network.nic_bps),
-            flow_task: FxHashMap::default(),
+            shared: Link::new(c.shared_disk.bandwidth_bps, nodes, c.network.nic_bps),
+            harvested: Vec::new(),
             upward_rank,
             rr_cursor: 0,
             master_busy: false,
@@ -333,7 +340,7 @@ impl<'a> Exec<'a> {
         match ev {
             Ev::MasterDone => self.on_master_done()?,
             Ev::TaskDelay(tid, att) => self.on_delay_done(tid, att),
-            Ev::LinkTick(key, gen) => self.on_link_tick(key, gen),
+            Ev::LinkTick(key) => self.on_link_tick(key),
             Ev::Fault(idx) => self.on_fault(idx),
             Ev::Retry(tid) => self.on_retry(tid),
             Ev::Release(tid) => self.on_release(tid),

@@ -19,11 +19,28 @@ use super::{Ev, Exec, RunConfig, NO_HOME};
 /// three fresh vectors per task.
 pub(super) type RunBuffers = (Vec<(DataVersion, u64)>, Vec<(DataVersion, u64)>, Vec<u16>);
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum LinkKey {
     Pcie(usize),
     Disk(usize),
     Shared,
+}
+
+/// A link of the cluster: its flows, each owned by the attempt
+/// `(task, attempt)` that started it, and the `(time, seq)` of its armed
+/// tick while one is pending.
+pub(super) struct Link {
+    flows: GroupedLink<(TaskId, u32)>,
+    tick: Option<(SimTime, u64)>,
+}
+
+impl Link {
+    pub(super) fn new(global_bps: f64, groups: usize, group_cap_bps: f64) -> Self {
+        Link {
+            flows: GroupedLink::new(global_bps, groups, group_cap_bps),
+            tick: None,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -93,7 +110,7 @@ impl Exec<'_> {
     }
 
     /// The link behind `key`.
-    fn link(&mut self, key: LinkKey) -> &mut GroupedLink {
+    fn link(&mut self, key: LinkKey) -> &mut Link {
         match key {
             LinkKey::Pcie(n) => &mut self.pcie[n],
             LinkKey::Disk(n) => &mut self.disks[n],
@@ -112,35 +129,46 @@ impl Exec<'_> {
         // PCIe bus or a local disk has a single group.
         let group = if key == LinkKey::Shared { run.node } else { 0 };
         let eff = self.flow_bytes(bytes);
-        let flow = self.link(key).start(now, group, eff);
-        self.flow_task.insert((key, flow), tid);
+        let owner = (tid, self.attempts[tid.0 as usize]);
+        self.link(key).flows.start(now, group, eff, owner);
         self.reschedule_link(key);
     }
 
-    /// Schedules a tick at the next flow completion on `key`, tagged
-    /// with the link's generation: a later start or harvest makes it
-    /// stale.
+    /// Re-arms `key`'s tick after a membership change: cancels the
+    /// pending tick the change superseded and schedules one at the
+    /// link's next completion.
     fn reschedule_link(&mut self, key: LinkKey) {
         let now = self.now();
         let link = self.link(key);
-        let (gen, next) = (link.generation(), link.next_completion(now));
+        let (armed, next) = (link.tick.take(), link.flows.next_completion(now));
+        if let Some((t, seq)) = armed {
+            let cancelled = self.engine.cancel(t, seq);
+            debug_assert!(cancelled, "an armed tick is pending");
+        }
         if let Some(t) = next {
-            self.engine.schedule_at(t.max(now), Ev::LinkTick(key, gen));
+            let t = t.max(now);
+            let seq = self.engine.schedule_at(t, Ev::LinkTick(key));
+            self.link(key).tick = Some((t, seq));
         }
     }
 
-    /// A link tick: unless stale, hands each finished flow to its task
-    /// and reschedules the link.
-    pub(super) fn on_link_tick(&mut self, key: LinkKey, gen: u64) {
-        if gen != self.link(key).generation() {
-            return;
-        }
+    /// `key`'s armed tick popped: hands each finished flow to its
+    /// attempt, unless that attempt was aborted since (the orphaned flow
+    /// drained at its full share), and re-arms the link.
+    pub(super) fn on_link_tick(&mut self, key: LinkKey) {
         let now = self.now();
-        for flow in self.link(key).harvest(now) {
-            if let Some(tid) = self.flow_task.remove(&(key, flow)) {
+        let mut done = std::mem::take(&mut self.harvested);
+        let link = self.link(key);
+        link.tick = None;
+        link.flows.harvest(now, &mut done);
+        for &(tid, att) in &done {
+            let i = tid.0 as usize;
+            if self.runs[i].is_some() && att == self.attempts[i] {
                 self.on_flow_done(tid);
             }
         }
+        done.clear();
+        self.harvested = done;
         self.reschedule_link(key);
     }
 

@@ -122,12 +122,12 @@ impl Exec<'_> {
         b
     }
 
-    /// Tears down a live attempt: releases its resources, drops its
-    /// in-flight link flows (the orphaned flows drain harmlessly; their
-    /// completions find no owner), remembers its node for alternate-node
-    /// resubmission, and reports the failure. Pending stage delays
-    /// become stale via the attempt tag. Returns the node the attempt
-    /// ran on.
+    /// Tears down a live attempt: releases its resources, remembers its
+    /// node for alternate-node resubmission, and reports the failure.
+    /// Pending stage delays and in-flight link flows become stale via
+    /// the attempt tag: an orphaned flow still drains at its full share,
+    /// and its completion is dropped. Returns the node the attempt ran
+    /// on.
     fn abort_attempt(&mut self, tid: TaskId, reason: &'static str, release_gpu: bool) -> usize {
         let now = self.now();
         let i = tid.0 as usize;
@@ -136,7 +136,6 @@ impl Exec<'_> {
         if self.cfg.recovery.resubmit_alternate {
             self.last_failed_node[i] = Some(node);
         }
-        self.flow_task.retain(|_, t| *t != tid);
         if self.bus.active() {
             self.bus.push(TelemetryEvent::TaskFailed {
                 at: now,

@@ -38,6 +38,7 @@ use super::alert::{AlertEngine, AlertRule, AlertSnapshot};
 use super::event::{LinkKind, TelemetryEvent};
 use super::sink::TelemetrySink;
 use super::TelemetryLog;
+use crate::task::TaskType;
 
 /// Default self-sampling interval of the virtual-time series: 10 ms of
 /// simulated time.
@@ -240,12 +241,13 @@ pub struct MetricsRegistry {
     /// Indexed by [`link_index`]: read, write, h2d, d2h.
     links: [LinkCounters; 4],
     sched_overhead_ns: u64,
-    completed_by_type: BTreeMap<String, u64>,
-    latency_by_type: BTreeMap<String, BucketHistogram>,
+    /// Keyed by the interned type, whose order is the `str` order.
+    completed_by_type: BTreeMap<TaskType, u64>,
+    latency_by_type: BTreeMap<TaskType, BucketHistogram>,
     /// Dispatch instant and task type of each running attempt; entries
     /// are only inserted and removed by key, never iterated, so the
     /// hash order cannot reach any output.
-    inflight: FxHashMap<u32, (u64, String)>,
+    inflight: FxHashMap<u32, (u64, TaskType)>,
     samples: Vec<SampleRow>,
     // Multi-tenant daemon state (empty outside the daemon path, which
     // keeps the exposition byte-identical to the single-run format).
@@ -349,7 +351,7 @@ impl MetricsRegistry {
     }
 
     /// The per-type latency histograms.
-    pub fn latency_histograms(&self) -> &BTreeMap<String, BucketHistogram> {
+    pub fn latency_histograms(&self) -> &BTreeMap<TaskType, BucketHistogram> {
         &self.latency_by_type
     }
 
@@ -590,7 +592,7 @@ impl MetricsRegistry {
                         .observe_ns(at.as_nanos().saturating_sub(ready_ns));
                 }
                 self.inflight
-                    .insert(task.0, (at.as_nanos(), task_type.to_string()));
+                    .insert(task.0, (at.as_nanos(), task_type.clone()));
             }
             TelemetryEvent::Stage { t1, .. } => {
                 self.advance_clock(t1.as_nanos());
@@ -634,7 +636,7 @@ impl MetricsRegistry {
                 let (start_ns, task_type) = self
                     .inflight
                     .remove(&task.0)
-                    .unwrap_or((at.as_nanos(), String::from("unknown")));
+                    .unwrap_or_else(|| (at.as_nanos(), TaskType::from("unknown")));
                 let latency = at.as_nanos().saturating_sub(start_ns);
                 *self.completed_by_type.entry(task_type.clone()).or_insert(0) += 1;
                 self.latency_by_type

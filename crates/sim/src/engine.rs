@@ -16,6 +16,13 @@
 //! implementation: strict (time, seq) pop order with monotonically
 //! increasing sequence numbers (see the equivalence suite in
 //! `tests/properties.rs`).
+//!
+//! [`Engine::cancel`] withdraws one pending event by the `(time, seq)`
+//! it was scheduled under, so a model that supersedes its own future
+//! event (a link whose next completion moved) removes it instead of
+//! leaving it to pop and be ignored. Cancelling consumes no sequence
+//! number: every other event keeps its `(time, seq)` and its place in
+//! the pop order.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -154,6 +161,25 @@ impl<E> Engine<E> {
     /// Schedules `payload` after `delay` from the current instant.
     pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> u64 {
         self.schedule_at(self.now + delay, payload)
+    }
+
+    /// Removes the pending event scheduled at `time` under sequence
+    /// number `seq` (the value `schedule_at` returned), so it never
+    /// pops. Returns `false` and changes nothing when no such event is
+    /// pending: it already popped, was cancelled, or never existed.
+    pub fn cancel(&mut self, time: SimTime, seq: u64) -> bool {
+        let key = (time.as_nanos(), seq);
+        let b = &mut self.buckets[((key.0 >> self.shift) as usize) & self.mask];
+        let pos = b.partition_point(|e| (e.time.as_nanos(), e.seq) > key);
+        if b.get(pos)
+            .is_some_and(|e| (e.time.as_nanos(), e.seq) == key)
+        {
+            b.remove(pos);
+            self.count -= 1;
+            true
+        } else {
+            false
+        }
     }
 
     /// Pops the next due event, advancing `now` to its timestamp.
@@ -415,6 +441,27 @@ mod tests {
         e.schedule_at(SimTime::from_nanos(50_000_000), 2);
         assert_eq!(e.pop().unwrap().payload, 2);
         assert_eq!(e.pop().unwrap().payload, 3);
+    }
+
+    #[test]
+    fn cancel_withdraws_only_the_named_pending_event() {
+        let mut e: Engine<u8> = Engine::new();
+        let t = SimTime::from_nanos(40);
+        let a = e.schedule_at(t, 1);
+        let b = e.schedule_at(t, 2);
+        let c = e.schedule_at(SimTime::from_nanos(90), 3);
+        assert!(!e.cancel(SimTime::from_nanos(41), b), "wrong time");
+        assert!(e.cancel(t, b));
+        assert!(!e.cancel(t, b), "already cancelled");
+        assert_eq!(e.pending(), 2);
+        let first = e.pop().unwrap();
+        assert_eq!((first.seq, first.payload), (a, 1));
+        assert!(!e.cancel(t, a), "already popped");
+        // A cancel consumes no sequence number.
+        assert_eq!(e.schedule_at(t, 4), c + 1);
+        assert_eq!(e.pop().unwrap().payload, 4);
+        assert_eq!(e.pop().unwrap().payload, 3);
+        assert!(e.is_empty());
     }
 
     #[test]

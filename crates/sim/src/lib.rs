@@ -25,6 +25,6 @@ mod jitter;
 mod time;
 
 pub use engine::{Engine, Scheduled};
-pub use grouped_link::{FlowId, GroupedLink};
+pub use grouped_link::GroupedLink;
 pub use jitter::Jitter;
 pub use time::{SimDuration, SimTime};

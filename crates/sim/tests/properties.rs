@@ -1,7 +1,7 @@
 //! Property suites for the simulation primitives under random operation
 //! sequences.
 
-use gpuflow_sim::{Engine, GroupedLink, SimTime};
+use gpuflow_sim::{Engine, GroupedLink, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// The previous engine implementation — a `BinaryHeap` min-ordered on
@@ -38,6 +38,23 @@ impl ReferenceHeap {
         self.now = t;
         Some((t, seq, payload))
     }
+
+    fn cancel(&mut self, time: SimTime, seq: u64) -> bool {
+        let before = self.heap.len();
+        self.heap.retain(|r| (r.0 .0, r.0 .1) != (time, seq));
+        self.heap.len() < before
+    }
+}
+
+/// Drains `link` from `now`, harvesting at every completion; returns
+/// the owners in completion order and the instant the link went idle.
+fn drain<T: Copy>(link: &mut GroupedLink<T>, mut now: SimTime) -> (Vec<T>, SimTime) {
+    let mut done = Vec::new();
+    while let Some(tc) = link.next_completion(now) {
+        now = tc.max(now);
+        link.harvest(now, &mut done);
+    }
+    (done, now)
 }
 
 proptest! {
@@ -47,24 +64,18 @@ proptest! {
     fn link_is_deterministic_and_monotone_in_capacity(
         sizes in prop::collection::vec(10.0f64..1e6, 1..30),
     ) {
-        let drain = |capacity: f64| {
+        let run = |capacity: f64| {
             let mut link = GroupedLink::new(capacity, 1, capacity);
             for (i, &s) in sizes.iter().enumerate() {
-                link.start(SimTime::from_nanos(i as u64 * 1000), 0, s);
+                link.start(SimTime::from_nanos(i as u64 * 1000), 0, s, i);
             }
-            let mut now = SimTime::from_nanos(sizes.len() as u64 * 1000);
-            let mut done = Vec::new();
-            while let Some(tc) = link.next_completion(now) {
-                now = tc.max(now);
-                done.extend(link.harvest(now));
-            }
-            (done, now)
+            drain(&mut link, SimTime::from_nanos(sizes.len() as u64 * 1000))
         };
-        let (order_a, end_a) = drain(1e6);
-        let (order_b, end_b) = drain(1e6);
+        let (order_a, end_a) = run(1e6);
+        let (order_b, end_b) = run(1e6);
         prop_assert_eq!(&order_a, &order_b);
         prop_assert_eq!(end_a, end_b);
-        let (_, end_fast) = drain(4e6);
+        let (_, end_fast) = run(4e6);
         prop_assert!(end_fast <= end_a, "4x capacity cannot finish later");
     }
 
@@ -77,43 +88,49 @@ proptest! {
         let global = 1e6;
         let mut link = GroupedLink::new(global, 4, 5e5);
         let total: f64 = flows.iter().map(|f| f.1).sum();
-        for &(g, bytes) in &flows {
-            link.start(SimTime::ZERO, g, bytes);
+        for (i, &(g, bytes)) in flows.iter().enumerate() {
+            link.start(SimTime::ZERO, g, bytes, i);
         }
-        let mut now = SimTime::ZERO;
-        let mut done = 0usize;
-        while let Some(tc) = link.next_completion(now) {
-            now = tc.max(now);
-            done += link.harvest(now).len();
-        }
-        prop_assert_eq!(done, flows.len());
+        let (mut done, now) = drain(&mut link, SimTime::ZERO);
+        done.sort_unstable();
+        prop_assert_eq!(done, (0..flows.len()).collect::<Vec<_>>());
         // Work conservation lower bound (generous epsilon for ns ticks).
         prop_assert!(now.as_secs_f64() + 1e-6 >= total / global);
     }
 
     /// The calendar queue pops the exact (time, seq) sequence a binary
-    /// heap would, under random interleavings of schedules and pops —
-    /// including bursts of same-instant events (FIFO ties) and far-future
-    /// outliers that force the direct-search fallback.
+    /// heap would, under random interleavings of schedules, pops and
+    /// cancels — including bursts of same-instant events (FIFO ties) and
+    /// far-future outliers that force the direct-search fallback.
     #[test]
     fn engine_matches_reference_heap(
-        ops in prop::collection::vec((0u64..4, 0u64..2000), 1..400),
+        ops in prop::collection::vec((0u64..5, 0u64..2000), 1..400),
     ) {
         let mut cal: Engine<u64> = Engine::new();
         let mut reference = ReferenceHeap::new();
+        // Every (time, seq) ever scheduled, popped and cancelled included.
+        let mut scheduled: Vec<(SimTime, u64)> = Vec::new();
         for (i, &(kind, delta)) in ops.iter().enumerate() {
             match kind {
                 // Schedule `delta` ns ahead (delta = 0 exercises ties).
                 0 | 1 => {
                     let t = SimTime::from_nanos(cal.now().as_nanos() + delta);
-                    cal.schedule_at(t, i as u64);
+                    scheduled.push((t, cal.schedule_at(t, i as u64)));
                     reference.schedule_at(t, i as u64);
                 }
                 // Far-future outlier: beyond the initial calendar year.
                 2 => {
                     let t = SimTime::from_nanos(cal.now().as_nanos() + delta * 1_000_003);
-                    cal.schedule_at(t, i as u64);
+                    scheduled.push((t, cal.schedule_at(t, i as u64)));
                     reference.schedule_at(t, i as u64);
+                }
+                // Cancel a scheduled event, sometimes one already popped
+                // or cancelled, and now and then one under a wrong time.
+                3 if !scheduled.is_empty() => {
+                    let (t, seq) = scheduled[delta as usize % scheduled.len()];
+                    let t = if delta % 11 == 0 { t + SimDuration::from_nanos(1) } else { t };
+                    let want = reference.cancel(t, seq);
+                    prop_assert_eq!(cal.cancel(t, seq), want);
                 }
                 // Pop and compare.
                 _ => {

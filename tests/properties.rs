@@ -83,17 +83,17 @@ proptest! {
         let n = sizes.len().min(gaps.len());
         for i in 0..n {
             now = SimTime::from_nanos(now.as_nanos() + gaps[i]);
-            link.start(now, 0, sizes[i]);
+            link.start(now, 0, sizes[i], i);
         }
-        let mut delivered = 0usize;
+        let mut delivered = Vec::new();
         let mut guard = 0;
         while let Some(t) = link.next_completion(now) {
             now = t.max(now);
-            delivered += link.harvest(now).len();
+            link.harvest(now, &mut delivered);
             guard += 1;
             prop_assert!(guard < 10_000, "link failed to drain");
         }
-        prop_assert_eq!(delivered, n);
+        prop_assert_eq!(delivered.len(), n);
         prop_assert!(link.bytes_in_flight() < 1.0);
     }
 
@@ -104,18 +104,18 @@ proptest! {
         flows in prop::collection::vec((0usize..8, 1.0f64..1e7), 1..64),
     ) {
         let mut link = GroupedLink::new(8e8, 8, 2e8);
-        for &(g, bytes) in &flows {
-            link.start(SimTime::ZERO, g, bytes);
+        for (i, &(g, bytes)) in flows.iter().enumerate() {
+            link.start(SimTime::ZERO, g, bytes, i);
         }
         prop_assert!(link.aggregate_rate() <= 8e8 * (1.0 + 1e-9));
         // Drain fully.
         let mut now = SimTime::ZERO;
-        let mut delivered = 0;
+        let mut delivered = Vec::new();
         while let Some(t) = link.next_completion(now) {
             now = t.max(now);
-            delivered += link.harvest(now).len();
+            link.harvest(now, &mut delivered);
         }
-        prop_assert_eq!(delivered, flows.len());
+        prop_assert_eq!(delivered.len(), flows.len());
         prop_assert!(link.bytes_in_flight() < 1.0);
     }
 
