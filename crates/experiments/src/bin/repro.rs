@@ -470,7 +470,6 @@ fn check(opts: &Opts) -> ExitCode {
     }
 
     let bound = spans::run_stress(
-        stress::Shape::Wide,
         1_000_000,
         spans::DEFAULT_RATE_PPM,
         spans::DEFAULT_SAMPLER_SEED,

@@ -9,10 +9,10 @@
 //! standard SLO alert rules — all in integer virtual time, so every
 //! section of the artifact is byte-identical at any `--threads` count.
 //!
-//! `--stress` swaps the scenario for a [`crate::stress`] DAG
-//! (10⁶ tasks by default) and asserts the sampler's documented size
-//! bound plus 100% critical-path retention — the property that makes
-//! head sampling safe at fleet scale.
+//! [`run_stress`] swaps the scenario for a wide [`crate::stress`] DAG
+//! (10⁶ tasks in `repro check`) and asserts the sampler's documented
+//! size bound plus 100% critical-path retention — the property that
+//! makes head sampling safe at fleet scale.
 
 use std::fmt::Write as _;
 
@@ -186,11 +186,9 @@ impl SpansReport {
     }
 }
 
-/// Result of the `--stress` bound check on one shape.
+/// Result of the sampler bound check on the wide stress DAG.
 #[derive(Debug, Clone)]
 pub struct StressVerdict {
-    /// DAG shape label.
-    pub shape: &'static str,
     /// Tasks in the unsampled forest.
     pub total: usize,
     /// Tasks surviving sampling.
@@ -210,11 +208,11 @@ impl StressVerdict {
     }
 }
 
-/// Builds a stress DAG of `tasks` tasks, runs it with telemetry, and
-/// checks the sampled trace against the documented size bound and the
-/// 100% critical-path retention guarantee.
-pub fn run_stress(shape: stress::Shape, tasks: usize, rate_ppm: u64, seed: u64) -> StressVerdict {
-    let wf = stress::build(shape, tasks);
+/// Builds a wide stress DAG of `tasks` tasks, runs it with telemetry,
+/// and checks the sampled trace against the documented size bound and
+/// the 100% critical-path retention guarantee.
+pub fn run_stress(tasks: usize, rate_ppm: u64, seed: u64) -> StressVerdict {
+    let wf = stress::build(stress::Shape::Wide, tasks);
     let cfg = stress::stress_config().with_telemetry();
     let report = gpuflow_runtime::run(&wf, &cfg).expect("stress DAG must complete");
     let forest = SpanForest::from_telemetry(&wf, &report.telemetry);
@@ -228,7 +226,6 @@ pub fn run_stress(shape: stress::Shape, tasks: usize, rate_ppm: u64, seed: u64) 
     let critical = stats.critical;
     let critical_kept = sampled.tasks.iter().filter(|t| t.on_critical_path).count();
     StressVerdict {
-        shape: shape.label(),
         total: stats.total,
         kept: stats.kept,
         bound: sampler.hard_bound(forest.len(), critical, &sizes),
@@ -241,7 +238,7 @@ pub fn run_stress(shape: stress::Shape, tasks: usize, rate_ppm: u64, seed: u64) 
 pub fn render_stress(v: &StressVerdict) -> String {
     format!(
         "shape={} total={} kept={} bound={} critical={} critical_kept={} -> {}",
-        v.shape,
+        stress::Shape::Wide.label(),
         v.total,
         v.kept,
         v.bound,
@@ -352,7 +349,7 @@ mod tests {
 
     #[test]
     fn stress_check_passes_at_small_scale() {
-        let v = run_stress(stress::Shape::Wide, 2_000, 10_000, DEFAULT_SAMPLER_SEED);
+        let v = run_stress(2_000, 10_000, DEFAULT_SAMPLER_SEED);
         assert!(v.passed(), "{}", render_stress(&v));
         assert!(v.total >= 2_000);
     }

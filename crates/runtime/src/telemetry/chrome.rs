@@ -15,14 +15,17 @@
 //!
 //! Timestamps are microseconds with nanosecond precision (`ts`/`dur`
 //! are fractional), directly comparable across exports of the same run.
-
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::{self, Display, Write as _};
+//!
+//! A run's export has about one record per event (525k records, 55 MB
+//! for the 660k-event obs replay log), so every record is written into
+//! one byte buffer, sized from the log, by three helpers: literal
+//! pieces, decimal integers and the fixed-point timestamp. No record
+//! goes through `core::fmt`.
 
 use crate::task::TaskType;
 use crate::trace::TraceState;
 
-use super::event::{JsonStr, TelemetryEvent};
+use super::event::{json_escape, TelemetryEvent};
 use super::TelemetryLog;
 
 /// Thread-track id of GPU device `g` within its node's process.
@@ -30,115 +33,196 @@ fn gpu_tid(g: u16) -> u32 {
     1000 + g as u32
 }
 
-/// Microseconds with nanosecond precision, rendered deterministically.
-struct Us(u64);
-
-impl Display for Us {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{:03}", self.0 / 1000, self.0 % 1000)
-    }
-}
+/// Output bytes reserved per log event: the obs replay log exports
+/// about 83 per event.
+const BYTES_PER_EVENT: usize = 96;
 
 /// The `traceEvents` array under construction: each record is written
-/// straight into the output, one per line, comma-separated.
+/// straight into one byte buffer, one per line, comma-separated.
 struct Records {
-    out: String,
+    out: Vec<u8>,
     empty: bool,
 }
 
 impl Records {
-    /// Starts the next record and returns the buffer to write it into.
-    fn next(&mut self) -> &mut String {
+    /// Appends a literal piece.
+    fn lit(&mut self, s: &str) -> &mut Self {
+        self.out.extend_from_slice(s.as_bytes());
+        self
+    }
+
+    /// Appends `n` in decimal.
+    fn num(&mut self, mut n: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.out.extend_from_slice(&digits[i..]);
+        self
+    }
+
+    /// Appends a nanosecond instant or span as microseconds with three
+    /// decimals (`{us}.{ns:03}`).
+    fn us(&mut self, ns: u64) -> &mut Self {
+        let frac = ns % 1000;
+        self.num(ns / 1000);
+        self.out.extend_from_slice(&[
+            b'.',
+            b'0' + (frac / 100) as u8,
+            b'0' + (frac / 10 % 10) as u8,
+            b'0' + (frac % 10) as u8,
+        ]);
+        self
+    }
+
+    /// Appends `s` as JSON string content, escaped as `JsonStr` is.
+    fn json_str(&mut self, s: &str) -> &mut Self {
+        let _ = json_escape(s, |piece| {
+            self.out.extend_from_slice(piece.as_bytes());
+            Ok(())
+        });
+        self
+    }
+
+    /// Starts the next record.
+    fn next(&mut self) -> &mut Self {
         if !self.empty {
-            self.out.push_str(",\n");
+            self.lit(",\n");
         }
         self.empty = false;
-        &mut self.out
+        self.lit("{")
     }
 
-    /// A metadata (`"M"`) record naming a process or thread track.
-    fn meta(&mut self, pid: usize, tid: Option<u32>, kind: &str, name: &str) {
-        let out = self.next();
-        let _ = write!(out, "{{\"ph\":\"M\",\"pid\":{pid},");
-        if let Some(tid) = tid {
-            let _ = write!(out, "\"tid\":{tid},");
+    /// Starts the next record with its `"name"` open: the caller
+    /// appends the name, then ends the record with [`Records::complete`]
+    /// or [`Records::instant`].
+    fn name(&mut self) -> &mut Self {
+        self.next().lit("\"name\":\"")
+    }
+
+    /// Appends `"args":{...}`, a flat object of integers.
+    fn args(&mut self, args: &[(&str, u64)]) -> &mut Self {
+        self.lit("\"args\":{");
+        for (i, (key, value)) in args.iter().enumerate() {
+            if i > 0 {
+                self.lit(",");
+            }
+            self.lit("\"").lit(key).lit("\":").num(*value);
         }
-        let _ = write!(
-            out,
-            "\"name\":\"{kind}\",\"args\":{{\"name\":\"{}\"}}}}",
-            JsonStr(name)
-        );
+        self.lit("}")
     }
 
-    /// A complete (`"X"`) record on track `(pid, tid)`.
+    /// A metadata (`"M"`) record naming a process, or the thread track
+    /// `tid`: the name is `label`, followed by `index` when given.
+    fn meta(&mut self, pid: usize, tid: Option<u32>, kind: &str, label: &str, index: Option<u64>) {
+        self.next().lit("\"ph\":\"M\",\"pid\":").num(pid as u64);
+        if let Some(tid) = tid {
+            self.lit(",\"tid\":").num(tid.into());
+        }
+        self.lit(",\"name\":\"")
+            .lit(kind)
+            .lit("\",\"args\":{\"name\":\"")
+            .lit(label);
+        if let Some(index) = index {
+            self.num(index);
+        }
+        self.lit("\"}}");
+    }
+
+    /// Ends a complete (`"X"`) record on track `(pid, tid)`.
     fn complete(
         &mut self,
-        name: impl Display,
         cat: &str,
         (pid, tid): (usize, u32),
-        t0_ns: u64,
-        dur_ns: u64,
-        args: fmt::Arguments<'_>,
+        t0: u64,
+        dur: u64,
+        args: &[(&str, u64)],
     ) {
-        let _ = write!(
-            self.next(),
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
-            Us(t0_ns),
-            Us(dur_ns)
-        );
+        self.lit("\",\"cat\":\"")
+            .lit(cat)
+            .lit("\",\"ph\":\"X\",\"pid\":")
+            .num(pid as u64)
+            .lit(",\"tid\":")
+            .num(tid.into())
+            .lit(",\"ts\":")
+            .us(t0)
+            .lit(",\"dur\":")
+            .us(dur)
+            .lit(",")
+            .args(args)
+            .lit("}");
     }
 
-    /// A process-scoped instant (`"i"`) record, with `args` when given.
-    fn instant(
-        &mut self,
-        name: impl Display,
-        cat: &str,
-        pid: usize,
-        at_ns: u64,
-        args: Option<fmt::Arguments<'_>>,
-    ) {
-        let out = self.next();
-        let _ = write!(
-            out,
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"p\",\"pid\":{pid},\"tid\":0,\"ts\":{}",
-            Us(at_ns)
-        );
-        if let Some(args) = args {
-            let _ = write!(out, ",\"args\":{{{args}}}");
+    /// Ends a process-scoped instant (`"i"`) record, with `args` unless
+    /// they are empty.
+    fn instant(&mut self, cat: &str, pid: usize, at: u64, args: &[(&str, u64)]) {
+        self.lit("\",\"cat\":\"")
+            .lit(cat)
+            .lit("\",\"ph\":\"i\",\"s\":\"p\",\"pid\":")
+            .num(pid as u64)
+            .lit(",\"tid\":0,\"ts\":")
+            .us(at);
+        if !args.is_empty() {
+            self.lit(",").args(args);
         }
-        out.push('}');
+        self.lit("}");
     }
 
     /// A counter (`"C"`) sample.
-    fn counter(&mut self, name: &str, pid: usize, at_ns: u64, args: fmt::Arguments<'_>) {
-        let _ = write!(
-            self.next(),
-            "{{\"name\":\"{name}\",\"ph\":\"C\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"args\":{{{args}}}}}",
-            Us(at_ns)
-        );
+    fn counter(&mut self, name: &str, pid: usize, at: u64, args: &[(&str, u64)]) {
+        self.name()
+            .lit(name)
+            .lit("\",\"ph\":\"C\",\"pid\":")
+            .num(pid as u64)
+            .lit(",\"tid\":0,\"ts\":")
+            .us(at)
+            .lit(",")
+            .args(args)
+            .lit("}");
     }
 
-    /// The begin (`'b'`) or end (`'e'`) of a task's async span, named
+    /// The begin (`"b"`) or end (`"e"`) of a task's async span, named
     /// `"<type> t<id>"`, or `"t<id>"` for a task the log never
     /// dispatched.
-    fn task_span(&mut self, ph: char, ty: Option<&TaskType>, task: u32, pid: usize, at_ns: u64) {
-        let out = self.next();
-        out.push_str("{\"name\":\"");
+    fn task_span(&mut self, ph: &str, ty: Option<&TaskType>, task: u32, pid: usize, at: u64) {
+        self.name();
         if let Some(ty) = ty {
-            let _ = write!(out, "{} ", JsonStr(ty));
+            self.json_str(ty).lit(" ");
         }
-        let _ = write!(
-            out,
-            "t{task}\",\"cat\":\"task\",\"ph\":\"{ph}\",\"id\":{task},\"pid\":{pid},\"tid\":0,\"ts\":{}}}",
-            Us(at_ns)
-        );
+        self.lit("t")
+            .num(task.into())
+            .lit("\",\"cat\":\"task\",\"ph\":\"")
+            .lit(ph)
+            .lit("\",\"id\":")
+            .num(task.into())
+            .lit(",\"pid\":")
+            .num(pid as u64)
+            .lit(",\"tid\":0,\"ts\":")
+            .us(at)
+            .lit("}");
+    }
+}
+
+/// Records track `tid` of `node` in its node's sorted track list.
+fn add_track(tracks: &mut Vec<Vec<u32>>, node: usize, tid: u32) {
+    if node >= tracks.len() {
+        tracks.resize_with(node + 1, Vec::new);
+    }
+    if let Err(i) = tracks[node].binary_search(&tid) {
+        tracks[node].insert(i, tid);
     }
 }
 
 /// Exports a telemetry log as a Chrome `trace_event` JSON document.
 pub fn to_chrome_trace(log: &TelemetryLog) -> String {
     // Pass 1: discover tracks and each task's type.
-    let mut tracks: BTreeSet<(usize, u32)> = BTreeSet::new(); // (node, tid)
+    let mut tracks: Vec<Vec<u32>> = Vec::new(); // by node, sorted tids
     let mut task_types: Vec<Option<&TaskType>> = Vec::new(); // by task id
     let mut max_node = 0usize;
     for ev in log.events() {
@@ -147,9 +231,9 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                 node, core, gpu, ..
             } => {
                 max_node = max_node.max(*node);
-                tracks.insert((*node, *core as u32));
+                add_track(&mut tracks, *node, (*core).into());
                 if let Some(g) = gpu {
-                    tracks.insert((*node, gpu_tid(*g)));
+                    add_track(&mut tracks, *node, gpu_tid(*g));
                 }
             }
             TelemetryEvent::TaskDispatched {
@@ -180,27 +264,27 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
     let type_of = |task: u32| task_types.get(task as usize).copied().flatten();
 
     let mut recs = Records {
-        out: String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"),
+        out: Vec::with_capacity(BYTES_PER_EVENT * log.len()),
         empty: true,
     };
+    recs.lit("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     // Metadata: processes and named tracks, cores before GPUs.
     for node in 0..=max_node {
-        recs.meta(node, None, "process_name", &format!("node {node}"));
-        for &(_, tid) in tracks.range((node, 0)..(node + 1, 0)) {
-            let name = match tid.checked_sub(gpu_tid(0)) {
-                Some(g) => format!("gpu {g}"),
-                None => format!("core {tid}"),
-            };
-            recs.meta(node, Some(tid), "thread_name", &name);
+        recs.meta(node, None, "process_name", "node ", Some(node as u64));
+        for &tid in tracks.get(node).into_iter().flatten() {
+            match tid.checked_sub(gpu_tid(0)) {
+                Some(g) => recs.meta(node, Some(tid), "thread_name", "gpu ", Some(g.into())),
+                None => recs.meta(node, Some(tid), "thread_name", "core ", Some(tid.into())),
+            }
         }
     }
-    recs.meta(master_pid, None, "process_name", "master scheduler");
-    recs.meta(master_pid, Some(0), "thread_name", "decisions");
+    recs.meta(master_pid, None, "process_name", "master scheduler", None);
+    recs.meta(master_pid, Some(0), "thread_name", "decisions", None);
 
-    // Pass 2: spans and counters. Cluster-wide busy counters are the
-    // running sum of the latest per-node gauges.
-    let mut node_busy_cores: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut node_busy_gpus: BTreeMap<usize, usize> = BTreeMap::new();
+    // Pass 2: spans and counters. Cluster-wide busy counters are running
+    // totals of each node's latest gauge.
+    let mut node_busy = vec![(0usize, 0usize); max_node + 1]; // (cores, gpus)
+    let (mut busy_cores_total, mut busy_gpus_total) = (0usize, 0usize);
     for ev in log.events() {
         match ev {
             TelemetryEvent::Stage {
@@ -214,42 +298,38 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
             } => {
                 let tid = match (gpu, state) {
                     (Some(g), TraceState::ParallelFraction | TraceState::CpuGpuComm) => gpu_tid(*g),
-                    _ => *core as u32,
+                    _ => (*core).into(),
                 };
                 let dur = t1.duration_since(*t0).as_nanos();
-                let args = format_args!("\"task\":{}", task.0);
-                recs.complete(
-                    state.label(),
+                recs.name().lit(state.label()).complete(
                     "stage",
                     (*node, tid),
                     t0.as_nanos(),
                     dur,
-                    args,
+                    &[("task", task.0.into())],
                 );
             }
             TelemetryEvent::Decision(d) => {
                 let at = d.at.as_nanos();
-                recs.complete(
-                    format_args!("place t{}", d.task.0),
+                recs.name().lit("place t").num(d.task.0.into()).complete(
                     "decision",
                     (master_pid, 0),
                     at,
                     d.sim_overhead.as_nanos(),
-                    format_args!(
-                        "\"chosen\":{},\"queue_depth\":{},\"candidates\":{}",
-                        d.chosen,
-                        d.queue_depth,
-                        d.candidates.len()
-                    ),
+                    &[
+                        ("chosen", d.chosen as u64),
+                        ("queue_depth", d.queue_depth as u64),
+                        ("candidates", d.candidates.len() as u64),
+                    ],
                 );
-                let args = format_args!("\"ready\":{}", d.queue_depth);
-                recs.counter("queue_depth", master_pid, at, args);
+                let ready = [("ready", d.queue_depth as u64)];
+                recs.counter("queue_depth", master_pid, at, &ready);
             }
             TelemetryEvent::TaskDispatched { at, task, node, .. } => {
-                recs.task_span('b', type_of(task.0), task.0, *node, at.as_nanos());
+                recs.task_span("b", type_of(task.0), task.0, *node, at.as_nanos());
             }
             TelemetryEvent::TaskCompleted { at, task, node } => {
-                recs.task_span('e', type_of(task.0), task.0, *node, at.as_nanos());
+                recs.task_span("e", type_of(task.0), task.0, *node, at.as_nanos());
             }
             TelemetryEvent::NodeGauge {
                 at,
@@ -258,24 +338,24 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                 busy_cores,
                 busy_gpus,
             } => {
-                node_busy_cores.insert(*node, *busy_cores);
-                node_busy_gpus.insert(*node, *busy_gpus);
+                let last = &mut node_busy[*node];
+                busy_cores_total = busy_cores_total - last.0 + busy_cores;
+                busy_gpus_total = busy_gpus_total - last.1 + busy_gpus;
+                *last = (*busy_cores, *busy_gpus);
                 let at = at.as_nanos();
-                recs.counter("ram_bytes", *node, at, format_args!("\"bytes\":{ram_used}"));
-                let cores: usize = node_busy_cores.values().sum();
-                let gpus: usize = node_busy_gpus.values().sum();
-                let args = format_args!("\"cores\":{cores},\"gpus\":{gpus}");
-                recs.counter("cluster_busy", master_pid, at, args);
+                recs.counter("ram_bytes", *node, at, &[("bytes", *ram_used)]);
+                let busy = [
+                    ("cores", busy_cores_total as u64),
+                    ("gpus", busy_gpus_total as u64),
+                ];
+                recs.counter("cluster_busy", master_pid, at, &busy);
             }
             TelemetryEvent::FaultInjected { at, node, what } => {
                 let pid = node.unwrap_or(master_pid);
-                recs.instant(
-                    format_args!("fault: {what}"),
-                    "fault",
-                    pid,
-                    at.as_nanos(),
-                    None,
-                );
+                recs.name()
+                    .lit("fault: ")
+                    .lit(what)
+                    .instant("fault", pid, at.as_nanos(), &[]);
             }
             TelemetryEvent::TaskFailed {
                 at,
@@ -284,67 +364,71 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                 attempt,
                 reason,
                 ..
-            } => recs.instant(
-                format_args!("failed t{} ({reason})", task.0),
-                "fault",
-                *node,
-                at.as_nanos(),
-                Some(format_args!("\"attempt\":{attempt}")),
-            ),
+            } => recs
+                .name()
+                .lit("failed t")
+                .num(task.0.into())
+                .lit(" (")
+                .lit(reason)
+                .lit(")")
+                .instant(
+                    "fault",
+                    *node,
+                    at.as_nanos(),
+                    &[("attempt", (*attempt).into())],
+                ),
             TelemetryEvent::TaskRetry {
                 at,
                 task,
                 attempt,
                 until,
-            } => recs.complete(
-                format_args!("backoff t{}", task.0),
+            } => recs.name().lit("backoff t").num(task.0.into()).complete(
                 "recovery",
                 (master_pid, 0),
                 at.as_nanos(),
                 until.duration_since(*at).as_nanos(),
-                format_args!("\"attempt\":{attempt}"),
+                &[("attempt", (*attempt).into())],
             ),
             TelemetryEvent::TaskResubmitted {
                 at,
                 task,
                 from_node,
-            } => recs.instant(
-                format_args!("resubmit t{}", task.0),
+            } => recs.name().lit("resubmit t").num(task.0.into()).instant(
                 "recovery",
                 master_pid,
                 at.as_nanos(),
-                Some(format_args!("\"from_node\":{from_node}")),
+                &[("from_node", *from_node as u64)],
             ),
             TelemetryEvent::NodeDown { at, node } => {
-                recs.instant("node down", "fault", *node, at.as_nanos(), None);
+                recs.name()
+                    .lit("node down")
+                    .instant("fault", *node, at.as_nanos(), &[]);
             }
             TelemetryEvent::NodeUp { at, node } => {
-                recs.instant("node up", "fault", *node, at.as_nanos(), None);
+                recs.name()
+                    .lit("node up")
+                    .instant("fault", *node, at.as_nanos(), &[]);
             }
             TelemetryEvent::BlocksInvalidated {
                 at,
                 node,
                 count,
                 lost_versions,
-            } => recs.instant(
-                "blocks invalidated",
+            } => recs.name().lit("blocks invalidated").instant(
                 "fault",
                 *node,
                 at.as_nanos(),
-                Some(format_args!(
-                    "\"count\":{count},\"lost_versions\":{lost_versions}"
-                )),
+                &[("count", *count), ("lost_versions", *lost_versions)],
             ),
             _ => {}
         }
     }
 
-    let mut out = recs.out;
     if !recs.empty {
-        out.push('\n');
+        recs.lit("\n");
     }
-    out.push_str("]}\n");
-    out
+    recs.lit("]}\n");
+    String::from_utf8(recs.out).expect("records are built from whole UTF-8 strings and ASCII")
 }
 
 #[cfg(test)]

@@ -259,26 +259,52 @@ pub enum TelemetryEvent {
 }
 
 impl TelemetryEvent {
+    /// Every kind tag, in variant order: the report order of
+    /// [`super::TelemetryLog::summary`].
+    pub(crate) const KINDS: [&'static str; 16] = [
+        "ready",
+        "decision",
+        "dispatch",
+        "stage",
+        "transfer",
+        "cache",
+        "evict",
+        "gauge",
+        "complete",
+        "fault",
+        "failed",
+        "retry",
+        "resubmit",
+        "node-down",
+        "node-up",
+        "invalidate",
+    ];
+
+    /// Index of this event's kind tag in [`TelemetryEvent::KINDS`].
+    pub(crate) fn kind_index(&self) -> usize {
+        match self {
+            TelemetryEvent::TaskReady { .. } => 0,
+            TelemetryEvent::Decision(_) => 1,
+            TelemetryEvent::TaskDispatched { .. } => 2,
+            TelemetryEvent::Stage { .. } => 3,
+            TelemetryEvent::Transfer { .. } => 4,
+            TelemetryEvent::CacheAccess { .. } => 5,
+            TelemetryEvent::CacheEvicted { .. } => 6,
+            TelemetryEvent::NodeGauge { .. } => 7,
+            TelemetryEvent::TaskCompleted { .. } => 8,
+            TelemetryEvent::FaultInjected { .. } => 9,
+            TelemetryEvent::TaskFailed { .. } => 10,
+            TelemetryEvent::TaskRetry { .. } => 11,
+            TelemetryEvent::TaskResubmitted { .. } => 12,
+            TelemetryEvent::NodeDown { .. } => 13,
+            TelemetryEvent::NodeUp { .. } => 14,
+            TelemetryEvent::BlocksInvalidated { .. } => 15,
+        }
+    }
+
     /// Short kind tag used by exports and summaries.
     pub fn kind(&self) -> &'static str {
-        match self {
-            TelemetryEvent::TaskReady { .. } => "ready",
-            TelemetryEvent::Decision(_) => "decision",
-            TelemetryEvent::TaskDispatched { .. } => "dispatch",
-            TelemetryEvent::Stage { .. } => "stage",
-            TelemetryEvent::Transfer { .. } => "transfer",
-            TelemetryEvent::CacheAccess { .. } => "cache",
-            TelemetryEvent::CacheEvicted { .. } => "evict",
-            TelemetryEvent::NodeGauge { .. } => "gauge",
-            TelemetryEvent::TaskCompleted { .. } => "complete",
-            TelemetryEvent::FaultInjected { .. } => "fault",
-            TelemetryEvent::TaskFailed { .. } => "failed",
-            TelemetryEvent::TaskRetry { .. } => "retry",
-            TelemetryEvent::TaskResubmitted { .. } => "resubmit",
-            TelemetryEvent::NodeDown { .. } => "node-down",
-            TelemetryEvent::NodeUp { .. } => "node-up",
-            TelemetryEvent::BlocksInvalidated { .. } => "invalidate",
-        }
+        Self::KINDS[self.kind_index()]
     }
 
     /// One deterministic JSON object (no trailing newline). Times are
@@ -552,19 +578,41 @@ pub(crate) struct JsonStr<'a>(pub &'a str);
 
 impl std::fmt::Display for JsonStr<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for c in self.0.chars() {
-            match c {
-                '"' => f.write_str("\\\"")?,
-                '\\' => f.write_str("\\\\")?,
-                '\n' => f.write_str("\\n")?,
-                '\r' => f.write_str("\\r")?,
-                '\t' => f.write_str("\\t")?,
-                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                c => f.write_char(c)?,
+        json_escape(self.0, |piece| f.write_str(piece))
+    }
+}
+
+/// Passes `s` to `write` as JSON string content, piece by piece: the
+/// runs that need no escape, and the escape of each `"`, `\` and
+/// control character. Only ASCII bytes are escaped, so a string that
+/// needs none is one piece.
+pub(crate) fn json_escape(
+    s: &str,
+    mut write: impl FnMut(&str) -> std::fmt::Result,
+) -> std::fmt::Result {
+    const HEX: &str = "0123456789abcdef";
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        write(&s[start..i])?;
+        start = i + 1;
+        match b {
+            b'"' => write("\\\"")?,
+            b'\\' => write("\\\\")?,
+            b'\n' => write("\\n")?,
+            b'\r' => write("\\r")?,
+            b'\t' => write("\\t")?,
+            _ => {
+                let (hi, lo) = (usize::from(b >> 4), usize::from(b & 0xf));
+                write("\\u00")?;
+                write(&HEX[hi..=hi])?;
+                write(&HEX[lo..=lo])?;
             }
         }
-        Ok(())
     }
+    write(&s[start..])
 }
 
 #[cfg(test)]
@@ -628,6 +676,10 @@ mod tests {
     fn escape_handles_specials() {
         assert_eq!(JsonStr("a\"b\\c\n").to_string(), "a\\\"b\\\\c\\n");
         assert_eq!(JsonStr("plain").to_string(), "plain");
+        assert_eq!(
+            JsonStr("\u{1}\u{1f}\u{7f}\u{3ba}").to_string(),
+            "\\u0001\\u001f\u{7f}\u{3ba}"
+        );
     }
 
     #[test]

@@ -228,35 +228,14 @@ impl TelemetryLog {
         out
     }
 
-    /// Event counts per kind, `(kind, count)` in a fixed report order.
+    /// Event counts per kind, `(kind, count)` in a fixed report order,
+    /// counted in one pass over the log.
     pub fn summary_counts(&self) -> Vec<(&'static str, usize)> {
-        const KINDS: [&str; 16] = [
-            "ready",
-            "decision",
-            "dispatch",
-            "stage",
-            "transfer",
-            "cache",
-            "evict",
-            "gauge",
-            "complete",
-            "fault",
-            "failed",
-            "retry",
-            "resubmit",
-            "node-down",
-            "node-up",
-            "invalidate",
-        ];
-        KINDS
-            .iter()
-            .map(|kind| {
-                (
-                    *kind,
-                    self.events.iter().filter(|e| e.kind() == *kind).count(),
-                )
-            })
-            .collect()
+        let mut counts = [0usize; TelemetryEvent::KINDS.len()];
+        for e in &self.events {
+            counts[e.kind_index()] += 1;
+        }
+        TelemetryEvent::KINDS.into_iter().zip(counts).collect()
     }
 
     /// Event counts per kind, in a fixed report order.
