@@ -62,6 +62,23 @@ impl DsArraySpec {
         })
     }
 
+    /// Partitions a square `dataset` into a `grid × grid` layout (the
+    /// Matmul, FMA and Cholesky operands).
+    ///
+    /// # Errors
+    /// [`PartitionError::NotSquare`] for a rectangular dataset, then the
+    /// Eq. 2 constraint violations.
+    pub fn square(dataset: DatasetSpec, grid: u64) -> Result<Self, PartitionError> {
+        let dim = dataset.dim;
+        if dim.rows != dim.cols {
+            return Err(PartitionError::NotSquare {
+                rows: dim.rows,
+                cols: dim.cols,
+            });
+        }
+        Self::partition(dataset, GridDim::square(grid))
+    }
+
     /// Bytes of one block.
     pub fn block_bytes(&self) -> u64 {
         self.block.bytes(self.dataset.elem_bytes)

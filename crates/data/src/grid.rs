@@ -55,6 +55,13 @@ pub enum PartitionError {
         /// Dataset extent.
         dataset: u64,
     },
+    /// A workload that needs a square matrix got a rectangular dataset.
+    NotSquare {
+        /// Dataset rows.
+        rows: u64,
+        /// Dataset columns.
+        cols: u64,
+    },
 }
 
 impl fmt::Display for PartitionError {
@@ -69,6 +76,9 @@ impl fmt::Display for PartitionError {
                     f,
                     "grid extent {grid} leaves empty blocks over dataset extent {dataset}"
                 )
+            }
+            PartitionError::NotSquare { rows, cols } => {
+                write!(f, "dataset of {rows} rows and {cols} columns is not square")
             }
         }
     }

@@ -1,10 +1,12 @@
-//! Multi-tenant job model: small per-job DAG templates and the
+//! Multi-tenant job model: the wide/stencil/tree DAG templates and the
 //! fair-share gate the executor applies between whole jobs.
 //!
-//! A *job* is one tenant's workflow submission — a scaled-down DAG
-//! (wide fan-out, stencil sweep, or reduction tree) stamped into a
-//! shared [`Workflow`] so thousands of concurrent jobs share one
-//! cluster model. Two layers consume this module:
+//! [`JobShape::stamp`] is the one builder of the three template shapes.
+//! A *job* is one tenant's workflow submission — a small template DAG
+//! (16-cell stencil rows) stamped into a shared [`Workflow`] so
+//! thousands of concurrent jobs share one cluster model; the stress
+//! suite (`repro perf`) stamps the same templates at 10⁵–10⁶ tasks with
+//! 1000-cell stencil rows. Two layers consume the jobs:
 //!
 //! * the replay frontend (`repro replay`) samples seeded [`JobSpec`]s
 //!   and releases each job's roots at its arrival instant via
@@ -29,12 +31,13 @@ use crate::data::Direction;
 use crate::task::{CostProfile, TaskId};
 use crate::workflow::{Workflow, WorkflowBuilder};
 
-/// Job DAG templates, scaled-down versions of the stress shapes.
+/// DAG templates of the jobs and of the stress suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobShape {
     /// Independent fan-out: every task is a root.
     Wide,
-    /// A short stencil sweep (rows of 16 cells).
+    /// A stencil sweep: rows of cells, each reading its own and its left
+    /// neighbour's cell of the previous row.
     Stencil,
     /// A binary reduction tree.
     Tree,
@@ -57,11 +60,118 @@ impl JobShape {
     pub fn parse(s: &str) -> Option<JobShape> {
         JobShape::ALL.into_iter().find(|sh| sh.label() == s)
     }
+
+    /// Stamps this template with about `tasks` tasks into `b`: exact for
+    /// wide; the stencil rounds down to whole rows of `width` cells (at
+    /// least one row); the tree reduces `⌈tasks/2⌉` leaves in
+    /// `2·⌈tasks/2⌉ − 1` tasks. Every object is 1 MiB and named after
+    /// `prefix`; root tasks take the `root` type, the others `inner`.
+    /// Returns the roots in construction order.
+    pub fn stamp(
+        self,
+        b: &mut WorkflowBuilder,
+        tasks: usize,
+        width: usize,
+        prefix: &str,
+        root: &str,
+        inner: &str,
+    ) -> Vec<TaskId> {
+        const MB: u64 = 1 << 20;
+        let cost = CostProfile::fully_parallel(KernelWork::data_parallel(1e7, 1e6));
+        let mut roots: Vec<TaskId> = Vec::new();
+        match self {
+            JobShape::Wide => {
+                for i in 0..tasks {
+                    let x = b.input(format!("{prefix}x{i}"), MB);
+                    let t = b
+                        .submit(root, cost, &[(x, Direction::In)], false)
+                        .expect("valid template task");
+                    roots.push(t);
+                }
+            }
+            JobShape::Stencil => {
+                let rows = (tasks / width).max(1);
+                let mut prev: Vec<_> = (0..width)
+                    .map(|i| b.input(format!("{prefix}x{i}"), MB))
+                    .collect();
+                for r in 0..rows {
+                    let ty = if r == 0 { root } else { inner };
+                    let mut cur = Vec::with_capacity(width);
+                    for i in 0..width {
+                        let out = b.intermediate(format!("{prefix}c{r}_{i}"), MB);
+                        let left = prev[i.saturating_sub(1)];
+                        let t = b
+                            .submit(
+                                ty,
+                                cost,
+                                &[
+                                    (prev[i], Direction::In),
+                                    (left, Direction::In),
+                                    (out, Direction::Out),
+                                ],
+                                false,
+                            )
+                            .expect("valid template task");
+                        if r == 0 {
+                            roots.push(t);
+                        }
+                        cur.push(out);
+                    }
+                    prev = cur;
+                }
+            }
+            JobShape::Tree => {
+                let leaves = tasks.div_ceil(2).max(1);
+                let mut frontier: Vec<_> = (0..leaves)
+                    .map(|i| {
+                        let x = b.input(format!("{prefix}x{i}"), MB);
+                        let o = b.intermediate(format!("{prefix}l{i}"), MB);
+                        let t = b
+                            .submit(
+                                root,
+                                cost,
+                                &[(x, Direction::In), (o, Direction::Out)],
+                                false,
+                            )
+                            .expect("valid template task");
+                        roots.push(t);
+                        o
+                    })
+                    .collect();
+                let mut lvl = 0;
+                while frontier.len() > 1 {
+                    let mut next = Vec::with_capacity(frontier.len().div_ceil(2));
+                    for (q, pair) in frontier.chunks(2).enumerate() {
+                        if let [a, bb] = pair {
+                            let o = b.intermediate(format!("{prefix}m{lvl}_{q}"), MB);
+                            b.submit(
+                                inner,
+                                cost,
+                                &[
+                                    (*a, Direction::In),
+                                    (*bb, Direction::In),
+                                    (o, Direction::Out),
+                                ],
+                                false,
+                            )
+                            .expect("valid template task");
+                            next.push(o);
+                        } else {
+                            next.push(pair[0]);
+                        }
+                    }
+                    frontier = next;
+                    lvl += 1;
+                }
+            }
+        }
+        roots
+    }
 }
 
-/// Row width of the stencil job shape (scaled down from the stress
-/// suite's 1000 so replay jobs stay small).
-pub(crate) const JOB_STENCIL_WIDTH: usize = 16;
+/// Row width of the job stencil (the stress suite uses 1000, so replay
+/// jobs stay small).
+const JOB_STENCIL_WIDTH: usize = 16;
 
 /// One job of a scenario: a tenant's submission of a DAG template.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,95 +206,15 @@ pub struct BuiltJob {
 /// prefixed `j<id>_`, task types `<shape>_t<tenant>`), returning each
 /// job's root set and contiguous task-id range.
 pub fn build_jobs(jobs: &[JobSpec]) -> (Workflow, Vec<BuiltJob>) {
-    const MB: u64 = 1 << 20;
-    let cost = CostProfile::fully_parallel(KernelWork::data_parallel(1e7, 1e6));
     let mut b = WorkflowBuilder::new();
     let mut built: Vec<BuiltJob> = Vec::with_capacity(jobs.len());
     let mut next_task = 0u32;
     for job in jobs {
-        let p = format!("j{}_", job.id);
         let ty = format!("{}_t{}", job.shape.label(), job.tenant);
-        let mut roots: Vec<TaskId> = Vec::new();
-        match job.shape {
-            JobShape::Wide => {
-                for i in 0..job.tasks {
-                    let x = b.input(format!("{p}x{i}"), MB);
-                    let t = b
-                        .submit(&ty, cost, &[(x, Direction::In)], false)
-                        .expect("valid replay task");
-                    roots.push(t);
-                }
-            }
-            JobShape::Stencil => {
-                let rows = (job.tasks / JOB_STENCIL_WIDTH).max(1);
-                let mut prev: Vec<_> = (0..JOB_STENCIL_WIDTH)
-                    .map(|i| b.input(format!("{p}x{i}"), MB))
-                    .collect();
-                for r in 0..rows {
-                    let mut cur = Vec::with_capacity(JOB_STENCIL_WIDTH);
-                    for i in 0..JOB_STENCIL_WIDTH {
-                        let out = b.intermediate(format!("{p}c{r}_{i}"), MB);
-                        let left = prev[i.saturating_sub(1)];
-                        let t = b
-                            .submit(
-                                &ty,
-                                cost,
-                                &[
-                                    (prev[i], Direction::In),
-                                    (left, Direction::In),
-                                    (out, Direction::Out),
-                                ],
-                                false,
-                            )
-                            .expect("valid replay task");
-                        if r == 0 {
-                            roots.push(t);
-                        }
-                        cur.push(out);
-                    }
-                    prev = cur;
-                }
-            }
-            JobShape::Tree => {
-                let leaves = job.tasks.div_ceil(2).max(1);
-                let mut frontier: Vec<_> = (0..leaves)
-                    .map(|i| {
-                        let x = b.input(format!("{p}x{i}"), MB);
-                        let o = b.intermediate(format!("{p}l{i}"), MB);
-                        let t = b
-                            .submit(&ty, cost, &[(x, Direction::In), (o, Direction::Out)], false)
-                            .expect("valid replay task");
-                        roots.push(t);
-                        o
-                    })
-                    .collect();
-                let mut lvl = 0;
-                while frontier.len() > 1 {
-                    let mut next = Vec::with_capacity(frontier.len().div_ceil(2));
-                    for (q, pair) in frontier.chunks(2).enumerate() {
-                        if let [a, bb] = pair {
-                            let o = b.intermediate(format!("{p}m{lvl}_{q}"), MB);
-                            b.submit(
-                                &ty,
-                                cost,
-                                &[
-                                    (*a, Direction::In),
-                                    (*bb, Direction::In),
-                                    (o, Direction::Out),
-                                ],
-                                false,
-                            )
-                            .expect("valid replay task");
-                            next.push(o);
-                        } else {
-                            next.push(pair[0]);
-                        }
-                    }
-                    frontier = next;
-                    lvl += 1;
-                }
-            }
-        }
+        let prefix = format!("j{}_", job.id);
+        let roots = job
+            .shape
+            .stamp(&mut b, job.tasks, JOB_STENCIL_WIDTH, &prefix, &ty, &ty);
         let wf_tasks = b.task_count() as u32;
         built.push(BuiltJob {
             roots,
