@@ -7,7 +7,9 @@
 //! repro fig7a fig7b ...      # several
 //! repro fig11 --quick        # reduced sample set
 //! repro all --out DIR        # additionally write DIR/<name>.txt per
-//!                            # artifact; `--out artifacts` re-blesses
+//!                            # artifact and DIR/baselines/<case>.profile
+//!                            # per perf-gate case; `--out artifacts`
+//!                            # re-blesses everything `check` compares
 //! repro all --threads N      # sweep-level parallelism (default: all
 //!                            # cores, or GPUFLOW_THREADS); results are
 //!                            # identical at every thread count
@@ -30,13 +32,13 @@
 //!                                # exposition — bit-identical to the
 //!                                # live daemon run at any --threads
 //! repro check                # regenerate and byte-compare every
-//!                            # committed artifact, validate the replay
-//!                            # and spans grammars, run the perf gate
-//!                            # against artifacts/baselines and the
-//!                            # 10^6-task sampler bound; prints one line
-//!                            # per check and exits 1 after reporting
+//!                            # committed artifact and perf-gate
+//!                            # baseline, validate the replay and spans
+//!                            # grammars and the 10^6-task sampler
+//!                            # bound; prints one line per check (and
+//!                            # the blame table under a changed
+//!                            # baseline) and exits 1 after reporting
 //!                            # every failure
-//! repro gate --update        # rewrite the perf-gate baseline profiles
 //! repro perf                 # master-overhead stress suite (host ns
 //!                            # per simulated task, 100k-task DAGs)
 //! repro perf --full          # million-task DAGs
@@ -56,6 +58,9 @@
 //! committed: `obs` (telemetry bundle: event summary + overhead
 //! decomposition) and `chaos` (fault-injection sensitivity: makespan and
 //! output convergence under transient failures and node crashes).
+//! `all` and `check` also cover the perf-gate baselines
+//! ([`gate::suite_profiles`]), one `artifacts/baselines/<case>.profile`
+//! per case.
 //! Host-timed `repro perf --check` stays outside `repro check`, so a
 //! failed check always means changed behaviour, never noise.
 //!
@@ -71,15 +76,13 @@ use gpuflow_experiments::{
     ablation, factors, fault_sensitivity, fig1, fig10, fig11, fig12, fig6, fig7, fig8, fig9, gate,
     generalizability, memory, obs, prediction, replay, sensitivity, spans, stress, Context,
 };
+use gpuflow_runtime::{RunDiff, RunProfile};
 
 /// Where the committed artifacts live, relative to the workspace root.
 const ARTIFACT_DIR: &str = "artifacts";
 
-/// Where the perf gate's baseline profiles live.
-const BASELINE_DIR: &str = "artifacts/baselines";
-
 /// Flags that take no value; every other flag takes one.
-const SWITCHES: [&str; 5] = ["--quick", "--chaos", "--update", "--full", "--check"];
+const SWITCHES: [&str; 4] = ["--quick", "--chaos", "--full", "--check"];
 
 /// The flags `repro [all | NAME...]` takes.
 const RENDER_FLAGS: &str = "--out --threads --telemetry --quick --seed --jobs --tenants \
@@ -290,7 +293,8 @@ fn render_spans(o: &Opts) -> Result<String, String> {
 }
 
 /// `repro [all | NAME...]`: renders each target, prints it, and writes
-/// it to `--out DIR` when given.
+/// it to `--out DIR` when given; `all --out DIR` also writes the
+/// perf-gate baselines to `DIR/baselines`.
 fn generate(args: &Args) -> Result<ExitCode, String> {
     let opts = Opts::from_args(args)?;
     let mut targets: Vec<(&str, Render)> = Vec::new();
@@ -298,6 +302,7 @@ fn generate(args: &Args) -> Result<ExitCode, String> {
         [] => vec!["all"],
         words => words.iter().map(String::as_str).collect(),
     };
+    let all = words.contains(&"all");
     for word in words {
         let picked: Vec<(&str, Render)> = ARTIFACTS
             .iter()
@@ -325,12 +330,12 @@ fn generate(args: &Args) -> Result<ExitCode, String> {
             let output = render(&opts).map_err(|e| format!("{name}: {e}"))?;
             println!("{output}");
             if let Some(dir) = out_dir {
-                let path = dir.join(format!("{name}.txt"));
-                std::fs::write(&path, &output)
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                eprintln!("[{name} -> {}]", path.display());
+                write(name, &dir.join(format!("{name}.txt")), &output)?;
             }
             eprintln!("[{name} regenerated in {:.2?}]", t0.elapsed());
+        }
+        if let (true, Some(dir)) = (all, out_dir) {
+            write_baselines(&dir.join("baselines"), &gate::suite_profiles(&opts.ctx))?;
         }
         if let Some(dir) = args.value("--telemetry") {
             // lint: allow(D2, host progress timing printed to stderr only; never reaches an artifact)
@@ -355,6 +360,22 @@ fn generate(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Writes the output file `path` of `name` and says so on stderr.
+fn write(name: &str, path: &Path, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("[{name} -> {}]", path.display());
+    Ok(())
+}
+
+/// Writes each perf-gate case's profile to `dir/<case>.profile`.
+fn write_baselines(dir: &Path, profiles: &[(&str, RunProfile)]) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    for (name, profile) in profiles {
+        write(name, &gate::baseline_path(dir, name), &profile.render())?;
+    }
+    Ok(())
+}
+
 /// Byte-compares a freshly rendered artifact with its committed copy.
 fn compare(path: &Path, fresh: Result<String, String>) -> Result<String, String> {
     let fresh = fresh?;
@@ -373,6 +394,57 @@ fn compare(path: &Path, fresh: Result<String, String>) -> Result<String, String>
         path.display(),
         line + 1
     ))
+}
+
+/// The files in `dir` named `<stem><ext>` whose stem `renders` does not
+/// accept, sorted.
+fn strays(dir: &Path, ext: &str, renders: impl Fn(&str) -> bool) -> Vec<String> {
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| entry.file_name().into_string().ok())
+        .filter(|file| file.strip_suffix(ext).is_some_and(|stem| !renders(stem)))
+        .collect();
+    files.sort();
+    files
+}
+
+/// One check per perf-gate case: its fresh profile byte-compared with
+/// `dir/<case>.profile`, and on a mismatch the blame to print under the
+/// check's line, the [`RunDiff`] of the committed profile against the
+/// fresh one. Then one failed check per `.profile` in `dir` that no case
+/// renders.
+fn baseline_checks(
+    dir: &Path,
+    profiles: &[(&str, RunProfile)],
+) -> Vec<(String, Result<String, String>, Option<String>)> {
+    let mut checks: Vec<_> = profiles
+        .iter()
+        .map(|(name, fresh)| {
+            let path = gate::baseline_path(dir, name);
+            let verdict = compare(&path, Ok(fresh.render()));
+            let blame = verdict
+                .as_ref()
+                .err()
+                .and_then(|_| std::fs::read_to_string(&path).ok())
+                .map(|text| match RunProfile::parse(&text) {
+                    Ok(committed) => RunDiff::compare(&committed, fresh).render(),
+                    Err(e) => format!("{}: {e}\n", path.display()),
+                });
+            (name.to_string(), verdict, blame)
+        })
+        .collect();
+    for file in strays(dir, ".profile", |stem| {
+        profiles.iter().any(|(n, _)| *n == stem)
+    }) {
+        checks.push((
+            file,
+            Err(String::from("no gate case renders this file")),
+            None,
+        ));
+    }
+    checks
 }
 
 /// Validates a Prometheus text exposition.
@@ -405,18 +477,9 @@ fn check(opts: &Opts) -> ExitCode {
             compare(&dir.join(format!("{name}.txt")), render(opts)),
         );
     }
-    let mut stray: Vec<String> = std::fs::read_dir(dir)
-        .into_iter()
-        .flatten()
-        .flatten()
-        .filter_map(|entry| entry.file_name().into_string().ok())
-        .filter(|file| {
-            file.strip_suffix(".txt")
-                .is_some_and(|stem| !ARTIFACTS.iter().any(|(n, c, _)| *c && *n == stem))
-        })
-        .collect();
-    stray.sort();
-    for file in stray {
+    for file in strays(dir, ".txt", |stem| {
+        ARTIFACTS.iter().any(|(n, c, _)| *c && *n == stem)
+    }) {
         say(&file, Err(String::from("no artifact renders this file")));
     }
 
@@ -452,21 +515,12 @@ fn check(opts: &Opts) -> ExitCode {
         }),
     );
 
-    let gate = gate::check(
-        &opts.ctx,
-        Path::new(BASELINE_DIR),
-        gate::DEFAULT_TOLERANCE_PCT,
-    );
-    say(
-        "perf gate",
-        if gate.passed() {
-            Ok(format!("{} cases", gate.results.len()))
-        } else {
-            Err(String::from("see the gate report below"))
-        },
-    );
-    if !gate.passed() {
-        print!("{}", gate.render());
+    let profiles = gate::suite_profiles(&opts.ctx);
+    for (name, verdict, blame) in baseline_checks(&dir.join("baselines"), &profiles) {
+        say(&name, verdict);
+        if let Some(blame) = blame {
+            print!("{blame}");
+        }
     }
 
     let bound = spans::run_stress(
@@ -490,28 +544,6 @@ fn check(opts: &Opts) -> ExitCode {
             failed.join(", ")
         );
         ExitCode::FAILURE
-    }
-}
-
-/// `repro gate --update`: rewrites the perf gate's baseline profiles.
-fn gate_update(opts: &Opts) -> ExitCode {
-    let dir = Path::new(BASELINE_DIR);
-    match gate::update(&opts.ctx, dir) {
-        Ok(written) => {
-            for path in &written {
-                eprintln!("[baseline -> {}]", path.display());
-            }
-            println!(
-                "updated {} baseline profiles in {}",
-                written.len(),
-                dir.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("repro gate: cannot write {}: {e}", dir.display());
-            ExitCode::FAILURE
-        }
     }
 }
 
@@ -578,13 +610,6 @@ fn main() -> ExitCode {
                 args.only("--threads")?;
                 Ok(check(&Opts::from_args(&args)?))
             }
-            (Some("gate"), _) if args.switch("--update") => {
-                args.only("--threads --update")?;
-                Ok(gate_update(&Opts::from_args(&args)?))
-            }
-            (Some("gate"), _) => Err(String::from(
-                "`repro gate` only takes --update; `repro check` runs the gate",
-            )),
             (Some("perf"), _) => {
                 args.only("--full --tasks --check --thresholds")?;
                 perf(&args)
@@ -603,4 +628,105 @@ fn main() -> ExitCode {
         eprintln!("repro: {msg} (usage: the header of crates/experiments/src/bin/repro.rs)");
         ExitCode::from(2)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::PathBuf;
+    use std::sync::OnceLock;
+
+    use super::*;
+
+    /// The suite's fresh profiles, rendered once for every test.
+    fn fresh() -> &'static [(&'static str, RunProfile)] {
+        static PROFILES: OnceLock<Vec<(&'static str, RunProfile)>> = OnceLock::new();
+        PROFILES.get_or_init(|| gate::suite_profiles(&Context::default().with_threads(2)))
+    }
+
+    /// A scratch directory holding the fresh baselines, as `repro all
+    /// --out` writes them.
+    fn written(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("repro_baselines_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        write_baselines(&dir, fresh()).expect("write the baselines");
+        dir
+    }
+
+    fn failures(checks: &[(String, Result<String, String>, Option<String>)]) -> Vec<&str> {
+        checks
+            .iter()
+            .filter(|(_, verdict, _)| verdict.is_err())
+            .map(|(name, _, _)| name.as_str())
+            .collect()
+    }
+
+    #[test]
+    fn all_out_writes_the_committed_baselines() {
+        let dir = written("bless");
+        let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/baselines");
+        for (name, _) in fresh() {
+            let read = |dir: &Path| std::fs::read(gate::baseline_path(dir, name)).expect(name);
+            assert!(read(&dir) == read(&committed), "{name} differs");
+        }
+        let checks = baseline_checks(&committed, fresh());
+        assert_eq!(checks.len(), fresh().len());
+        assert!(failures(&checks).is_empty(), "{checks:?}");
+        assert!(checks.iter().all(|(_, _, blame)| blame.is_none()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_changed_byte_fails_with_its_line_and_the_blame() {
+        let dir = written("byte");
+        let path = gate::baseline_path(&dir, "matmul_cpu_shared_fifo");
+        // A byte outside the makespan and the overhead buckets: the last
+        // digit of node 3's busy time.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let at = text.find("resource 3 busy ").unwrap();
+        let line = text[..at].lines().count() + 1;
+        let end = at + text[at..].find(" intervals").unwrap();
+        let mut bytes = text.into_bytes();
+        bytes[end - 1] ^= 1;
+        std::fs::write(&path, bytes).unwrap();
+
+        let checks = baseline_checks(&dir, fresh());
+        assert_eq!(failures(&checks), ["matmul_cpu_shared_fifo"]);
+        let (_, verdict, blame) = &checks[0];
+        let detail = verdict.as_ref().unwrap_err();
+        let at_line = format!("matmul_cpu_shared_fifo.profile at line {line}");
+        assert!(detail.contains(&at_line), "{detail}");
+        let blame = blame.as_deref().expect("a blame under the FAIL line");
+        assert!(
+            blame.starts_with("run diff: A = matmul_cpu_shared_fifo"),
+            "{blame}"
+        );
+        assert!(blame.contains("blame table"), "{blame}");
+        assert!(checks[1..].iter().all(|(_, _, blame)| blame.is_none()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn missing_and_stray_baselines_fail() {
+        let dir = written("missing");
+        std::fs::remove_file(gate::baseline_path(&dir, "kmeans_cpu_shared_fifo")).unwrap();
+        std::fs::write(dir.join("retired_case.profile"), "gpuflow-profile v1\n").unwrap();
+        std::fs::write(dir.join("perf_ns_per_task.txt"), "not a profile\n").unwrap();
+
+        let checks = baseline_checks(&dir, fresh());
+        assert_eq!(
+            failures(&checks),
+            ["kmeans_cpu_shared_fifo", "retired_case.profile"]
+        );
+        let detail = |name: &str| {
+            let (_, verdict, _) = checks.iter().find(|(n, _, _)| n == name).unwrap();
+            verdict.clone().unwrap_err()
+        };
+        assert!(detail("kmeans_cpu_shared_fifo").starts_with("cannot read"));
+        assert_eq!(
+            detail("retired_case.profile"),
+            "no gate case renders this file"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -94,6 +94,7 @@ fn usage_errors_exit_2_before_running() {
         &["replay", "--check"],
         &["spans", "--stress"],
         &["gate"],
+        &["gate", "--update"],
         &["check", "--out", "x"],
         &["fig1", "--threads", "many"],
         &["fig1", "--out"],
