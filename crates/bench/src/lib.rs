@@ -1,15 +1,16 @@
-//! # gpuflow-bench — the Criterion benchmark harness
+//! # gpuflow-bench — the Criterion microbenchmarks
 //!
-//! Four bench targets:
+//! Three bench targets:
 //!
-//! * `figures` — one group per paper table/figure; each iteration
-//!   regenerates the artifact (reduced parameter sweeps keep wall time
-//!   tractable; run the `repro` binary for the full-scale tables);
 //! * `simcore` — microbenchmarks of the simulation substrate (event
 //!   queue, flow churn on one-group links, water-filling on grouped
 //!   links);
-//! * `runtime` — executor scaling with task count, scheduler policy
-//!   ablation, cache on/off ablation;
+//! * `scheduler_stress` — master decisions with thousands of tasks
+//!   ready at once, per scheduling policy and processor type;
 //! * `analysis` — Spearman correlation and matrix construction costs.
+//!
+//! Whole runs (the paper's artifacts, a 10^5-task stencil DAG, the
+//! telemetry folds, a daemon session) are timed by the repository's one
+//! macro harness, `perfbench/` (see `perfbench/README.md`).
 
 #![warn(missing_docs)]

@@ -308,6 +308,40 @@ fn raw_or_byte_string_len(s: &str) -> Option<usize> {
     Some(s.len())
 }
 
+/// Index of the bracket matching `toks[open_idx]` (which must be
+/// `open`), or `toks.len()` when unclosed.
+pub(crate) fn match_bracket(toks: &[Tok], open_idx: usize, open: &str, close: &str) -> usize {
+    let mut depth = 0i32;
+    for (i, t) in toks.iter().enumerate().skip(open_idx) {
+        if t.is_punct(open) {
+            depth += 1;
+        } else if t.is_punct(close) {
+            depth -= 1;
+            if depth == 0 {
+                return i;
+            }
+        }
+    }
+    toks.len()
+}
+
+/// Index just past a `<...>` group starting at `open` (angle counting;
+/// shifts are lexed split so nesting balances).
+pub(crate) fn skip_angles(toks: &[Tok], open: usize) -> usize {
+    let mut depth = 0i32;
+    for (i, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct("<") {
+            depth += 1;
+        } else if t.is_punct(">") {
+            depth -= 1;
+            if depth == 0 {
+                return i + 1;
+            }
+        }
+    }
+    toks.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

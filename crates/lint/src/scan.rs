@@ -11,7 +11,7 @@
 //! use wall clocks, unwraps, and hash iteration freely.
 
 use crate::allow::Allow;
-use crate::lexer::{lex, Lexed, Tok, TokKind};
+use crate::lexer::{lex, match_bracket, skip_angles, Lexed, Tok, TokKind};
 use crate::report::Finding;
 use crate::rules::RuleCode;
 
@@ -404,23 +404,6 @@ fn skipped_line_ranges(toks: &[Tok], skipped: &[bool]) -> Vec<(u32, u32)> {
     out
 }
 
-/// Index of the bracket matching `toks[open_idx]` (which must be
-/// `open`), or `toks.len()` when unclosed.
-fn match_bracket(toks: &[Tok], open_idx: usize, open: &str, close: &str) -> usize {
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate().skip(open_idx) {
-        if t.is_punct(open) {
-            depth += 1;
-        } else if t.is_punct(close) {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-    }
-    toks.len()
-}
-
 /// Enclosing function name per token, via brace-depth tracking.
 fn enclosing_fns(toks: &[Tok]) -> Vec<Option<String>> {
     let mut out = vec![None; toks.len()];
@@ -755,23 +738,6 @@ fn turbofish_type(toks: &[Tok], m: usize) -> Option<String> {
     toks.get(m + 3)
         .filter(|t| t.kind == TokKind::Ident)
         .map(|t| t.text.clone())
-}
-
-/// Index just past a `<...>` group starting at `open` (angle counting;
-/// shifts are lexed split so nesting balances).
-fn skip_angles(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct("<") {
-            depth += 1;
-        } else if t.is_punct(">") {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-    }
-    toks.len()
 }
 
 /// Recognizes `let [mut] X = NAME...collect(); X.sort...` — collecting

@@ -8,21 +8,24 @@
 //! here. The graph is deliberately *name-based* — no type inference —
 //! with two precision aids:
 //!
-//! * associated-function calls (`Type::name(..)`, `Self::name(..)`) and
-//!   `self.name(..)` method calls resolve within the matching `impl`
-//!   owner when one exists;
-//! * a plain `.name(..)` method call whose name has more than
+//! * associated-function calls (`Type::name(..)`, `Self::name(..)`),
+//!   `self.name(..)` method calls, and `recv.name(..)` calls on a
+//!   parameter `recv` whose declared type is a plain path
+//!   (`b: &mut WorkflowBuilder`) resolve within the matching `impl`
+//!   owner when one exists, and to every candidate when none does;
+//! * any other `.name(..)` method call whose name has more than
 //!   [`AMBIGUITY_CAP`] workspace definitions is *not* resolved at all —
 //!   an edge to a dozen unrelated impls would drown the taint pass in
 //!   noise. This is a documented false-negative source
-//!   (docs/static_analysis.md).
+//!   (docs/static_analysis.md). A typed receiver only narrows: a name
+//!   over the cap stays unresolved whatever its receiver.
 //!
 //! `#[cfg(test)]` items never define symbols and their call sites are
 //! ignored, matching the per-file scanner's test-skip discipline.
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{Lexed, Tok, TokKind};
+use crate::lexer::{match_bracket, skip_angles, Lexed, Tok, TokKind};
 
 /// A plain `.name(..)` call whose name has more definitions than this
 /// is left unresolved (too ambiguous to be signal).
@@ -42,6 +45,10 @@ pub struct FnDef {
     /// Parameter names in declaration order (`self` excluded;
     /// non-identifier patterns recorded as `"_"`).
     pub params: Vec<String>,
+    /// `(parameter, type)` for each parameter whose declared type is a
+    /// plain path, by the path's last segment (`b: &mut a::Builder<T>`
+    /// gives `("b", "Builder")`).
+    pub param_types: Vec<(String, String)>,
     /// Token index range of the body (inclusive braces), or `None` for
     /// bodiless trait declarations.
     pub body: Option<(usize, usize)>,
@@ -149,11 +156,11 @@ fn collect_defs(g: &mut SymbolGraph, file_idx: usize, toks: &[Tok], skipped: &[b
                 let mut j = i + 2;
                 // Skip generics on the declaration.
                 if matches!(toks.get(j), Some(t) if t.is_punct("<")) {
-                    j = skip_angles_at(toks, j);
+                    j = skip_angles(toks, j);
                 }
                 if matches!(toks.get(j), Some(t) if t.is_punct("(")) {
                     let close = match_bracket(toks, j, "(", ")");
-                    let params = param_names(&toks[j..close.min(toks.len())]);
+                    let (params, param_types) = param_names(&toks[j..close.min(toks.len())]);
                     // The body opens at the next `{` before a `;`.
                     let mut k = close + 1;
                     while k < toks.len() && !toks[k].is_punct(";") && !toks[k].is_punct("{") {
@@ -170,6 +177,7 @@ fn collect_defs(g: &mut SymbolGraph, file_idx: usize, toks: &[Tok], skipped: &[b
                         file: file_idx,
                         line: t.line,
                         params,
+                        param_types,
                         body,
                     });
                 }
@@ -185,7 +193,7 @@ fn collect_defs(g: &mut SymbolGraph, file_idx: usize, toks: &[Tok], skipped: &[b
 fn impl_owner(toks: &[Tok], i: usize) -> Option<String> {
     let mut j = i + 1;
     if matches!(toks.get(j), Some(t) if t.is_punct("<")) {
-        j = skip_angles_at(toks, j);
+        j = skip_angles(toks, j);
     }
     let mut last_ident: Option<String> = None;
     let mut after_for: Option<String> = None;
@@ -195,7 +203,7 @@ fn impl_owner(toks: &[Tok], i: usize) -> Option<String> {
             break;
         }
         if t.is_punct("<") {
-            j = skip_angles_at(toks, j);
+            j = skip_angles(toks, j);
             continue;
         }
         if t.is_ident("for") {
@@ -213,14 +221,16 @@ fn impl_owner(toks: &[Tok], i: usize) -> Option<String> {
 }
 
 /// Parameter names from the tokens of a `( ... )` group (the slice
-/// starts at the open paren). Identifiers followed by `:` at paren
-/// depth 1 and angle depth 0 count; `self` is skipped; destructuring
-/// patterns contribute `"_"` placeholders via their `:` at depth > 1
-/// being ignored (the parameter slot is then simply absent — callers
-/// index positionally into what was recognized, so unit inference just
-/// goes silent for such functions).
-fn param_names(group: &[Tok]) -> Vec<String> {
+/// starts at the open paren), and the [`plain_type`] of each that has
+/// one. Identifiers followed by `:` at paren depth 1 and angle depth 0
+/// count; `self` is skipped; destructuring patterns contribute `"_"`
+/// placeholders via their `:` at depth > 1 being ignored (the parameter
+/// slot is then simply absent — callers index positionally into what
+/// was recognized, so unit inference just goes silent for such
+/// functions).
+fn param_names(group: &[Tok]) -> (Vec<String>, Vec<(String, String)>) {
     let mut out = Vec::new();
+    let mut types = Vec::new();
     let mut paren = 0i32;
     let mut angle = 0i32;
     let mut bracket = 0i32;
@@ -246,9 +256,43 @@ fn param_names(group: &[Tok]) -> Vec<String> {
             && matches!(group.get(i + 1), Some(n) if n.is_punct(":"))
         {
             out.push(t.text.clone());
+            if let Some(ty) = plain_type(&group[i + 2..]) {
+                types.push((t.text.clone(), ty));
+            }
         }
     }
-    out
+    (out, types)
+}
+
+/// The last segment of a parameter type that is a plain path behind
+/// optional `&`, lifetime and `mut` (`&'a mut a::Builder<T>` gives
+/// `Builder`), or `None` for any other type (`dyn T`, `impl T`, tuples,
+/// slices, closures). `toks` starts just after the parameter's `:`.
+fn plain_type(toks: &[Tok]) -> Option<String> {
+    let mut j = 0;
+    while toks
+        .get(j)
+        .is_some_and(|t| t.is_punct("&") || t.is_ident("mut") || t.kind == TokKind::Lifetime)
+    {
+        j += 1;
+    }
+    let mut last = None;
+    while let Some(t) = toks.get(j).filter(|t| t.kind == TokKind::Ident) {
+        last = Some(t.text.clone());
+        j += 1;
+        if !toks.get(j).is_some_and(|t| t.is_punct("::")) {
+            break;
+        }
+        j += 1;
+    }
+    if toks.get(j).is_some_and(|t| t.is_punct("<")) {
+        j = skip_angles(toks, j);
+    }
+    match toks.get(j) {
+        None => last,
+        Some(t) if t.is_punct(",") || t.is_punct(")") => last,
+        Some(_) => None,
+    }
 }
 
 fn resolve_calls(g: &mut SymbolGraph, file_idx: usize, toks: &[Tok]) {
@@ -298,18 +342,25 @@ fn resolve_calls(g: &mut SymbolGraph, file_idx: usize, toks: &[Tok]) {
                 candidates.to_vec()
             }
         } else if i >= 2 && toks[i - 1].is_punct(".") {
-            if toks[i - 2].is_ident("self") {
-                let own = g.fns[caller].owner.clone();
-                let narrowed = narrow_by_owner(g, candidates, own.as_deref());
-                if narrowed.is_empty() {
-                    candidates.to_vec()
-                } else {
-                    narrowed
-                }
+            let recv = &toks[i - 2];
+            let owner = if recv.is_ident("self") {
+                g.fns[caller].owner.clone()
             } else if candidates.len() > AMBIGUITY_CAP {
                 continue; // documented false-negative: too ambiguous
+            } else if i >= 3 && toks[i - 3].is_punct(".") {
+                None // a field, `x.recv.name(`, has no declared type here
             } else {
+                g.fns[caller]
+                    .param_types
+                    .iter()
+                    .find(|(param, _)| *param == recv.text)
+                    .map(|(_, ty)| ty.clone())
+            };
+            let narrowed = narrow_by_owner(g, candidates, owner.as_deref());
+            if narrowed.is_empty() {
                 candidates.to_vec()
+            } else {
+                narrowed
             }
         } else {
             // Bare call: prefer free functions, fall back to all.
@@ -402,38 +453,6 @@ fn simple_path_tail(toks: &[&Tok]) -> Option<String> {
     tail.map(|s| s.to_string())
 }
 
-/// Index of the bracket matching `toks[open_idx]`, or `toks.len()`.
-pub(crate) fn match_bracket(toks: &[Tok], open_idx: usize, open: &str, close: &str) -> usize {
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate().skip(open_idx) {
-        if t.is_punct(open) {
-            depth += 1;
-        } else if t.is_punct(close) {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-    }
-    toks.len()
-}
-
-/// Index just past a `<...>` group starting at `open`.
-fn skip_angles_at(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct("<") {
-            depth += 1;
-        } else if t.is_punct(">") {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-    }
-    toks.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,6 +542,48 @@ mod tests {
         let c = call.expect("self.step() resolved");
         assert_eq!(c.callees.len(), 1);
         assert_eq!(g.fns[c.callees[0]].owner.as_deref(), Some("A"));
+    }
+
+    #[test]
+    fn typed_parameter_receivers_narrow_to_their_impl() {
+        let g = graph(&[(
+            "a.rs",
+            "struct Builder; struct Daemon;\n\
+             impl Builder { fn submit(&mut self) {} }\n\
+             impl Daemon { fn submit(&mut self) {} }\n\
+             fn typed(b: &mut Builder, d: Daemon) { b.submit(); d.submit(); }\n\
+             fn boxed(b: Box<dyn Any>, n: u64) { b.submit(); n.submit(); }\n\
+             struct W { b: Daemon }\n\
+             impl W { fn field(&self, b: &mut Builder) { self.b.submit(); } }",
+        )]);
+        assert_eq!(
+            g.fns[2].param_types,
+            [
+                ("b".to_string(), "Builder".to_string()),
+                ("d".to_string(), "Daemon".to_string())
+            ]
+        );
+        let owners = |caller: &str| -> Vec<Vec<Option<&str>>> {
+            g.calls
+                .iter()
+                .filter(|c| g.fns[c.caller].name == caller)
+                .map(|c| {
+                    c.callees
+                        .iter()
+                        .map(|&k| g.fns[k].owner.as_deref())
+                        .collect()
+                })
+                .collect()
+        };
+        let both = vec![Some("Builder"), Some("Daemon")];
+        assert_eq!(
+            owners("typed"),
+            [vec![Some("Builder")], vec![Some("Daemon")]]
+        );
+        // `Box` and `u64` own no `submit`: every candidate, as before.
+        assert_eq!(owners("boxed"), [both.clone(), both.clone()]);
+        // `self.b` is a field, not the parameter `b`.
+        assert_eq!(owners("field"), [both]);
     }
 
     #[test]

@@ -967,7 +967,6 @@ mod tests {
         use crate::data::Direction;
         use crate::task::{CostProfile, TaskId, TaskType};
         use crate::telemetry::TelemetryEvent;
-        use crate::trace_analysis::cpu_busy_gpu_idle_nanos_from_telemetry;
         use crate::workflow::WorkflowBuilder;
         use gpuflow_cluster::KernelWork;
         use gpuflow_sim::SimTime;
@@ -1014,11 +1013,9 @@ mod tests {
         // CPU busy with the GPU idle over [0, 10] and [40, 50] only: the
         // failed attempt releases its cores when it fails.
         assert_eq!(p.wastage_ns, 20);
-        // The public sweep agrees, and never counts instants without a
-        // busy core, even at threshold 0.
-        for threshold in [0, 1] {
-            assert_eq!(cpu_busy_gpu_idle_nanos_from_telemetry(&log, threshold), 20);
-        }
+        // The sweep over the timeline's busy windows gives the same 20.
+        let timeline = TaskTimeline::from_log(&log);
+        assert_eq!(cpu_busy_gpu_idle_sweep(timeline.busy_windows(), 1), 20);
     }
 
     #[test]

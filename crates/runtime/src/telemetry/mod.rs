@@ -25,11 +25,10 @@
 //!   a lineage re-execution each open a new one. [`TaskTimeline`] pairs
 //!   the dispatch, stage, transfer, completion and failure events into
 //!   attempts in one pass, and it is the only code that decides which
-//!   attempt an event belongs to. [`SpanForest`], [`RunProfile`],
-//!   [`OverheadReport`],
-//!   [`crate::trace_analysis::cpu_busy_gpu_idle_nanos_from_telemetry`]
-//!   and [`crate::trace_analysis::critical_path_from_telemetry`] are
-//!   folded from it.
+//!   attempt an event belongs to. [`SpanForest`], [`RunProfile`] (with
+//!   its CPU-busy/GPU-idle wastage), [`OverheadReport`] and
+//!   [`crate::trace_analysis::critical_path_from_telemetry`] are folded
+//!   from it.
 //! * **In stream order.** Consumers that pair nothing walk the events
 //!   directly: [`crate::Trace::from_telemetry`] (the input of the
 //!   Paraver export, [`crate::to_paraver_prv`]), [`to_chrome_trace`],

@@ -147,22 +147,14 @@ pub fn cpu_busy_gpu_idle_seconds(records: &[TaskRecord], cpu_threshold: usize) -
     cpu_busy_gpu_idle_sweep(windows, cpu_threshold) as f64 / 1e9
 }
 
-/// [`cpu_busy_gpu_idle_seconds`] on the integer nanosecond grid,
-/// computed from a telemetry event stream for exact profile digests
-/// ([`crate::telemetry::RunProfile`]). Each attempt of a task holds the
-/// cores or GPU of its dispatch until it completes or fails. Only
-/// instants with at least one busy core count, whatever the threshold.
-pub fn cpu_busy_gpu_idle_nanos_from_telemetry(log: &TelemetryLog, cpu_threshold: usize) -> u64 {
-    let timeline = TaskTimeline::from_log(log);
-    cpu_busy_gpu_idle_sweep(timeline.busy_windows(), cpu_threshold.max(1))
-}
-
 /// The one wastage sweep, on the nanosecond grid, behind
-/// [`cpu_busy_gpu_idle_seconds`] and
-/// [`cpu_busy_gpu_idle_nanos_from_telemetry`]. Each window is
-/// `(start_ns, end_ns, cores, on_gpu)`: a GPU window holds one device
-/// and no counted cores; a window without an end stays busy to the end
-/// of the sweep.
+/// [`cpu_busy_gpu_idle_seconds`] and the exact profile digest
+/// ([`crate::telemetry::RunProfile`], which sweeps the
+/// [`TaskTimeline`]'s busy windows: each attempt of a task holds the
+/// cores or GPU of its dispatch until it completes or fails). Each
+/// window is `(start_ns, end_ns, cores, on_gpu)`: a GPU window holds one
+/// device and no counted cores; a window without an end stays busy to
+/// the end of the sweep.
 pub(crate) fn cpu_busy_gpu_idle_sweep(
     windows: impl IntoIterator<Item = (u64, Option<u64>, i32, bool)>,
     cpu_threshold: usize,

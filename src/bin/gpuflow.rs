@@ -38,10 +38,7 @@ use std::process::ExitCode;
 
 use gpuflow::advisor::{Advisor, SearchSpace, Workload};
 use gpuflow::analysis::{DoctorReport, WhatIf};
-use gpuflow::cli::{
-    daemon_request_from, faults_from, policy_from, processor_from, recovery_from, storage_from,
-    workload_from, Args, CTL_ACTIONS,
-};
+use gpuflow::cli::{daemon_request_from, run_config, workload_from, Args, CTL_ACTIONS};
 use gpuflow::cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
 use gpuflow::runtime::{
     run, to_chrome_trace, to_collapsed, to_paraver_prv, trace_analysis, MetricsHub,
@@ -61,22 +58,11 @@ fn build_workflow(args: &Args) -> Result<(Workload, Workflow), String> {
 
 fn cmd_run(args: &Args) -> Result<(), String> {
     let (workload, workflow) = build_workflow(args)?;
-    let processor = processor_from(args)?;
-    let threads: usize = args.num("threads", 1)?;
-    let cluster = ClusterSpec::minotauro();
-    let want_trace = args.get("prv").is_some() || args.get("csv").is_some();
-    let faults = faults_from(args)?;
-    let mut config = RunConfig::new(cluster.clone(), processor)
-        .with_storage(storage_from(args)?)
-        .with_policy(policy_from(args)?)
-        .with_cpu_threads(threads)
-        .with_recovery(recovery_from(args)?);
-    if let Some(plan) = faults.clone() {
-        config = config.with_faults(plan);
-    }
-    if want_trace {
+    let mut config = run_config(args)?;
+    if args.get("prv").is_some() || args.get("csv").is_some() {
         config = config.with_telemetry();
     }
+    let cluster = &config.cluster;
 
     let shape = workflow.shape();
     println!("workload:  {}", workload.label());
@@ -105,11 +91,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             stats.count, stats.user_code, stats.serial, stats.parallel, stats.comm
         );
     }
-    if processor == ProcessorKind::Gpu {
+    if config.processor == ProcessorKind::Gpu {
         let wasted = trace_analysis::cpu_busy_gpu_idle_seconds(&report.records, 1);
         println!("resource wastage (CPU busy, GPUs idle): {wasted:.3} s");
     }
-    if faults.is_some() {
+    if config.faults.is_some() {
         let r = &report.recovery;
         println!(
             "faults:    {} injected | {} transient, {} crash-induced failures",
@@ -140,19 +126,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 fn profile_from_args(args: &Args) -> Result<(Workload, RunProfile), String> {
     let (workload, workflow) = build_workflow(args)?;
     let grid: u64 = args.required_num("grid")?;
-    let processor = processor_from(args)?;
-    let storage = storage_from(args)?;
-    let policy = policy_from(args)?;
-    let threads: usize = args.num("threads", 1)?;
-    let mut config = RunConfig::new(ClusterSpec::minotauro(), processor)
-        .with_storage(storage)
-        .with_policy(policy)
-        .with_cpu_threads(threads)
-        .with_recovery(recovery_from(args)?)
-        .with_telemetry();
-    if let Some(plan) = faults_from(args)? {
-        config = config.with_faults(plan);
-    }
+    let config = run_config(args)?.with_telemetry();
+    let (processor, storage, policy) = (config.processor, config.storage, config.policy);
     let report = run(&workflow, &config).map_err(|e| e.to_string())?;
     let label = format!(
         "{} grid {grid} {} {} {}",
@@ -191,18 +166,7 @@ fn cmd_obs(sub: &str, args: &Args) -> Result<(), String> {
         return emit(args, sub, &profile.render());
     }
     let (workload, workflow) = build_workflow(args)?;
-    let processor = processor_from(args)?;
-    let threads: usize = args.num("threads", 1)?;
-    let cluster = ClusterSpec::minotauro();
-    let mut config = RunConfig::new(cluster, processor)
-        .with_storage(storage_from(args)?)
-        .with_policy(policy_from(args)?)
-        .with_cpu_threads(threads)
-        .with_recovery(recovery_from(args)?)
-        .with_telemetry();
-    if let Some(plan) = faults_from(args)? {
-        config = config.with_faults(plan);
-    }
+    let config = run_config(args)?.with_telemetry();
     let report = run(&workflow, &config).map_err(|e| e.to_string())?;
     let log = &report.telemetry;
     let output = match sub {
@@ -289,20 +253,10 @@ fn metrics_interval(args: &Args) -> Result<SimDuration, String> {
 /// HTTP endpoint serves live Prometheus snapshots of its metrics.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let (workload, workflow) = build_workflow(args)?;
-    let processor = processor_from(args)?;
-    let threads: usize = args.num("threads", 1)?;
     let port: u16 = args.num("metrics-port", 0)?;
     let max_requests: u64 = args.num("requests", 0)?;
     let hub = MetricsHub::new(metrics_interval(args)?);
-    let mut config = RunConfig::new(ClusterSpec::minotauro(), processor)
-        .with_storage(storage_from(args)?)
-        .with_policy(policy_from(args)?)
-        .with_cpu_threads(threads)
-        .with_recovery(recovery_from(args)?)
-        .with_live_metrics(hub.clone());
-    if let Some(plan) = faults_from(args)? {
-        config = config.with_faults(plan);
-    }
+    let config = run_config(args)?.with_live_metrics(hub.clone());
     let listener = std::net::TcpListener::bind(("127.0.0.1", port))
         .map_err(|e| format!("binding 127.0.0.1:{port}: {e}"))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
@@ -318,7 +272,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     } else {
         Some(max_requests)
     };
-    gpuflow::serve::serve_until(&listener, &hub, max);
+    gpuflow::daemon::http::serve_until(&listener, &hub, max, None);
     if max.is_none() {
         return Ok(()); // unreachable in practice: serve_until loops forever
     }
@@ -348,7 +302,7 @@ fn cmd_daemon(verb: &str, args: &Args) -> Result<(), String> {
 }
 
 /// Reads and parses a profile file written by `gpuflow obs profile` or
-/// `repro gate --update`.
+/// `repro all --out DIR` (`DIR/baselines/<case>.profile`).
 fn read_profile(path: &str) -> Result<RunProfile, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     RunProfile::parse(&text).map_err(|e| format!("{path}: {e}"))
@@ -414,13 +368,8 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
 fn doctor_whatifs(args: &Args, baseline: f64) -> Result<Vec<WhatIf>, String> {
     let workload = workload_from(args)?;
     let grid: u64 = args.required_num("grid")?;
-    let processor = processor_from(args)?;
-    let storage = storage_from(args)?;
-    let policy = policy_from(args)?;
-    let threads: usize = args.num("threads", 1)?;
-    let recovery = recovery_from(args)?;
-    let faults = faults_from(args)?;
-    let cluster = ClusterSpec::minotauro();
+    let base = run_config(args)?;
+    let (processor, storage, policy) = (base.processor, base.storage, base.policy);
     let mut out = Vec::new();
     let mut try_change = |change: String,
                           grid2: u64,
@@ -430,14 +379,12 @@ fn doctor_whatifs(args: &Args, baseline: f64) -> Result<Vec<WhatIf>, String> {
         let Ok(wf) = workload.build(grid2) else {
             return;
         };
-        let mut config = RunConfig::new(cluster.clone(), proc2)
-            .with_storage(stor2)
-            .with_policy(pol2)
-            .with_cpu_threads(threads)
-            .with_recovery(recovery);
-        if let Some(plan) = faults.clone() {
-            config = config.with_faults(plan);
-        }
+        let config = RunConfig {
+            processor: proc2,
+            storage: stor2,
+            policy: pol2,
+            ..base.clone()
+        };
         if let Ok(report) = run(&wf, &config) {
             out.push(WhatIf {
                 change,

@@ -4,9 +4,9 @@
 use std::collections::HashMap;
 
 use gpuflow_advisor::Workload;
-use gpuflow_cluster::{ProcessorKind, StorageArchitecture};
+use gpuflow_cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
 use gpuflow_data::DatasetSpec;
-use gpuflow_runtime::{FaultPlan, RecoveryPolicy, SchedulingPolicy};
+use gpuflow_runtime::{FaultPlan, RecoveryPolicy, RunConfig, SchedulingPolicy};
 
 /// Parsed `--key value` flags.
 #[derive(Debug, Clone)]
@@ -117,7 +117,7 @@ pub fn workload_from(args: &Args) -> Result<Workload, String> {
 ///
 /// # Errors
 /// Reports unknown values.
-pub fn processor_from(args: &Args) -> Result<ProcessorKind, String> {
+fn processor_from(args: &Args) -> Result<ProcessorKind, String> {
     match args.get("processor").unwrap_or("cpu") {
         "cpu" => Ok(ProcessorKind::Cpu),
         "gpu" => Ok(ProcessorKind::Gpu),
@@ -129,7 +129,7 @@ pub fn processor_from(args: &Args) -> Result<ProcessorKind, String> {
 ///
 /// # Errors
 /// Reports unknown values.
-pub fn storage_from(args: &Args) -> Result<StorageArchitecture, String> {
+fn storage_from(args: &Args) -> Result<StorageArchitecture, String> {
     match args.get("storage").unwrap_or("shared") {
         "shared" => Ok(StorageArchitecture::SharedDisk),
         "local" => Ok(StorageArchitecture::LocalDisk),
@@ -141,7 +141,7 @@ pub fn storage_from(args: &Args) -> Result<StorageArchitecture, String> {
 ///
 /// # Errors
 /// Reports unknown values.
-pub fn policy_from(args: &Args) -> Result<SchedulingPolicy, String> {
+fn policy_from(args: &Args) -> Result<SchedulingPolicy, String> {
     match args.get("policy").unwrap_or("fifo") {
         "fifo" | "generation-order" => Ok(SchedulingPolicy::GenerationOrder),
         "locality" | "data-locality" => Ok(SchedulingPolicy::DataLocality),
@@ -158,7 +158,7 @@ pub fn policy_from(args: &Args) -> Result<SchedulingPolicy, String> {
 ///
 /// # Errors
 /// Reports malformed specifications.
-pub fn faults_from(args: &Args) -> Result<Option<FaultPlan>, String> {
+fn faults_from(args: &Args) -> Result<Option<FaultPlan>, String> {
     match args.get("faults") {
         None => Ok(None),
         Some(spec) => FaultPlan::parse(spec)
@@ -172,7 +172,7 @@ pub fn faults_from(args: &Args) -> Result<Option<FaultPlan>, String> {
 ///
 /// # Errors
 /// Reports unparsable values.
-pub fn recovery_from(args: &Args) -> Result<RecoveryPolicy, String> {
+fn recovery_from(args: &Args) -> Result<RecoveryPolicy, String> {
     let default = RecoveryPolicy::default();
     let resubmit_alternate = match args.get("resubmit") {
         None => default.resubmit_alternate,
@@ -192,6 +192,28 @@ pub fn recovery_from(args: &Args) -> Result<RecoveryPolicy, String> {
         resubmit_alternate,
         gpu_to_cpu_fallback,
     })
+}
+
+/// The run configuration the run flags describe, on the Minotauro
+/// cluster: `--processor`, `--storage`, `--policy`, `--threads` (CPU
+/// threads per task), the recovery flags and `--faults`.
+///
+/// # Errors
+/// Reports unknown or unparsable values and `--threads 0`.
+pub fn run_config(args: &Args) -> Result<RunConfig, String> {
+    let threads: usize = args.num("threads", 1)?;
+    if threads == 0 {
+        return Err(String::from("--threads: a task needs at least one thread"));
+    }
+    let mut config = RunConfig::new(ClusterSpec::minotauro(), processor_from(args)?)
+        .with_storage(storage_from(args)?)
+        .with_policy(policy_from(args)?)
+        .with_cpu_threads(threads)
+        .with_recovery(recovery_from(args)?);
+    if let Some(plan) = faults_from(args)? {
+        config = config.with_faults(plan);
+    }
+    Ok(config)
 }
 
 /// Control verbs `gpuflow ctl ACTION` forwards to a running `gpuflowd`
@@ -372,6 +394,50 @@ mod tests {
         assert!(recovery_from(&a).unwrap_err().contains("alt, same"));
         let a = args(&["--fallback", "maybe"]);
         assert!(recovery_from(&a).unwrap_err().contains("on, off"));
+    }
+
+    #[test]
+    fn run_config_takes_every_run_flag() {
+        let a = args(&[
+            "--processor",
+            "gpu",
+            "--storage",
+            "local",
+            "--policy",
+            "locality",
+            "--threads",
+            "4",
+            "--max-retries",
+            "5",
+            "--backoff",
+            "0.5",
+            "--resubmit",
+            "same",
+            "--fallback",
+            "on",
+            "--faults",
+            "seed:7;crash:node=1,at=0.2,rejoin=0.1",
+        ]);
+        let c = run_config(&a).unwrap();
+        assert_eq!(c.processor, ProcessorKind::Gpu);
+        assert_eq!(c.storage, StorageArchitecture::LocalDisk);
+        assert_eq!(c.policy, SchedulingPolicy::DataLocality);
+        assert_eq!(c.cpu_threads_per_task, 4);
+        assert_eq!(c.recovery, recovery_from(&a).unwrap());
+        assert_ne!(c.recovery, RecoveryPolicy::default());
+        assert_eq!(c.faults, faults_from(&a).unwrap());
+        assert!(c.faults.is_some());
+        assert_eq!(c.cluster.nodes, ClusterSpec::minotauro().nodes);
+
+        let d = run_config(&args(&[])).unwrap();
+        assert_eq!(d.processor, ProcessorKind::Cpu);
+        assert_eq!(d.cpu_threads_per_task, 1);
+        assert_eq!(d.recovery, RecoveryPolicy::default());
+        assert_eq!(d.faults, None);
+        assert!(!d.collect_telemetry);
+        assert!(run_config(&args(&["--threads", "0"]))
+            .unwrap_err()
+            .starts_with("--threads"));
     }
 
     #[test]

@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod serve;
 
 pub use gpuflow_advisor as advisor;
 pub use gpuflow_algorithms as algorithms;

@@ -9,8 +9,8 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::Command;
 
+use gpuflow::daemon::http::serve_until;
 use gpuflow::runtime::{MetricsHub, RunConfig};
-use gpuflow::serve;
 
 fn gpuflow_cli(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_gpuflow"))
@@ -117,7 +117,7 @@ fn live_scrape_over_real_sockets_is_valid_exposition() {
     // Serve exactly three requests, then return.
     let server = {
         let hub = hub.clone();
-        std::thread::spawn(move || serve::serve_until(&listener, &hub, Some(3)))
+        std::thread::spawn(move || serve_until(&listener, &hub, Some(3), None))
     };
 
     // Scrape once mid-setup (possibly before the run starts — the hub
