@@ -17,7 +17,7 @@
 
 use std::fmt::Write as _;
 
-use gpuflow_runtime::RunProfile;
+use gpuflow_runtime::{JsonStr, RunProfile};
 
 /// How urgent a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -394,7 +394,7 @@ impl DoctorReport {
         let _ = write!(
             s,
             "{{\"label\":\"{}\",\"makespan_ns\":{},\"findings\":[",
-            escape(&self.label),
+            JsonStr(&self.label),
             self.makespan_ns
         );
         for (i, f) in self.findings.iter().enumerate() {
@@ -404,8 +404,8 @@ impl DoctorReport {
                 "{sep}{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\",\"evidence\":\"{}\"}}",
                 f.severity.label(),
                 f.code,
-                escape(&f.message),
-                escape(&f.evidence)
+                JsonStr(&f.message),
+                JsonStr(&f.evidence)
             );
         }
         s.push_str("],\"whatifs\":[");
@@ -414,7 +414,7 @@ impl DoctorReport {
             let _ = write!(
                 s,
                 "{sep}{{\"change\":\"{}\",\"baseline_s\":{},\"predicted_s\":{}}}",
-                escape(&w.change),
+                JsonStr(&w.change),
                 w.baseline_makespan,
                 w.predicted_makespan
             );
@@ -422,23 +422,6 @@ impl DoctorReport {
         s.push_str("]}");
         s
     }
-}
-
-/// Minimal JSON string escaping for report fields.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -612,5 +595,16 @@ mod tests {
         assert!(json.contains("\"code\":\"transfer-bound\""));
         assert!(json.contains("\"change\":\"storage shared -> local\""));
         assert!(json.starts_with('{') && json.ends_with('}'));
+    }
+
+    #[test]
+    fn json_strings_are_escaped() {
+        let mut p = profile(30, 60, 0, 5, 5);
+        p.label = "a\"b\\c\td\u{1}".into();
+        let json = DoctorReport::diagnose(&p).to_json();
+        assert!(
+            json.starts_with("{\"label\":\"a\\\"b\\\\c\\td\\u0001\","),
+            "{json}"
+        );
     }
 }

@@ -4,8 +4,8 @@
 //! accept loop, one request line per connection, every decision
 //! recorded in the submission journal. Run it, talk to it with the
 //! `gpuflow submit` / `queue` / `cancel` / `ctl` verbs (or netcat),
-//! and replay the recorded journal bit-identically with
-//! `gpuflow repro replay --from-log FILE`.
+//! and replay the recorded journal bit-identically with the `repro`
+//! binary's `repro replay --from-log FILE`.
 //!
 //! ```text
 //! gpuflowd [--port N] [--tenants acme:3,beta:2,gamma:1] [--quota N]

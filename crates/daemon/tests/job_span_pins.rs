@@ -1,10 +1,12 @@
-//! Golden pin of the daemon's per-job root spans.
+//! Golden pins of a short seeded daemon session.
 //!
 //! Each drain folds the epoch's telemetry into one root span per job
 //! (start, end, critical-path task count). The `-- job root spans --`
-//! section of `alerts_text()` after a short seeded session is pinned
-//! byte for byte next to the runtime's fold pins, and a journal replay
-//! must reproduce it.
+//! section of `alerts_text()` is pinned byte for byte next to the
+//! runtime's fold pins. The full `report()` (job fingerprints plus the
+//! Prometheus exposition with its tenant, queue-wait and alert-state
+//! families) and the whole `alerts_text()` are pinned as well. A
+//! journal replay must reproduce every pinned byte.
 //!
 //! Regenerate after a deliberate change with:
 //! `GOLDEN_REGEN=1 cargo test -p gpuflow-daemon --test job_span_pins`
@@ -39,8 +41,10 @@ fn job_span_lines(core: &DaemonCore) -> String {
     text[at..].to_string()
 }
 
-#[test]
-fn job_root_spans_match_golden_and_survive_replay() {
+/// The seeded 30-submit session: three tenants, random shapes, sizes
+/// and priorities, every seventh admitted job cancelled, a drain after
+/// every tenth submit.
+fn seeded_session() -> DaemonCore {
     let mut core = DaemonCore::new(DaemonConfig::default()).expect("default config");
     let tenants = ["acme", "beta", "gamma"];
     let mut admitted = 0;
@@ -61,8 +65,28 @@ fn job_root_spans_match_golden_and_survive_replay() {
         }
     }
     assert!(core.epochs() >= 3, "every drain ran an epoch");
+    core
+}
+
+#[test]
+fn job_root_spans_match_golden_and_survive_replay() {
+    let core = seeded_session();
     let lines = job_span_lines(&core);
     golden_compare("daemon_job_spans.txt", &lines);
     let replayed = DaemonCore::replay(&core.journal_text()).expect("journal replays");
     assert_eq!(job_span_lines(&replayed), lines);
+}
+
+/// The full report (fingerprints and exposition), then the alerts body.
+fn report_and_alerts(core: &DaemonCore) -> String {
+    format!("{}-- alerts --\n{}", core.report(), core.alerts_text())
+}
+
+#[test]
+fn report_and_alerts_match_golden_and_survive_replay() {
+    let core = seeded_session();
+    let text = report_and_alerts(&core);
+    golden_compare("daemon_report.txt", &text);
+    let replayed = DaemonCore::replay(&core.journal_text()).expect("journal replays");
+    assert_eq!(report_and_alerts(&replayed), text);
 }

@@ -4,7 +4,7 @@
 
 use gpuflow_sim::{SimDuration, SimTime};
 
-use crate::jobs::JobSchedule;
+use crate::jobs::{JobSchedule, TaskOwners};
 use crate::task::TaskId;
 use crate::telemetry::TelemetryEvent;
 
@@ -30,21 +30,15 @@ pub(super) struct JobGate {
     /// to the eligible job minimising `consumed / weight`, compared
     /// exactly by cross-multiplication.
     consumed: Vec<u64>,
-    /// `(task_lo, task_hi, job index)`, sorted, for task-to-job lookup
-    /// on completion.
-    ranges: Vec<(u32, u32, usize)>,
+    /// The job owning each task, for the lookup on completion.
+    jobs: TaskOwners,
 }
 
 impl JobGate {
     /// A gate with no job arrived or released yet.
     pub(super) fn new(sched: &JobSchedule) -> Self {
-        let mut ranges: Vec<(u32, u32, usize)> = sched
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(j, job)| (job.task_lo, job.task_hi, j))
-            .collect();
-        ranges.sort_unstable();
+        let jobs = sched.jobs.iter().enumerate();
+        let ranges = jobs.map(|(j, job)| (job.task_lo, job.task_hi, j));
         JobGate {
             arrived: vec![false; sched.jobs.len()],
             released: vec![false; sched.jobs.len()],
@@ -52,7 +46,7 @@ impl JobGate {
             inflight: 0,
             tenant_inflight: vec![0; sched.tenants.len()],
             consumed: vec![0; sched.tenants.len()],
-            ranges,
+            jobs: TaskOwners::new(ranges.collect()),
         }
     }
 }
@@ -191,28 +185,17 @@ impl<'a> Exec<'a> {
     /// when the job's last task finishes, its window slot frees up and
     /// the window refills.
     pub(super) fn job_task_done(&mut self, tid: TaskId) {
-        let Some(gate) = self.gate.as_mut() else {
+        let cfg: &'a RunConfig = self.cfg;
+        let (Some(gate), Some(sched)) = (self.gate.as_mut(), cfg.jobs.as_ref()) else {
             return;
         };
-        let Ok(idx) = gate.ranges.binary_search_by(|&(lo, hi, _)| {
-            if hi < tid.0 {
-                std::cmp::Ordering::Less
-            } else if lo > tid.0 {
-                std::cmp::Ordering::Greater
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) else {
+        let Some(j) = gate.jobs.owner(tid.0) else {
             return;
         };
-        let j = gate.ranges[idx].2;
         gate.remaining[j] -= 1;
         if gate.remaining[j] == 0 {
-            let sched = self.cfg.jobs.as_ref().expect("gate exists with a schedule");
-            let tenant = sched.jobs[j].tenant;
-            let gate = self.gate.as_mut().expect("gate exists with a schedule");
             gate.inflight -= 1;
-            gate.tenant_inflight[tenant] -= 1;
+            gate.tenant_inflight[sched.jobs[j].tenant] -= 1;
             self.job_fill_window();
         }
     }

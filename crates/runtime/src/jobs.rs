@@ -337,6 +337,30 @@ impl JobSchedule {
     }
 }
 
+/// The owner (a job, or a tenant) of each contiguous task-id range: the
+/// one task-to-owner lookup of the job gate and the per-tenant metrics.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct TaskOwners {
+    /// `(task_lo, task_hi, owner)`, inclusive, sorted, non-overlapping.
+    ranges: Vec<(u32, u32, usize)>,
+}
+
+impl TaskOwners {
+    /// The lookup over `(task_lo, task_hi, owner)` ranges, which must
+    /// not overlap.
+    pub(crate) fn new(mut ranges: Vec<(u32, u32, usize)>) -> Self {
+        ranges.sort_unstable();
+        TaskOwners { ranges }
+    }
+
+    /// The owner of the range holding task `tid`, if any.
+    pub(crate) fn owner(&self, tid: u32) -> Option<usize> {
+        let i = self.ranges.partition_point(|&(_, hi, _)| hi < tid);
+        let &(lo, _, owner) = self.ranges.get(i)?;
+        (lo <= tid).then_some(owner)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,5 +443,17 @@ mod tests {
         assert_eq!(sched.jobs.len(), 2);
         assert_eq!(sched.jobs[1].tenant, 1);
         assert_eq!(sched.tenant_ranges(), vec![(0, 2, 0), (3, 5, 1)]);
+    }
+
+    #[test]
+    fn task_owners_find_the_range_holding_a_task() {
+        let owners = TaskOwners::new(vec![(10, 19, 2), (0, 4, 7), (5, 5, 1)]);
+        let tids = [0, 4, 5, 6, 9, 10, 19, 20];
+        let (a, b, c) = (Some(7), Some(1), Some(2));
+        assert_eq!(
+            tids.map(|t| owners.owner(t)),
+            [a, a, b, None, None, c, c, None]
+        );
+        assert_eq!(TaskOwners::default().owner(0), None);
     }
 }

@@ -36,10 +36,11 @@ pub use task::{CostProfile, Param, TaskId, TaskSpec, TaskType};
 pub use telemetry::{
     to_chrome_trace, to_collapsed, AlertEngine, AlertRule, AlertSeverity, AlertState,
     AlertTransition, BucketDelta, BucketHistogram, CandidateScore, CriticalSegment, EventBus,
-    Histogram, HistogramDigest, JsonlSink, LinkKind, MetricsHub, MetricsRegistry, OverheadReport,
-    PathChange, PathDelta, PhaseSpan, ResourceProfile, RuleKind, RunDiff, RunProfile, SampleRow,
-    SampleStats, SchedulerDecision, SpanForest, SpanPhase, SpanSampler, TaskSpans, TaskTimeline,
-    TaskTypeProfile, TelemetryEvent, TelemetryLog, TelemetrySink, TypeDelta,
+    Histogram, HistogramDigest, JsonStr, JsonlSink, LinkKind, MetricsHub, MetricsRegistry,
+    OverheadReport, PathChange, PathDelta, PhaseSpan, ResourceProfile, RuleKind, RunDiff,
+    RunProfile, SampleRow, SampleStats, SchedulerDecision, SpanForest, SpanPhase, SpanSampler,
+    TaskSpans, TaskTimeline, TaskTypeProfile, TelemetryEvent, TelemetryLog, TelemetrySink,
+    TypeDelta,
 };
 pub use trace::{paraver_pcf, to_paraver_prv, Trace, TraceRecord, TraceState};
 pub use workflow::{DagShape, Workflow, WorkflowBuilder};

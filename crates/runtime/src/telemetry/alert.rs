@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use super::metrics::{fmt_seconds, BucketHistogram};
+use super::metrics::{family, fmt_seconds, BucketHistogram};
 
 /// Alert severity, a static label on the state family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -365,21 +365,22 @@ impl AlertEngine {
 
     /// Appends the `gpuflow_alert_state` family to an exposition.
     pub(crate) fn expose_state(&self, o: &mut String) {
-        let _ = writeln!(
+        let rows = self.current().into_iter().map(|(rule, subject, state, _)| {
+            let severity = rule.severity.label();
+            let labels = [
+                ("alert", rule.name.as_str()),
+                ("severity", severity),
+                ("subject", subject),
+            ];
+            (labels, state.gauge_value())
+        });
+        family(
             o,
-            "# HELP gpuflow_alert_state Alert rule state (0 inactive, 1 pending, 2 firing)."
+            "gpuflow_alert_state",
+            "Alert rule state (0 inactive, 1 pending, 2 firing).",
+            "gauge",
+            rows,
         );
-        let _ = writeln!(o, "# TYPE gpuflow_alert_state gauge");
-        for (rule, subject, state, _) in self.current() {
-            let _ = writeln!(
-                o,
-                "gpuflow_alert_state{{alert=\"{}\",severity=\"{}\",subject=\"{}\"}} {}",
-                rule.name,
-                rule.severity.label(),
-                subject,
-                state.gauge_value()
-            );
-        }
     }
 }
 

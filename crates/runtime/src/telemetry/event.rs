@@ -573,8 +573,9 @@ impl std::fmt::Display for OptUsize {
 }
 
 /// A string displayed escaped for a JSON string literal, written
-/// straight into the formatter.
-pub(crate) struct JsonStr<'a>(pub &'a str);
+/// straight into the formatter: `"`, `\` and every control character
+/// are escaped, so the output is valid JSON string content.
+pub struct JsonStr<'a>(pub &'a str);
 
 impl std::fmt::Display for JsonStr<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

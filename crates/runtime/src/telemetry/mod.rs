@@ -63,7 +63,7 @@ pub use diff::{
     BucketDelta, CriticalSegment, PathChange, PathDelta, ResourceProfile, RunDiff, RunProfile,
     TaskTypeProfile, TypeDelta,
 };
-pub use event::{CandidateScore, LinkKind, SchedulerDecision, TelemetryEvent};
+pub use event::{CandidateScore, JsonStr, LinkKind, SchedulerDecision, TelemetryEvent};
 pub use flame::to_collapsed;
 pub use histogram::{Histogram, HistogramDigest};
 pub use metrics::{

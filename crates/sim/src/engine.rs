@@ -112,15 +112,6 @@ impl<E> Engine<E> {
         e
     }
 
-    /// Ensures the calendar can absorb `additional` more pending events
-    /// without growing during subsequent `schedule_*` calls.
-    pub fn reserve(&mut self, additional: usize) {
-        while self.count + additional > self.buckets.len() * 2 {
-            let nb = self.buckets.len() * 2;
-            self.rebuild(nb);
-        }
-    }
-
     /// Current simulated time (the timestamp of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
@@ -184,21 +175,10 @@ impl<E> Engine<E> {
 
     /// Pops the next due event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.pop_if_due(SimTime::MAX)
-    }
-
-    /// Pops the next event only if it is due at or before `deadline`;
-    /// otherwise leaves the queue untouched and returns `None`. This
-    /// replaces the `peek_time`-then-`pop` pattern (two ordered searches)
-    /// with a single search.
-    pub fn pop_if_due(&mut self, deadline: SimTime) -> Option<Scheduled<E>> {
         let (cur, cur_top) = self.locate(self.cur, self.cur_top)?;
         // Persist the sweep so the next call resumes where this one ended.
         self.cur = cur;
         self.cur_top = cur_top;
-        if self.buckets[cur].last().map(|e| e.time)? > deadline {
-            return None;
-        }
         let ev = self.buckets[cur].pop()?;
         debug_assert!(ev.time >= self.now);
         self.now = ev.time;
@@ -209,12 +189,6 @@ impl<E> Engine<E> {
             self.rebuild(nb);
         }
         Some(ev)
-    }
-
-    /// Timestamp of the next due event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let (b, _) = self.locate(self.cur, self.cur_top)?;
-        self.buckets[b].last().map(|e| e.time)
     }
 
     /// Finds the bucket holding the globally next (time, seq) event.
@@ -373,34 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_advance() {
-        let mut e: Engine<u8> = Engine::new();
-        e.schedule_at(SimTime::from_nanos(42), 1);
-        assert_eq!(e.peek_time(), Some(SimTime::from_nanos(42)));
-        assert_eq!(e.now(), SimTime::ZERO);
-        assert_eq!(e.pending(), 1);
-    }
-
-    #[test]
-    fn pop_if_due_respects_deadline() {
-        let mut e: Engine<u8> = Engine::new();
-        e.schedule_at(SimTime::from_nanos(100), 1);
-        e.schedule_at(SimTime::from_nanos(200), 2);
-        assert!(e.pop_if_due(SimTime::from_nanos(99)).is_none());
-        assert_eq!(e.pending(), 2);
-        assert_eq!(
-            e.now(),
-            SimTime::ZERO,
-            "a refused pop must not advance time"
-        );
-        assert_eq!(e.pop_if_due(SimTime::from_nanos(100)).unwrap().payload, 1);
-        assert_eq!(e.now(), SimTime::from_nanos(100));
-        assert!(e.pop_if_due(SimTime::from_nanos(150)).is_none());
-        assert_eq!(e.pop_if_due(SimTime::from_nanos(200)).unwrap().payload, 2);
-        assert!(e.pop_if_due(SimTime::MAX).is_none());
-    }
-
-    #[test]
     fn grows_and_shrinks_through_resize_thresholds() {
         let mut e: Engine<u64> = Engine::new();
         for i in 0..10_000u64 {
@@ -465,9 +411,8 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_and_reserve_pre_size_the_calendar() {
+    fn with_capacity_pre_sizes_the_calendar() {
         let mut e: Engine<u32> = Engine::with_capacity(4096);
-        e.reserve(10_000);
         for i in 0..10_000 {
             e.schedule_at(SimTime::from_nanos(u64::from(i) * 13), i);
         }

@@ -29,10 +29,6 @@ impl ReferenceHeap {
         self.next_seq += 1;
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|r| r.0 .0)
-    }
-
     fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
         let std::cmp::Reverse((t, seq, payload)) = self.heap.pop()?;
         self.now = t;
@@ -148,31 +144,6 @@ proptest! {
             prop_assert_eq!(&got, &want);
             if got.is_none() {
                 break;
-            }
-        }
-    }
-
-    /// `pop_if_due` agrees with peek-then-pop on the reference model.
-    #[test]
-    fn pop_if_due_matches_reference(
-        ops in prop::collection::vec((0u64..3, 0u64..500), 1..300),
-    ) {
-        let mut cal: Engine<u64> = Engine::new();
-        let mut reference = ReferenceHeap::new();
-        for (i, &(kind, delta)) in ops.iter().enumerate() {
-            if kind == 0 {
-                let t = SimTime::from_nanos(cal.now().as_nanos() + delta);
-                cal.schedule_at(t, i as u64);
-                reference.schedule_at(t, i as u64);
-            } else {
-                let deadline = SimTime::from_nanos(cal.now().as_nanos() + delta);
-                let want = match reference.peek_time() {
-                    Some(t) if t <= deadline => reference.pop(),
-                    _ => None,
-                };
-                let got = cal.pop_if_due(deadline).map(|s| (s.time, s.seq, s.payload));
-                prop_assert_eq!(got, want);
-                prop_assert_eq!(cal.now(), reference.now);
             }
         }
     }

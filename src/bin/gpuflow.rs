@@ -41,7 +41,7 @@ use gpuflow::analysis::{DoctorReport, WhatIf};
 use gpuflow::cli::{daemon_request_from, run_config, workload_from, Args, CTL_ACTIONS};
 use gpuflow::cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
 use gpuflow::runtime::{
-    run, to_chrome_trace, to_collapsed, to_paraver_prv, trace_analysis, MetricsHub,
+    run, to_chrome_trace, to_collapsed, to_paraver_prv, trace_analysis, JsonStr, MetricsHub,
     MetricsRegistry, OverheadReport, RunConfig, RunDiff, RunProfile, SchedulingPolicy, SpanForest,
     SpanSampler, Trace, Workflow,
 };
@@ -202,7 +202,7 @@ fn cmd_obs(sub: &str, args: &Args) -> Result<(), String> {
             let forest = SpanForest::from_telemetry(&workflow, log);
             format!(
                 "{{\"workload\":\"{}\",\"makespan_ns\":{},\"telemetry\":{},\"metrics\":{},\"spans\":{}}}\n",
-                workload.label().replace('"', "\\\""),
+                JsonStr(&workload.label()),
                 SimDuration::from_secs_f64(report.makespan()).as_nanos(),
                 log.summary_json(),
                 registry.summary_json(),
@@ -544,7 +544,7 @@ fn help() {
          RUN OPTIONS:\n\
          \u{20} --processor cpu|gpu      (default cpu)\n\
          \u{20} --storage shared|local   (default shared)\n\
-         \u{20} --policy fifo|locality   (default fifo)\n\
+         \u{20} --policy P               fifo|locality|critical-path (default fifo)\n\
          \u{20} --threads N              CPU threads per task (default 1)\n\
          \u{20} --clusters K --iterations I   (kmeans)\n\
          \u{20} --queries Q --k K        (knn)\n\

@@ -210,6 +210,10 @@ pub fn run_config(args: &Args) -> Result<RunConfig, String> {
         .with_policy(policy_from(args)?)
         .with_cpu_threads(threads)
         .with_recovery(recovery_from(args)?);
+    // `--seed` seeds the jitter as well as the dataset (`workload_from`);
+    // without it the run keeps the default jitter seed.
+    let seed = args.num("seed", config.seed)?;
+    config = config.with_seed(seed);
     if let Some(plan) = faults_from(args)? {
         config = config.with_faults(plan);
     }
@@ -417,6 +421,8 @@ mod tests {
             "on",
             "--faults",
             "seed:7;crash:node=1,at=0.2,rejoin=0.1",
+            "--seed",
+            "42",
         ]);
         let c = run_config(&a).unwrap();
         assert_eq!(c.processor, ProcessorKind::Gpu);
@@ -428,6 +434,7 @@ mod tests {
         assert_eq!(c.faults, faults_from(&a).unwrap());
         assert!(c.faults.is_some());
         assert_eq!(c.cluster.nodes, ClusterSpec::minotauro().nodes);
+        assert_eq!(c.seed, 42);
 
         let d = run_config(&args(&[])).unwrap();
         assert_eq!(d.processor, ProcessorKind::Cpu);
@@ -435,9 +442,36 @@ mod tests {
         assert_eq!(d.recovery, RecoveryPolicy::default());
         assert_eq!(d.faults, None);
         assert!(!d.collect_telemetry);
+        assert_eq!(d.seed, RunConfig::new(d.cluster.clone(), d.processor).seed);
         assert!(run_config(&args(&["--threads", "0"]))
             .unwrap_err()
             .starts_with("--threads"));
+        assert!(run_config(&args(&["--seed", "x"]))
+            .unwrap_err()
+            .starts_with("--seed"));
+    }
+
+    #[test]
+    fn seed_flag_reaches_the_jitter() {
+        let makespan = |seed: &str| {
+            let a = args(&[
+                "--workload",
+                "kmeans",
+                "--rows",
+                "20000",
+                "--cols",
+                "16",
+                "--iterations",
+                "2",
+                "--seed",
+                seed,
+            ]);
+            let workflow = workload_from(&a).unwrap().build(4).unwrap();
+            let config = run_config(&a).unwrap();
+            gpuflow_runtime::run(&workflow, &config).unwrap().makespan()
+        };
+        assert_eq!(makespan("1"), makespan("1"));
+        assert_ne!(makespan("1"), makespan("2"));
     }
 
     #[test]
