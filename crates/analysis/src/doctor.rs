@@ -17,7 +17,7 @@
 
 use std::fmt::Write as _;
 
-use gpuflow_runtime::{JsonStr, RunProfile};
+use gpuflow_runtime::{JsonWriter, RunProfile};
 
 /// How urgent a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -390,37 +390,24 @@ impl DoctorReport {
 
     /// Deterministic JSON rendering.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        let _ = write!(
-            s,
-            "{{\"label\":\"{}\",\"makespan_ns\":{},\"findings\":[",
-            JsonStr(&self.label),
-            self.makespan_ns
-        );
-        for (i, f) in self.findings.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                s,
-                "{sep}{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\",\"evidence\":\"{}\"}}",
-                f.severity.label(),
-                f.code,
-                JsonStr(&f.message),
-                JsonStr(&f.evidence)
-            );
-        }
-        s.push_str("],\"whatifs\":[");
-        for (i, w) in self.whatifs.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                s,
-                "{sep}{{\"change\":\"{}\",\"baseline_s\":{},\"predicted_s\":{}}}",
-                JsonStr(&w.change),
-                w.baseline_makespan,
-                w.predicted_makespan
-            );
-        }
-        s.push_str("]}");
-        s
+        let mut w = JsonWriter::with_capacity(512);
+        w.begin("{").key("label").string(&self.label);
+        w.field("makespan_ns", self.makespan_ns);
+        w.key("findings").array(&self.findings, |w, f| {
+            w.begin("{").key("severity").string(f.severity.label());
+            w.key("code")
+                .string(f.code)
+                .key("message")
+                .string(&f.message);
+            w.key("evidence").string(&f.evidence).end("}");
+        });
+        w.key("whatifs").array(&self.whatifs, |w, x| {
+            w.begin("{").key("change").string(&x.change);
+            w.key("baseline_s").float(x.baseline_makespan);
+            w.key("predicted_s").float(x.predicted_makespan).end("}");
+        });
+        w.end("}");
+        w.finish()
     }
 }
 

@@ -6,13 +6,13 @@
 //! [`TelemetryEvent`]. Events are emitted in simulation order, so a
 //! replayed stream reconstructs the run exactly.
 
-use std::fmt::Write as _;
-
 use gpuflow_sim::{SimDuration, SimTime};
 
 use crate::data::DataVersion;
 use crate::task::{TaskId, TaskType};
 use crate::trace::TraceState;
+
+use super::json::JsonWriter;
 
 /// One candidate node as the scheduler scored it for a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,35 +312,32 @@ impl TelemetryEvent {
     /// decisions is deliberately omitted so streams from identical runs
     /// are byte-identical.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
+        let mut w = JsonWriter::with_capacity(96);
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Appends [`TelemetryEvent::to_json`]'s object to `w`.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin("{").key("ev").string(self.kind());
         match self {
             TelemetryEvent::TaskReady { at, task } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"ready\",\"t\":{},\"task\":{}}}",
-                    at.as_nanos(),
-                    task.0
-                );
+                w.field("t", at.as_nanos()).field("task", task.0.into());
             }
             TelemetryEvent::Decision(d) => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"decision\",\"t\":{},\"task\":{},\"node\":{},\"queue_depth\":{},\"overhead_ns\":{},\"candidates\":[",
-                    d.at.as_nanos(),
-                    d.task.0,
-                    d.chosen,
-                    d.queue_depth,
-                    d.sim_overhead.as_nanos()
-                );
-                for (i, c) in d.candidates.iter().enumerate() {
-                    let sep = if i == 0 { "" } else { "," };
-                    let _ = write!(
-                        s,
-                        "{sep}{{\"node\":{},\"free_slots\":{},\"cached_bytes\":{}}}",
-                        c.node, c.free_slots, c.cached_bytes
-                    );
-                }
-                s.push_str("]}");
+                w.field("t", d.at.as_nanos())
+                    .field("task", d.task.0.into())
+                    .field("node", d.chosen as u64)
+                    .field("queue_depth", d.queue_depth as u64)
+                    .field("overhead_ns", d.sim_overhead.as_nanos())
+                    .key("candidates")
+                    .array(&d.candidates, |w, c| {
+                        w.begin("{")
+                            .field("node", c.node as u64)
+                            .field("free_slots", c.free_slots as u64)
+                            .field("cached_bytes", c.cached_bytes)
+                            .end("}");
+                    });
             }
             TelemetryEvent::TaskDispatched {
                 at,
@@ -351,17 +348,15 @@ impl TelemetryEvent {
                 cores,
                 gpu,
             } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"dispatch\",\"t\":{},\"task\":{},\"type\":\"{}\",\"node\":{},\"core\":{},\"cores\":{},\"gpu\":{}}}",
-                    at.as_nanos(),
-                    task.0,
-                    JsonStr(task_type),
-                    node,
-                    core,
-                    cores,
-                    OptNum(*gpu)
-                );
+                w.field("t", at.as_nanos())
+                    .field("task", task.0.into())
+                    .key("type")
+                    .string(task_type)
+                    .field("node", *node as u64)
+                    .field("core", (*core).into())
+                    .field("cores", (*cores).into())
+                    .key("gpu")
+                    .opt(gpu.map(u64::from));
             }
             TelemetryEvent::Stage {
                 task,
@@ -372,17 +367,15 @@ impl TelemetryEvent {
                 t0,
                 t1,
             } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"stage\",\"task\":{},\"node\":{},\"core\":{},\"gpu\":{},\"state\":\"{}\",\"t0\":{},\"t1\":{}}}",
-                    task.0,
-                    node,
-                    core,
-                    OptNum(*gpu),
-                    state.label(),
-                    t0.as_nanos(),
-                    t1.as_nanos()
-                );
+                w.field("task", task.0.into())
+                    .field("node", *node as u64)
+                    .field("core", (*core).into())
+                    .key("gpu")
+                    .opt(gpu.map(u64::from))
+                    .key("state")
+                    .string(state.label())
+                    .field("t0", t0.as_nanos())
+                    .field("t1", t1.as_nanos());
             }
             TelemetryEvent::Transfer {
                 task,
@@ -392,16 +385,13 @@ impl TelemetryEvent {
                 t0,
                 t1,
             } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"transfer\",\"task\":{},\"node\":{},\"link\":\"{}\",\"bytes\":{},\"t0\":{},\"t1\":{}}}",
-                    task.0,
-                    node,
-                    link.label(),
-                    bytes,
-                    t0.as_nanos(),
-                    t1.as_nanos()
-                );
+                w.field("task", task.0.into())
+                    .field("node", *node as u64)
+                    .key("link")
+                    .string(link.label())
+                    .field("bytes", *bytes)
+                    .field("t0", t0.as_nanos())
+                    .field("t1", t1.as_nanos());
             }
             TelemetryEvent::CacheAccess {
                 at,
@@ -410,25 +400,18 @@ impl TelemetryEvent {
                 key,
                 hit,
             } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"cache\",\"t\":{},\"node\":{},\"task\":{},\"data\":{},\"version\":{},\"hit\":{}}}",
-                    at.as_nanos(),
-                    node,
-                    task.0,
-                    key.id.0,
-                    key.version,
-                    hit
-                );
+                w.field("t", at.as_nanos())
+                    .field("node", *node as u64)
+                    .field("task", task.0.into())
+                    .field("data", key.id.0.into())
+                    .field("version", key.version.into())
+                    .key("hit")
+                    .boolean(*hit);
             }
             TelemetryEvent::CacheEvicted { at, node, count } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"evict\",\"t\":{},\"node\":{},\"count\":{}}}",
-                    at.as_nanos(),
-                    node,
-                    count
-                );
+                w.field("t", at.as_nanos())
+                    .field("node", *node as u64)
+                    .field("count", *count);
             }
             TelemetryEvent::NodeGauge {
                 at,
@@ -437,33 +420,23 @@ impl TelemetryEvent {
                 busy_cores,
                 busy_gpus,
             } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"gauge\",\"t\":{},\"node\":{},\"ram\":{},\"busy_cores\":{},\"busy_gpus\":{}}}",
-                    at.as_nanos(),
-                    node,
-                    ram_used,
-                    busy_cores,
-                    busy_gpus
-                );
+                w.field("t", at.as_nanos())
+                    .field("node", *node as u64)
+                    .field("ram", *ram_used)
+                    .field("busy_cores", *busy_cores as u64)
+                    .field("busy_gpus", *busy_gpus as u64);
             }
             TelemetryEvent::TaskCompleted { at, task, node } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"complete\",\"t\":{},\"task\":{},\"node\":{}}}",
-                    at.as_nanos(),
-                    task.0,
-                    node
-                );
+                w.field("t", at.as_nanos())
+                    .field("task", task.0.into())
+                    .field("node", *node as u64);
             }
             TelemetryEvent::FaultInjected { at, node, what } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"fault\",\"t\":{},\"node\":{},\"what\":\"{}\"}}",
-                    at.as_nanos(),
-                    OptUsize(*node),
-                    what
-                );
+                w.field("t", at.as_nanos())
+                    .key("node")
+                    .opt(node.map(|n| n as u64))
+                    .key("what")
+                    .string(what);
             }
             TelemetryEvent::TaskFailed {
                 at,
@@ -473,16 +446,13 @@ impl TelemetryEvent {
                 started,
                 reason,
             } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"failed\",\"t\":{},\"task\":{},\"node\":{},\"attempt\":{},\"started\":{},\"reason\":\"{}\"}}",
-                    at.as_nanos(),
-                    task.0,
-                    node,
-                    attempt,
-                    started.as_nanos(),
-                    reason
-                );
+                w.field("t", at.as_nanos())
+                    .field("task", task.0.into())
+                    .field("node", *node as u64)
+                    .field("attempt", (*attempt).into())
+                    .field("started", started.as_nanos())
+                    .key("reason")
+                    .string(reason);
             }
             TelemetryEvent::TaskRetry {
                 at,
@@ -490,43 +460,22 @@ impl TelemetryEvent {
                 attempt,
                 until,
             } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"retry\",\"t\":{},\"task\":{},\"attempt\":{},\"until\":{}}}",
-                    at.as_nanos(),
-                    task.0,
-                    attempt,
-                    until.as_nanos()
-                );
+                w.field("t", at.as_nanos())
+                    .field("task", task.0.into())
+                    .field("attempt", (*attempt).into())
+                    .field("until", until.as_nanos());
             }
             TelemetryEvent::TaskResubmitted {
                 at,
                 task,
                 from_node,
             } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"resubmit\",\"t\":{},\"task\":{},\"from_node\":{}}}",
-                    at.as_nanos(),
-                    task.0,
-                    from_node
-                );
+                w.field("t", at.as_nanos())
+                    .field("task", task.0.into())
+                    .field("from_node", *from_node as u64);
             }
-            TelemetryEvent::NodeDown { at, node } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"node-down\",\"t\":{},\"node\":{}}}",
-                    at.as_nanos(),
-                    node
-                );
-            }
-            TelemetryEvent::NodeUp { at, node } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"node-up\",\"t\":{},\"node\":{}}}",
-                    at.as_nanos(),
-                    node
-                );
+            TelemetryEvent::NodeDown { at, node } | TelemetryEvent::NodeUp { at, node } => {
+                w.field("t", at.as_nanos()).field("node", *node as u64);
             }
             TelemetryEvent::BlocksInvalidated {
                 at,
@@ -534,86 +483,14 @@ impl TelemetryEvent {
                 count,
                 lost_versions,
             } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"invalidate\",\"t\":{},\"node\":{},\"count\":{},\"lost_versions\":{}}}",
-                    at.as_nanos(),
-                    node,
-                    count,
-                    lost_versions
-                );
+                w.field("t", at.as_nanos())
+                    .field("node", *node as u64)
+                    .field("count", *count)
+                    .field("lost_versions", *lost_versions);
             }
         }
-        s
+        w.end("}");
     }
-}
-
-/// `Option<u16>` rendered as a JSON number or `null`.
-struct OptNum(Option<u16>);
-
-impl std::fmt::Display for OptNum {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0 {
-            Some(v) => write!(f, "{v}"),
-            None => write!(f, "null"),
-        }
-    }
-}
-
-/// `Option<usize>` rendered as a JSON number or `null`.
-struct OptUsize(Option<usize>);
-
-impl std::fmt::Display for OptUsize {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0 {
-            Some(v) => write!(f, "{v}"),
-            None => write!(f, "null"),
-        }
-    }
-}
-
-/// A string displayed escaped for a JSON string literal, written
-/// straight into the formatter: `"`, `\` and every control character
-/// are escaped, so the output is valid JSON string content.
-pub struct JsonStr<'a>(pub &'a str);
-
-impl std::fmt::Display for JsonStr<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        json_escape(self.0, |piece| f.write_str(piece))
-    }
-}
-
-/// Passes `s` to `write` as JSON string content, piece by piece: the
-/// runs that need no escape, and the escape of each `"`, `\` and
-/// control character. Only ASCII bytes are escaped, so a string that
-/// needs none is one piece.
-pub(crate) fn json_escape(
-    s: &str,
-    mut write: impl FnMut(&str) -> std::fmt::Result,
-) -> std::fmt::Result {
-    const HEX: &str = "0123456789abcdef";
-    let mut start = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        write(&s[start..i])?;
-        start = i + 1;
-        match b {
-            b'"' => write("\\\"")?,
-            b'\\' => write("\\\\")?,
-            b'\n' => write("\\n")?,
-            b'\r' => write("\\r")?,
-            b'\t' => write("\\t")?,
-            _ => {
-                let (hi, lo) = (usize::from(b >> 4), usize::from(b & 0xf));
-                write("\\u00")?;
-                write(&HEX[hi..=hi])?;
-                write(&HEX[lo..=lo])?;
-            }
-        }
-    }
-    write(&s[start..])
 }
 
 #[cfg(test)]
@@ -671,16 +548,6 @@ mod tests {
         };
         assert!(mk(None).to_json().contains("\"gpu\":null"));
         assert!(mk(Some(2)).to_json().contains("\"gpu\":2"));
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(JsonStr("a\"b\\c\n").to_string(), "a\\\"b\\\\c\\n");
-        assert_eq!(JsonStr("plain").to_string(), "plain");
-        assert_eq!(
-            JsonStr("\u{1}\u{1f}\u{7f}\u{3ba}").to_string(),
-            "\\u0001\\u001f\u{7f}\u{3ba}"
-        );
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //! and the collapsed-stack form in [`super::flame`]) are byte-identical
 //! at any `--threads` setting.
 
-use std::fmt::{self, Write as _};
-
 use gpuflow_chaos::mix64;
 
 use crate::task::TaskId;
@@ -25,25 +23,13 @@ use crate::trace::TraceState;
 use crate::trace_analysis::latest_predecessor;
 use crate::workflow::Workflow;
 
-use super::event::{JsonStr, LinkKind};
+use super::event::LinkKind;
+use super::json::JsonWriter;
 use super::timeline::{IntervalKind, TaskTimeline};
 use super::TelemetryLog;
 
 /// Seed folded into every deterministic span/trace identifier.
 const SPAN_ID_SEED: u64 = 0x5A5A_D00D_5EED_0001;
-
-/// One OTLP string attribute, `key` with `value`'s text.
-struct Attr<T>(&'static str, T);
-
-impl<T: fmt::Display> fmt::Display for Attr<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Attr(key, value) = self;
-        write!(
-            f,
-            "{{\"key\":\"{key}\",\"value\":{{\"stringValue\":\"{value}\"}}}}"
-        )
-    }
-}
 
 /// The lifecycle phase a span covers, in canonical pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -280,66 +266,48 @@ impl SpanForest {
     /// phase spans point at their task root, task roots point at the
     /// root of their causal-parent task.
     pub fn to_otlp_json(&self) -> String {
-        let trace_id = {
-            let a = mix64(SPAN_ID_SEED);
-            let b = mix64(SPAN_ID_SEED ^ 0xFF);
-            format!("{a:016x}{b:016x}")
-        };
-        let mut spans = String::new();
-        // One span; `attrs` renders the body of its attribute list.
-        let mut span = |id: u64,
-                        parent: Option<u64>,
-                        name: fmt::Arguments<'_>,
-                        (t0, t1): (u64, u64),
-                        attrs: fmt::Arguments<'_>| {
-            if !spans.is_empty() {
-                spans.push(',');
-            }
-            let _ = write!(
-                spans,
-                "{{\"traceId\":\"{trace_id}\",\"spanId\":\"{id:016x}\","
-            );
+        // Every span opens with the same trace id.
+        let mut head = JsonWriter::default();
+        head.lit("{\"traceId\":\"").hex(mix64(SPAN_ID_SEED), 16);
+        head.hex(mix64(SPAN_ID_SEED ^ 0xFF), 16)
+            .lit("\",\"spanId\":\"");
+        let head = head.finish();
+        // One span up to its name's opening quote.
+        let span = |w: &mut JsonWriter, id: u64, parent: Option<u64>| {
+            w.item().lit(&head).hex(id, 16).lit("\"");
             if let Some(p) = parent {
-                let _ = write!(spans, "\"parentSpanId\":\"{p:016x}\",");
+                w.key("parentSpanId").lit("\"").hex(p, 16).lit("\"");
             }
-            let _ = write!(
-                spans,
-                "\"name\":\"{name}\",\"kind\":1,\"startTimeUnixNano\":\"{t0}\",\
-                 \"endTimeUnixNano\":\"{t1}\",\"attributes\":[{attrs}]}}"
-            );
+            w.key("name").lit("\"");
         };
-
+        let mut w = JsonWriter::default();
+        w.lit(
+            "{\"resourceSpans\":[{\"resource\":{\"attributes\":[{\"key\":\"service.name\",\
+             \"value\":{\"stringValue\":\"gpuflow\"}}]},\"scopeSpans\":[{\"scope\":\
+             {\"name\":\"gpuflow.telemetry.span\"},\"spans\":",
+        )
+        .begin("[");
         for t in &self.tasks {
             let root = Self::root_span_id(t.task);
-            span(
-                root,
-                t.causal_parent.map(Self::root_span_id),
-                format_args!("task/{}", JsonStr(&t.task_type)),
-                (t.start_ns, t.end_ns),
-                format_args!(
-                    "{},{},{},{}",
-                    Attr("gpuflow.task", t.task.0),
-                    Attr("gpuflow.node", t.node),
-                    Attr("gpuflow.attempts", t.attempts() + 1),
-                    Attr("gpuflow.critical_path", t.on_critical_path)
-                ),
-            );
+            span(&mut w, root, t.causal_parent.map(Self::root_span_id));
+            w.lit("task/").escaped(&t.task_type);
+            span_end(&mut w, t.start_ns, t.end_ns);
+            let (attempts, critical) = (t.attempts() + 1, t.on_critical_path);
+            attr(&mut w, "gpuflow.task", |w| w.num(t.task.0.into()));
+            attr(&mut w, "gpuflow.node", |w| w.num(t.node as u64));
+            attr(&mut w, "gpuflow.attempts", |w| w.num(attempts.into()));
+            attr(&mut w, "gpuflow.critical_path", |w| w.boolean(critical));
+            w.end("]}");
             for (i, p) in t.phases.iter().enumerate() {
-                span(
-                    mix64(root ^ (i as u64 + 1)),
-                    Some(root),
-                    format_args!("{}", p.phase.label()),
-                    (p.t0_ns, p.t1_ns),
-                    format_args!("{}", Attr("gpuflow.attempt", p.attempt)),
-                );
+                span(&mut w, mix64(root ^ (i as u64 + 1)), Some(root));
+                w.lit(p.phase.label());
+                span_end(&mut w, p.t0_ns, p.t1_ns);
+                attr(&mut w, "gpuflow.attempt", |w| w.num(p.attempt.into()));
+                w.end("]}");
             }
         }
-
-        format!(
-            "{{\"resourceSpans\":[{{\"resource\":{{\"attributes\":[{{\"key\":\"service.name\",\
-             \"value\":{{\"stringValue\":\"gpuflow\"}}}}]}},\"scopeSpans\":[{{\"scope\":\
-             {{\"name\":\"gpuflow.telemetry.span\"}},\"spans\":[{spans}]}}]}}]}}\n"
-        )
+        w.end("]}]}]}\n");
+        w.finish()
     }
 
     /// Fixed-shape integer summary for `obs summary --json`: task and
@@ -348,24 +316,34 @@ impl SpanForest {
     pub fn summary_json(&self) -> String {
         let critical = self.tasks.iter().filter(|t| t.on_critical_path).count();
         let retries: u64 = self.tasks.iter().map(|t| t.attempts() as u64).sum();
-        let mut o = String::from("{");
-        let _ = write!(
-            o,
-            "\"tasks\":{},\"spans\":{},\"critical_path_tasks\":{critical},\"retries\":{retries}",
-            self.tasks.len(),
-            self.span_count()
-        );
-        o.push_str(",\"phase_ns\":{");
-        for (i, phase) in SpanPhase::ALL.iter().enumerate() {
-            let total: u64 = self.tasks.iter().map(|t| t.phase_total_ns(*phase)).sum();
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(o, "\"{}\":{total}", phase.label());
+        let mut w = JsonWriter::default();
+        w.begin("{")
+            .field("tasks", self.tasks.len() as u64)
+            .field("spans", self.span_count() as u64)
+            .field("critical_path_tasks", critical as u64)
+            .field("retries", retries);
+        w.key("phase_ns").begin("{");
+        for phase in SpanPhase::ALL {
+            let total = self.tasks.iter().map(|t| t.phase_total_ns(phase)).sum();
+            w.field(phase.label(), total);
         }
-        o.push_str("}}");
-        o
+        w.end("}").end("}");
+        w.finish()
     }
+}
+
+/// Ends a span's name, writes its kind and its start and end as
+/// decimal strings, and opens its attribute list.
+fn span_end(w: &mut JsonWriter, t0: u64, t1: u64) {
+    w.lit("\"").field("kind", 1).key("startTimeUnixNano");
+    w.lit("\"").num(t0).lit("\"").key("endTimeUnixNano");
+    w.lit("\"").num(t1).lit("\"").key("attributes").begin("[");
+}
+
+/// Appends the OTLP string attribute `key`, whose text `value` writes.
+fn attr(w: &mut JsonWriter, key: &str, value: impl FnOnce(&mut JsonWriter) -> &mut JsonWriter) {
+    w.item().lit("{\"key\":\"").lit(key);
+    value(w.lit("\",\"value\":{\"stringValue\":\"")).lit("\"}}");
 }
 
 #[cfg(test)]

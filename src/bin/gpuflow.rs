@@ -41,7 +41,7 @@ use gpuflow::analysis::{DoctorReport, WhatIf};
 use gpuflow::cli::{daemon_request_from, run_config, workload_from, Args, CTL_ACTIONS};
 use gpuflow::cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
 use gpuflow::runtime::{
-    run, to_chrome_trace, to_collapsed, to_paraver_prv, trace_analysis, JsonStr, MetricsHub,
+    run, to_chrome_trace, to_collapsed, to_paraver_prv, trace_analysis, JsonWriter, MetricsHub,
     MetricsRegistry, OverheadReport, RunConfig, RunDiff, RunProfile, SchedulingPolicy, SpanForest,
     SpanSampler, Trace, Workflow,
 };
@@ -200,14 +200,14 @@ fn cmd_obs(sub: &str, args: &Args) -> Result<(), String> {
             // Schema documented in docs/observability.md.
             let registry = MetricsRegistry::from_log(log, metrics_interval(args)?);
             let forest = SpanForest::from_telemetry(&workflow, log);
-            format!(
-                "{{\"workload\":\"{}\",\"makespan_ns\":{},\"telemetry\":{},\"metrics\":{},\"spans\":{}}}\n",
-                JsonStr(&workload.label()),
-                SimDuration::from_secs_f64(report.makespan()).as_nanos(),
-                log.summary_json(),
-                registry.summary_json(),
-                forest.summary_json()
-            )
+            let mut w = JsonWriter::default();
+            w.begin("{").key("workload").string(&workload.label());
+            w.field("makespan_ns", SimDuration::from_secs_f64(report.makespan()).as_nanos());
+            w.key("telemetry").lit(&log.summary_json());
+            w.key("metrics").lit(&registry.summary_json());
+            w.key("spans").lit(&forest.summary_json());
+            w.end("}\n");
+            w.finish()
         }
         "summary" => {
             let mut s = String::new();
