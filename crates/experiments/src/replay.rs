@@ -27,7 +27,10 @@ use std::fmt::Write as _;
 
 use gpuflow_chaos::{mix64, FaultPlan};
 use gpuflow_cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
-use gpuflow_runtime::{MetricsRegistry, RunConfig, RunError, SchedulingPolicy};
+use gpuflow_runtime::jobs::{arrivals, build_jobs};
+use gpuflow_runtime::{
+    BuiltJob, MetricsRegistry, RunConfig, RunError, RunReport, SchedulingPolicy, Workflow,
+};
 use gpuflow_sim::SimDuration;
 
 pub use gpuflow_runtime::jobs::build;
@@ -186,6 +189,40 @@ pub struct ReplayReport {
     pub fingerprint: u64,
 }
 
+/// One executed scenario: the sampled jobs, their shared workflow with
+/// each job's roots and task range, and the run.
+pub(crate) struct Executed {
+    pub(crate) jobs: Vec<JobSpec>,
+    pub(crate) workflow: Workflow,
+    pub(crate) built: Vec<BuiltJob>,
+    pub(crate) report: RunReport,
+}
+
+/// Samples a scenario's jobs, builds their workflow and runs it with
+/// telemetry and per-job arrivals (plus the fault plan under chaos):
+/// the one assembly behind [`run`] and [`crate::spans::run`].
+pub(crate) fn execute(spec: &ReplaySpec) -> Result<Executed, RunError> {
+    let jobs = generate(spec);
+    let (workflow, built) = build_jobs(&jobs);
+    let mut cfg = RunConfig::new(ClusterSpec::minotauro(), ProcessorKind::Gpu)
+        .with_storage(StorageArchitecture::SharedDisk)
+        .with_policy(SchedulingPolicy::GenerationOrder)
+        .with_seed(spec.seed)
+        .with_arrivals(arrivals(&jobs, &built))
+        .with_telemetry();
+    cfg.jitter_sigma = 0.0;
+    if spec.chaos {
+        cfg = cfg.with_faults(fault_plan(spec));
+    }
+    let report = gpuflow_runtime::run(&workflow, &cfg)?;
+    Ok(Executed {
+        jobs,
+        workflow,
+        built,
+        report,
+    })
+}
+
 /// Runs a replay scenario end to end: sample jobs, build the workflow,
 /// execute with telemetry and per-job arrivals, fold the metrics.
 ///
@@ -193,31 +230,15 @@ pub struct ReplayReport {
 /// The run's [`RunError`], e.g. when the chaos plan exhausts a task's
 /// retry budget.
 pub fn run(spec: &ReplaySpec) -> Result<ReplayReport, RunError> {
-    let jobs = generate(spec);
-    let (workflow, arrivals) = build(&jobs);
-    let tasks = workflow.tasks().len();
-    let mut cfg = RunConfig::new(ClusterSpec::minotauro(), ProcessorKind::Gpu)
-        .with_storage(StorageArchitecture::SharedDisk)
-        .with_policy(SchedulingPolicy::GenerationOrder)
-        .with_seed(spec.seed)
-        .with_arrivals(arrivals)
-        .with_telemetry();
-    cfg.jitter_sigma = 0.0;
-    if spec.chaos {
-        cfg = cfg.with_faults(fault_plan(spec));
-    }
-    let report = gpuflow_runtime::run(&workflow, &cfg)?;
-    let metrics = MetricsRegistry::from_log(
-        &report.telemetry,
-        SimDuration::from_secs_f64(spec.interval_secs),
-    );
+    let run = execute(spec)?;
+    let interval = SimDuration::from_secs_f64(spec.interval_secs);
     Ok(ReplayReport {
         spec: spec.clone(),
-        jobs,
-        tasks,
-        makespan: report.makespan(),
-        metrics,
-        fingerprint: report.output_fingerprint,
+        tasks: run.workflow.tasks().len(),
+        makespan: run.report.makespan(),
+        metrics: MetricsRegistry::from_log(&run.report.telemetry, interval),
+        fingerprint: run.report.output_fingerprint,
+        jobs: run.jobs,
     })
 }
 
