@@ -16,16 +16,21 @@
 //!
 //! `--port 0` (the default) binds an ephemeral port; the daemon prints
 //! `gpuflowd listening on 127.0.0.1:PORT` so scripts can capture it.
+//! Every integer flag is parsed at its field's width (a port is a
+//! `u16`, quotas and windows are `u32`): a value out of range is a
+//! usage error. A connection that sends no request line within
+//! [`CLIENT_TIMEOUT`] gets `err timeout`, so an idle client cannot
+//! stall the others.
 //! `--log FILE` persists the journal after every accepted decision.
 //! `--metrics-port` additionally serves `GET /metrics` + `/healthz`
 //! on a scrape endpoint that shuts down cleanly with the daemon.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use gpuflow_daemon::core::DrainSummary;
 use gpuflow_daemon::protocol::parse_command;
-use gpuflow_daemon::{Command, DaemonConfig, DaemonCore, ServeControl};
+use gpuflow_daemon::{Command, DaemonConfig, DaemonCore, ServeControl, CLIENT_TIMEOUT};
 
 fn usage() -> ! {
     eprintln!(
@@ -36,14 +41,17 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_u64(s: &str, flag: &str) -> u64 {
+/// Parses a flag's integer (decimal, or hex after `0x`) at its field's
+/// width `T`: an unparsable or out-of-range value is a usage error.
+fn parse_num<T: TryFrom<u64>>(s: &str, flag: &str) -> T {
     let v = if let Some(h) = s.strip_prefix("0x") {
         u64::from_str_radix(h, 16).ok()
     } else {
         s.parse().ok()
     };
-    v.unwrap_or_else(|| {
-        eprintln!("gpuflowd: {flag} wants an integer, got {s:?}");
+    v.and_then(|v| T::try_from(v).ok()).unwrap_or_else(|| {
+        let width = std::any::type_name::<T>();
+        eprintln!("gpuflowd: {flag} wants a {width} integer, got {s:?}");
         std::process::exit(2);
     })
 }
@@ -55,10 +63,7 @@ fn parse_tenants(s: &str) -> Vec<(String, u32)> {
                 eprintln!("gpuflowd: --tenants wants name:weight pairs, got {pair:?}");
                 std::process::exit(2);
             };
-            (
-                name.to_string(),
-                parse_u64(weight, "--tenants weight") as u32,
-            )
+            (name.to_string(), parse_num(weight, "--tenants weight"))
         })
         .collect()
 }
@@ -89,18 +94,18 @@ fn parse_args() -> Options {
             })
         };
         match flag {
-            "--port" => opts.port = parse_u64(&value(), flag) as u16,
+            "--port" => opts.port = parse_num(&value(), flag),
             "--tenants" => opts.cfg.tenants = parse_tenants(&value()),
-            "--quota" => opts.cfg.quota = parse_u64(&value(), flag) as u32,
-            "--queue-cap" => opts.cfg.queue_cap = parse_u64(&value(), flag) as u32,
-            "--window" => opts.cfg.window = parse_u64(&value(), flag) as u32,
-            "--tenant-window" => opts.cfg.tenant_window = parse_u64(&value(), flag) as u32,
-            "--tick-us" => opts.cfg.tick_us = parse_u64(&value(), flag),
-            "--interval-us" => opts.cfg.interval_us = parse_u64(&value(), flag),
-            "--seed" => opts.cfg.seed = parse_u64(&value(), flag),
-            "--max-tasks" => opts.cfg.max_tasks = parse_u64(&value(), flag),
+            "--quota" => opts.cfg.quota = parse_num(&value(), flag),
+            "--queue-cap" => opts.cfg.queue_cap = parse_num(&value(), flag),
+            "--window" => opts.cfg.window = parse_num(&value(), flag),
+            "--tenant-window" => opts.cfg.tenant_window = parse_num(&value(), flag),
+            "--tick-us" => opts.cfg.tick_us = parse_num(&value(), flag),
+            "--interval-us" => opts.cfg.interval_us = parse_num(&value(), flag),
+            "--seed" => opts.cfg.seed = parse_num(&value(), flag),
+            "--max-tasks" => opts.cfg.max_tasks = parse_num(&value(), flag),
             "--log" => opts.log = Some(value()),
-            "--metrics-port" => opts.metrics_port = Some(parse_u64(&value(), flag) as u16),
+            "--metrics-port" => opts.metrics_port = Some(parse_num(&value(), flag)),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("gpuflowd: unknown flag {other:?}");
@@ -174,8 +179,11 @@ fn execute(core: &mut DaemonCore, cmd: Command) -> (String, bool) {
 }
 
 /// Reads one request line from an accepted connection (newline, EOF or
-/// a 4 KiB cap, whichever first).
+/// a 4 KiB cap, whichever first). A client silent for
+/// [`CLIENT_TIMEOUT`] fails the read.
 fn read_line(stream: &mut TcpStream) -> std::io::Result<String> {
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
+    stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
     let mut buf = [0u8; 4096];
     let mut n = 0;
     loop {
@@ -241,15 +249,21 @@ fn main() {
 
     for stream in listener.incoming() {
         let Ok(mut stream) = stream else { continue };
-        let Ok(line) = read_line(&mut stream) else {
-            continue;
-        };
         let seq_before = core.seq();
-        let (reply, shutdown) = match parse_command(&line) {
-            Ok(cmd) => execute(&mut core, cmd),
-            Err(e) => (format!("err {e}\n"), false),
+        let (reply, shutdown) = match read_line(&mut stream) {
+            Ok(line) => match parse_command(&line) {
+                Ok(cmd) => execute(&mut core, cmd),
+                Err(e) => (format!("err {e}\n"), false),
+            },
+            // A read timeout is `WouldBlock` on Unix, `TimedOut` elsewhere.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                ("err timeout\n".to_string(), false)
+            }
+            Err(_) => continue,
         };
-        let _ = stream.write_all(reply.as_bytes());
+        if let Err(e) = stream.write_all(reply.as_bytes()) {
+            eprintln!("gpuflowd: reply not delivered: {e}");
+        }
         drop(stream);
         if core.seq() != seq_before {
             if let Some(path) = &opts.log {

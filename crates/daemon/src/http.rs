@@ -64,7 +64,9 @@ pub fn handle_request(request_line: &str, hub: &MetricsHub) -> (String, &'static
 
 /// Answers one accepted connection. The request is read until the
 /// header-terminating blank line (clients may deliver it in several
-/// segments), EOF, or the 2 KiB cap — whichever comes first.
+/// segments), EOF, or the 2 KiB cap — whichever comes first; a client
+/// silent for [`crate::CLIENT_TIMEOUT`] fails the read, and the loop
+/// moves on.
 fn answer(stream: &mut TcpStream, hub: &MetricsHub) -> std::io::Result<()> {
     let mut buf = [0u8; 2048];
     let mut n = 0;
@@ -119,8 +121,8 @@ impl ServeControl {
 
 /// Serves scrape requests on `listener` until `max_requests` have been
 /// answered (`None` = forever) or `control` (when given) requests
-/// shutdown. Individual connection errors are ignored — a dropped
-/// scrape must not kill the endpoint.
+/// shutdown. Individual connection errors, timeouts included, are
+/// ignored — a dropped scrape must not kill the endpoint.
 pub fn serve_until(
     listener: &TcpListener,
     hub: &MetricsHub,
@@ -133,6 +135,8 @@ pub fn serve_until(
             break;
         }
         if let Ok(mut stream) = stream {
+            let _ = stream.set_read_timeout(Some(crate::CLIENT_TIMEOUT));
+            let _ = stream.set_write_timeout(Some(crate::CLIENT_TIMEOUT));
             let _ = answer(&mut stream, hub);
             answered += 1;
         }

@@ -42,6 +42,12 @@ pub mod http;
 pub mod log;
 pub mod protocol;
 
+/// The read and the write timeout of every accepted connection, on the
+/// daemon's request port and on the scrape endpoint: a client that
+/// sends nothing, or takes nothing, for this long is dropped, so one
+/// idle client cannot stall the accept loop.
+pub const CLIENT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
+
 pub use crate::core::{DaemonConfig, DaemonCore, DrainSummary, JobRootSpan, JobState};
 pub use crate::http::{handle_request, serve_until, ServeControl};
 pub use crate::log::LogLine;

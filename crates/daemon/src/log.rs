@@ -180,11 +180,8 @@ impl LogLine {
         let get = |key: &str| -> Result<&str, String> {
             crate::protocol::field(&words, key).ok_or_else(|| format!("{verb}: missing {key}="))
         };
-        let int = |key: &str| -> Result<u64, String> {
-            get(key)?
-                .parse()
-                .map_err(|_| format!("{verb}: {key}= is not an integer"))
-        };
+        let int = |key: &str| -> Result<u64, String> { int_at(verb, key, get(key)?) };
+        let int32 = |key: &str| -> Result<u32, String> { int_at(verb, key, get(key)?) };
         let time = |key: &str| -> Result<u64, String> {
             parse_t(get(key)?).ok_or_else(|| format!("{verb}: {key}= is not s.micros time"))
         };
@@ -199,10 +196,10 @@ impl LogLine {
                     seed,
                     tick_us: int("tick_us")?,
                     interval_us: int("interval_us")?,
-                    quota: int("quota")? as u32,
-                    queue_cap: int("queue_cap")? as u32,
-                    window: int("window")? as u32,
-                    tenant_window: int("tenant_window")? as u32,
+                    quota: int32("quota")?,
+                    queue_cap: int32("queue_cap")?,
+                    window: int32("window")?,
+                    tenant_window: int32("tenant_window")?,
                 })
             }
             "tenant" => {
@@ -210,7 +207,7 @@ impl LogLine {
                 if !valid_tenant_name(name) {
                     return Err(format!("tenant: bad name {name:?}"));
                 }
-                let weight = int("weight")? as u32;
+                let weight = int32("weight")?;
                 if weight == 0 {
                     return Err("tenant: weight must be >= 1".into());
                 }
@@ -237,7 +234,7 @@ impl LogLine {
                 };
                 Ok(LogLine::Submit {
                     t_us: time("t")?,
-                    tenant: int("tenant")? as usize,
+                    tenant: int_at(verb, "tenant", get("tenant")?)?,
                     job: int("job")?,
                     shape,
                     tasks: int("tasks")?,
@@ -246,11 +243,13 @@ impl LogLine {
             }
             "reject" => {
                 let who = get("tenant")?;
-                let tenant = if who == "?" {
-                    usize::MAX
-                } else {
-                    who.parse()
-                        .map_err(|_| "reject: tenant= is not an index".to_string())?
+                // `usize::MAX` is the unknown tenant, written `?`.
+                let tenant = match who {
+                    "?" => usize::MAX,
+                    _ => match int_at(verb, "tenant", who)? {
+                        usize::MAX => return Err("reject: tenant= is out of range".into()),
+                        index => index,
+                    },
                 };
                 let reason = get("reason")?;
                 let reason = RejectReason::parse(reason)
@@ -272,6 +271,15 @@ impl LogLine {
             other => Err(format!("unknown journal verb {other:?}")),
         }
     }
+}
+
+/// Parses the integer `key=` of a `verb` line at `T`'s width: an
+/// unparsable or out-of-range value is an error, never truncated.
+fn int_at<T: TryFrom<u64>>(verb: &str, key: &str, text: &str) -> Result<T, String> {
+    let n: u64 = text
+        .parse()
+        .map_err(|_| format!("{verb}: {key}= is not an integer"))?;
+    T::try_from(n).map_err(|_| format!("{verb}: {key}={n} is out of range"))
 }
 
 /// Parses a whole journal: header, then one [`LogLine`] per non-empty
@@ -461,7 +469,95 @@ mod tests {
         }
     }
 
+    #[test]
+    fn out_of_range_integers_are_errors_not_truncated() {
+        let config = "config seed=0xd1a1 tick_us=10000 interval_us=10000 quota=4294967297 \
+                      queue_cap=24 window=2 tenant_window=0";
+        assert_eq!(
+            LogLine::parse(config),
+            Err("config: quota=4294967297 is out of range".into())
+        );
+        assert_eq!(
+            LogLine::parse("tenant name=acme weight=4294967297"),
+            Err("tenant: weight=4294967297 is out of range".into())
+        );
+        assert_eq!(
+            LogLine::parse("reject t=0.010000 tenant=18446744073709551615 reason=quota"),
+            Err("reject: tenant= is out of range".into())
+        );
+        assert_eq!(
+            LogLine::parse("cancel t=0.010000 job=18446744073709551616"),
+            Err("cancel: job= is not an integer".into())
+        );
+        let max = "tenant name=acme weight=4294967295";
+        assert_eq!(LogLine::parse(max).map(|l| l.render()), Ok(max.to_string()));
+    }
+
+    /// An arbitrary `u64`, often on an edge of the `u32` or `u64` range.
+    fn arbitrary(bits: u64, edge: u64) -> u64 {
+        match edge % 8 {
+            0 => 0,
+            1 => u32::MAX.into(),
+            2 => u64::from(u32::MAX) + 1,
+            3 => u64::MAX,
+            4 => bits % 1000,
+            _ => bits,
+        }
+    }
+
+    /// A canonical journal line of verb `kind` whose integer fields are
+    /// the arbitrary values `n`.
+    fn line_with(kind: u64, n: &[u64; 7]) -> String {
+        match kind % 6 {
+            0 => format!(
+                "config seed={:#x} tick_us={} interval_us={} quota={} queue_cap={} window={} \
+                 tenant_window={}",
+                n[0], n[1], n[2], n[3], n[4], n[5], n[6]
+            ),
+            1 => format!("tenant name=acme weight={}", n[0]),
+            2 => format!(
+                "submit t={} tenant={} job={} shape=tree tasks={} prio={}",
+                fmt_t(n[0]),
+                n[1],
+                n[2],
+                n[3],
+                n[4]
+            ),
+            3 => format!("reject t={} tenant={} reason=queue-full", fmt_t(n[0]), n[1]),
+            4 => format!("cancel t={} job={}", fmt_t(n[0]), n[1]),
+            _ => format!("drain t={} jobs={}", fmt_t(n[0]), n[1]),
+        }
+    }
+
     proptest! {
+        /// Integer fields take arbitrary `u64` values: a line that parses
+        /// re-renders to the same text, and so to the same numbers; a
+        /// value too wide for its field is an error.
+        #[test]
+        fn arbitrary_integers_parse_exactly_or_fail(
+            kind in 0u64..6,
+            raw in prop::collection::vec((0u64..u64::MAX, 0u64..8), 7..8),
+        ) {
+            let n: Vec<u64> = raw.iter().map(|&(bits, edge)| arbitrary(bits, edge)).collect();
+            let n: [u64; 7] = n.try_into().unwrap();
+            let line = line_with(kind, &n);
+            let too_wide = |fields: &[u64]| fields.iter().any(|&v| v > u32::MAX.into());
+            let must_fail = match kind {
+                0 => too_wide(&n[3..7]),
+                1 => n[0] == 0 || too_wide(&n[..1]),
+                2 => n[4] == 0 || too_wide(&n[4..5]),
+                3 => n[1] == u64::MAX,
+                _ => false,
+            };
+            match LogLine::parse(&line) {
+                Ok(parsed) => {
+                    prop_assert!(!must_fail, "{line} parsed as {parsed:?}");
+                    prop_assert_eq!(parsed.render(), line);
+                }
+                Err(e) => prop_assert!(must_fail, "{line}: {e}"),
+            }
+        }
+
         /// parse ∘ render = id over the canonical value space, and
         /// render ∘ parse = id over rendered text.
         #[test]

@@ -1,0 +1,122 @@
+//! The live daemon at its boundaries: an idle client cannot stall the
+//! accept loop, and an integer flag too wide for its field is a usage
+//! error instead of a truncated value.
+
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::process::{Child, Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+/// How long the test waits for any reply or exit: well past the
+/// daemon's client timeout, so a daemon that never answers fails the
+/// test instead of hanging it.
+const PATIENCE: Duration = Duration::from_secs(15);
+
+struct Daemon {
+    child: Child,
+    port: u16,
+}
+
+impl Daemon {
+    fn spawn() -> Daemon {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_gpuflowd"))
+            .args(["--port", "0"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn gpuflowd");
+        let mut line = String::new();
+        BufReader::new(child.stdout.take().expect("piped stdout"))
+            .read_line(&mut line)
+            .expect("read listen announcement");
+        let port = line
+            .trim()
+            .rsplit(':')
+            .next()
+            .and_then(|p| p.parse().ok())
+            .unwrap_or_else(|| panic!("unexpected announcement {line:?}"));
+        Daemon { child, port }
+    }
+
+    fn connect(&self) -> TcpStream {
+        let stream = TcpStream::connect(("127.0.0.1", self.port)).expect("connect");
+        stream.set_read_timeout(Some(PATIENCE)).unwrap();
+        stream
+    }
+
+    /// One request with a bounded wait for the reply.
+    fn request(&self, line: &str) -> std::io::Result<String> {
+        let mut stream = self.connect();
+        stream.write_all(format!("{line}\n").as_bytes())?;
+        stream.shutdown(Shutdown::Write)?;
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply)?;
+        Ok(reply)
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+#[test]
+fn an_idle_client_does_not_stall_the_next_one() {
+    let daemon = Daemon::spawn();
+    // Connected first and never sends a byte.
+    let mut idle = daemon.connect();
+    let health = daemon.request("health").expect("health is answered");
+    assert!(health.starts_with("ok gpuflowd alive"), "{health:?}");
+    let mut reply = String::new();
+    idle.read_to_string(&mut reply)
+        .expect("idle client gets a reply");
+    assert_eq!(reply, "err timeout\n");
+    assert_eq!(daemon.request("shutdown").unwrap(), "ok shutting down\n");
+}
+
+/// Runs gpuflowd with `flags` and returns its output once it exits, or
+/// `None` if it is still running after the test's patience.
+fn run_to_exit(flags: &[&str]) -> Option<Output> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gpuflowd"))
+        .args(flags)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn gpuflowd");
+    let start = Instant::now();
+    while start.elapsed() < PATIENCE {
+        if child.try_wait().expect("poll gpuflowd").is_some() {
+            return Some(child.wait_with_output().expect("collect output"));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    let _ = child.wait();
+    None
+}
+
+#[test]
+fn flags_too_wide_for_their_field_are_usage_errors() {
+    for (flag, value, message) in [
+        (
+            "--port",
+            "65536",
+            "--port wants a u16 integer, got \"65536\"",
+        ),
+        (
+            "--metrics-port",
+            "0x10000",
+            "wants a u16 integer, got \"0x10000\"",
+        ),
+        ("--quota", "4294967296", "--quota wants a u32 integer"),
+        ("--window", "4294967297", "--window wants a u32 integer"),
+        ("--tenants", "acme:4294967297", "weight wants a u32 integer"),
+    ] {
+        let out = run_to_exit(&[flag, value])
+            .unwrap_or_else(|| panic!("gpuflowd {flag} {value} kept running"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(message), "{flag} {value}: {stderr}");
+    }
+}

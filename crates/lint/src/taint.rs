@@ -33,15 +33,22 @@ use crate::report::{ChainHop, Finding};
 use crate::rules::RuleCode;
 use crate::symbols::SymbolGraph;
 
-/// Name fragments that mark a function as a deterministic-output sink.
-pub const SINK_FRAGMENTS: [&str; 7] = [
+/// Name fragments that mark a function as a deterministic-output sink:
+/// renderers, exposition, fingerprints, and every export format (JSON,
+/// Chrome trace, collapsed stacks, Paraver, DOT, CSV).
+pub const SINK_FRAGMENTS: [&str; 12] = [
     "render",
     "expose",
-    "to_json",
+    "_json",
     "fingerprint",
     "emit",
     "export",
     "exposition",
+    "to_chrome",
+    "to_collapsed",
+    "to_paraver",
+    "to_dot",
+    "to_csv",
 ];
 
 /// One local taint source inside a function body.
@@ -276,6 +283,30 @@ pub fn check(graph: &SymbolGraph, fn_sources: &[Vec<Source>]) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_export_is_a_sink() {
+        for name in [
+            "to_json",
+            "to_jsonl",
+            "to_chrome_trace",
+            "to_otlp_json",
+            "summary_json",
+            "queue_json",
+            "to_collapsed",
+            "to_paraver_prv",
+            "to_dot",
+            "to_csv",
+            "render_table",
+            "expose",
+            "output_fingerprint",
+        ] {
+            assert!(is_sink_name(name), "{name} is an export");
+        }
+        for name in ["build", "observe", "parse", "collapse", "dotted"] {
+            assert!(!is_sink_name(name), "{name} is not an export");
+        }
+    }
 
     #[test]
     fn pairs_require_at_least_one_edge() {
