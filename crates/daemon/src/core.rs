@@ -27,7 +27,7 @@ use gpuflow_cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
 use gpuflow_runtime::jobs::build_jobs;
 use gpuflow_runtime::{
     AlertRule, JobSchedule, JobShape, JobSpec, JsonWriter, MetricsHub, RunConfig, SchedulingPolicy,
-    TaskId, TaskTimeline, TenantSpec,
+    TaskId, TenantSpec,
 };
 use gpuflow_sim::SimDuration;
 
@@ -148,6 +148,9 @@ pub struct DaemonCore {
     hub: MetricsHub,
     journal: Vec<LogLine>,
     jobs: Vec<JobRecord>,
+    /// Queued jobs per tenant, kept by `apply`: a submit adds one, a
+    /// cancel takes one away, a drain empties every queue.
+    queued: Vec<u64>,
     /// Decision counter; decision `n` is stamped `n × tick_us`.
     seq: u64,
     next_job: u64,
@@ -241,6 +244,7 @@ impl DaemonCore {
             hub,
             journal,
             jobs: Vec::new(),
+            queued: vec![0; n],
             seq: 0,
             next_job: 1,
             epochs: 0,
@@ -319,10 +323,7 @@ impl DaemonCore {
 
     /// Jobs currently queued.
     pub fn queued(&self) -> u64 {
-        self.jobs
-            .iter()
-            .filter(|j| j.state == JobState::Queued)
-            .count() as u64
+        self.queued.iter().sum()
     }
 
     fn tenant_index(&self, name: &str) -> Option<usize> {
@@ -330,10 +331,7 @@ impl DaemonCore {
     }
 
     fn queued_of(&self, tenant: usize) -> u64 {
-        self.jobs
-            .iter()
-            .filter(|j| j.state == JobState::Queued && j.tenant == tenant)
-            .count() as u64
+        self.queued[tenant]
     }
 
     /// Stamps the next decision: `seq += 1; seq × tick_us`.
@@ -466,6 +464,7 @@ impl DaemonCore {
                     epoch: 0,
                 });
                 self.next_job = self.next_job.max(job + 1);
+                self.queued[*tenant] += 1;
                 let queued = self.queued_of(*tenant);
                 self.hub.update(|r| {
                     r.record_job_admitted(*tenant);
@@ -499,6 +498,7 @@ impl DaemonCore {
                     .ok_or_else(|| format!("cancel: job {job} is not queued"))?;
                 j.state = JobState::Cancelled;
                 let tenant = j.tenant;
+                self.queued[tenant] -= 1;
                 let queued = self.queued_of(tenant);
                 self.hub.update(|r| {
                     r.record_job_cancelled(tenant);
@@ -599,8 +599,8 @@ impl DaemonCore {
         // The daemon level of the causal span tree: one root span per
         // job, over the job's task range on the epoch-local clock, from
         // each task's first observable instant to its completion, read
-        // from one index of the drain's telemetry.
-        let timeline = TaskTimeline::from_log(&report.telemetry);
+        // from the one index of the drain's telemetry.
+        let timeline = report.telemetry.timeline();
         let mut critical = vec![false; n_tasks];
         for hop in timeline.critical_path(&workflow) {
             critical[hop.task.0 as usize] = true;
@@ -641,6 +641,7 @@ impl DaemonCore {
             j.epoch = epoch;
         }
         self.epochs += 1;
+        self.queued.fill(0);
         let n_tenants = self.cfg.tenants.len();
         self.hub.update(|r| {
             for t in 0..n_tenants {
@@ -869,27 +870,61 @@ mod tests {
     /// a configured, unknown or malformed tenant (every reject reason),
     /// cancels a queued, finished or unknown job, or drains.
     fn session(ops: &[(u32, u64, u32)]) -> DaemonCore {
-        const TENANTS: [&str; 4] = ["acme", "beta", "nobody", "bad name"];
         let mut core = DaemonCore::new(small_cfg()).unwrap();
-        for &(op, arg, prio) in ops {
-            match op {
-                0 => {
-                    core.drain().unwrap();
-                }
-                1 => {
-                    let _ = core.cancel(arg % 8);
-                }
-                _ => {
-                    let tenant = TENANTS[(op as usize) % TENANTS.len()];
-                    let shape = JobShape::ALL[(arg % 3) as usize];
-                    let _ = core.submit(tenant, shape, arg % 12, prio);
-                }
-            }
+        for &op in ops {
+            step(&mut core, op);
         }
         core
     }
 
+    /// One operation of [`session`].
+    fn step(core: &mut DaemonCore, (op, arg, prio): (u32, u64, u32)) {
+        const TENANTS: [&str; 4] = ["acme", "beta", "nobody", "bad name"];
+        match op {
+            0 => {
+                core.drain().unwrap();
+            }
+            1 => {
+                let _ = core.cancel(arg % 8);
+            }
+            _ => {
+                let tenant = TENANTS[(op as usize) % TENANTS.len()];
+                let shape = JobShape::ALL[(arg % 3) as usize];
+                let _ = core.submit(tenant, shape, arg % 12, prio);
+            }
+        }
+    }
+
+    /// Every tenant's queued count, and the total, against a scan of
+    /// the job table.
+    fn assert_counts_match_a_scan(core: &DaemonCore) {
+        let scan = |t: usize| {
+            let queued = |j: &&JobRecord| j.tenant == t && j.state == JobState::Queued;
+            core.jobs().iter().filter(queued).count() as u64
+        };
+        for t in 0..core.config().tenants.len() {
+            assert_eq!(core.queued_of(t), scan(t), "tenant {t}");
+        }
+        let all = core.jobs().iter().filter(|j| j.state == JobState::Queued);
+        assert_eq!(core.queued(), all.count() as u64);
+    }
+
     proptest! {
+        #[test]
+        fn queued_counts_match_a_scan_live_and_replayed(
+            ops in prop::collection::vec((0u32..8, 0u64..64, 0u32..3), 0..24),
+        ) {
+            let mut live = DaemonCore::new(small_cfg()).unwrap();
+            for &op in &ops {
+                step(&mut live, op);
+                assert_counts_match_a_scan(&live);
+            }
+            let replayed = DaemonCore::replay(&live.journal_text()).unwrap();
+            assert_counts_match_a_scan(&replayed);
+            prop_assert_eq!(replayed.journal_text(), live.journal_text());
+            prop_assert_eq!(replayed.report(), live.report());
+        }
+
         #[test]
         fn queue_json_matches_the_fmt_reference(
             ops in prop::collection::vec((0u32..8, 0u64..64, 0u32..3), 0..16),

@@ -35,7 +35,7 @@ use crate::workflow::Workflow;
 
 use super::histogram::{Histogram, HistogramDigest};
 use super::json::JsonWriter;
-use super::timeline::{AttemptEnd, IntervalKind, TaskTimeline};
+use super::timeline::{Attempt, AttemptEnd, IntervalKind};
 use super::{OverheadReport, TelemetryLog};
 
 /// Serialization header of the profile text format.
@@ -159,8 +159,8 @@ impl RunProfile {
         if log.is_empty() {
             return Err("telemetry stream is empty (run with telemetry enabled)".into());
         }
-        let timeline = TaskTimeline::from_log(log);
-        let overhead = OverheadReport::from_timeline(&timeline, makespan);
+        let timeline = log.timeline();
+        let overhead = OverheadReport::from_log(log, makespan);
         let mut profile = RunProfile {
             label: label.to_string(),
             makespan_ns: overhead.makespan_ns,
@@ -178,24 +178,32 @@ impl RunProfile {
 
         // Per-type digests: durations of completed attempts (dispatch
         // → completion), stage and transfer sums of every attempt. The
-        // completed attempts are also the per-node busy windows.
-        let mut per_type: BTreeMap<&str, TaskTypeProfile> = BTreeMap::new();
-        let mut durations: BTreeMap<&str, Histogram> = BTreeMap::new();
+        // completed attempts are also the per-node busy windows. One
+        // slot per entry of the timeline's type table, plus one for
+        // work without a dispatch, which is named "" and so shares the
+        // slot of a type named "" if there is one.
+        let types = &timeline.types;
+        let untyped = types
+            .iter()
+            .position(|t| t.is_empty())
+            .unwrap_or(types.len());
+        let slot = |a: &Attempt| a.dispatch.map_or(untyped, |d| d.task_type as usize);
+        let mut per_type: Vec<Option<(TaskTypeProfile, Histogram)>> = vec![None; types.len() + 1];
         let mut busy = Vec::new();
         for a in &timeline.attempts {
             if let AttemptEnd::Completed(end) = a.end {
                 profile.tasks += 1;
                 if let Some(d) = a.dispatch {
-                    durations
-                        .entry(a.task_type())
-                        .or_default()
+                    per_type[slot(a)]
+                        .get_or_insert_with(Default::default)
+                        .1
                         .record(end.duration_since(d.at).as_nanos());
                     busy.push((d.node, d.at.as_nanos(), end.as_nanos()));
                 }
             }
         }
         for iv in &timeline.intervals {
-            let t = per_type.entry(timeline.owner(iv).task_type()).or_default();
+            let (t, _) = per_type[slot(timeline.owner(iv))].get_or_insert_with(Default::default);
             let dur = iv.t1.duration_since(iv.t0).as_nanos();
             match iv.kind {
                 IntervalKind::Stage(TraceState::Deserialize) => t.deser_ns += dur,
@@ -209,13 +217,13 @@ impl RunProfile {
                 }
             }
         }
-        for (ty, hist) in durations {
-            per_type.entry(ty).or_default().duration = hist.digest();
+        for (i, entry) in per_type.into_iter().enumerate() {
+            if let Some((mut t, durations)) = entry {
+                t.duration = durations.digest();
+                let name = types.get(i).map_or("", |ty| ty.as_str());
+                profile.per_type.insert(name.to_string(), t);
+            }
         }
-        profile.per_type = per_type
-            .into_iter()
-            .map(|(ty, t)| (ty.to_string(), t))
-            .collect();
 
         for (node, intervals) in merge_busy(busy) {
             let busy_ns = intervals
@@ -321,7 +329,9 @@ impl RunProfile {
     /// Parses the text format written by [`RunProfile::render`].
     ///
     /// # Errors
-    /// Reports the first malformed line.
+    /// Reports the first malformed line, or buckets that do not sum to
+    /// `makespan_ns`: a diff of such a profile could not attribute its
+    /// makespan delta exactly.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         match lines.next() {
@@ -372,8 +382,9 @@ impl RunProfile {
                 }
                 "type" => {
                     // Fixed key-value pairs, then `name <rest of line>`.
-                    let (fields, name) = rest
-                        .split_once(" name ")
+                    // An empty name leaves ` name` at the end of the
+                    // line once its trailing space is trimmed.
+                    let (fields, name) = trailing(rest, " name")
                         .ok_or_else(|| err("type line needs a trailing name"))?;
                     let mut toks = fields.split_ascii_whitespace();
                     let duration = HistogramDigest::parse_fields(&mut toks).map_err(|e| err(&e))?;
@@ -422,8 +433,7 @@ impl RunProfile {
                         .insert(node, ResourceProfile { busy_ns, intervals });
                 }
                 "path" => {
-                    let (fields, ty) = rest
-                        .split_once(" type ")
+                    let (fields, ty) = trailing(rest, " type")
                         .ok_or_else(|| err("path line needs a trailing type"))?;
                     let mut toks = fields.split_ascii_whitespace();
                     let mut want = |key: &str| -> Result<u64, String> {
@@ -443,8 +453,23 @@ impl RunProfile {
                 other => return Err(err(&format!("unknown tag '{other}'"))),
             }
         }
+        let buckets: u128 = p.buckets().iter().map(|&(_, ns)| u128::from(ns)).sum();
+        if buckets != u128::from(p.makespan_ns) {
+            return Err(format!(
+                "buckets sum to {buckets} ns but makespan_ns is {}",
+                p.makespan_ns
+            ));
+        }
         Ok(p)
     }
+}
+
+/// Splits `rest` at the first `{key} ` into the fields before it and
+/// the text after it, or at a final `{key}` into the fields and an
+/// empty text.
+fn trailing<'a>(rest: &'a str, key: &str) -> Option<(&'a str, &'a str)> {
+    rest.split_once(&format!("{key} "))
+        .or_else(|| Some((rest.strip_suffix(key)?, "")))
 }
 
 /// Signed change `b_ns - a_ns` for u64 nanosecond readings, widened
@@ -952,6 +977,98 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_buckets_that_miss_the_makespan() {
+        let text = profile("x", [100, 20, 0, 5, 10]).render();
+        let raised = text.replace("bucket compute 100", "bucket compute 105");
+        assert_eq!(
+            RunProfile::parse(&raised).unwrap_err(),
+            "buckets sum to 140 ns but makespan_ns is 135"
+        );
+        // Buckets near `u64::MAX` sum without overflowing.
+        let max = u64::MAX;
+        let wide =
+            format!("{PROFILE_HEADER}\nmakespan_ns {max}\nbucket compute {max}\nbucket idle 1\n");
+        assert_eq!(
+            RunProfile::parse(&wide).unwrap_err(),
+            format!(
+                "buckets sum to {} ns but makespan_ns is {max}",
+                max as u128 + 1
+            )
+        );
+        let mut at_max = profile("x", [max - 2, 1, 0, 0, 1]);
+        at_max.makespan_ns = max;
+        assert_eq!(RunProfile::parse(&at_max.render()), Ok(at_max));
+    }
+
+    #[test]
+    fn empty_type_and_path_names_round_trip() {
+        let mut p = profile("", [1, 0, 0, 0, 0]);
+        let t = p.per_type.remove("mm").unwrap();
+        p.per_type.insert(String::new(), t);
+        p.critical_path[0].task_type = String::new();
+        assert_eq!(RunProfile::parse(&p.render()), Ok(p));
+    }
+
+    #[test]
+    fn equal_type_names_in_distinct_arcs_share_one_entry() {
+        use crate::data::Direction;
+        use crate::task::{CostProfile, TaskId, TaskType};
+        use crate::telemetry::TelemetryEvent;
+        use crate::workflow::WorkflowBuilder;
+        use gpuflow_cluster::KernelWork;
+        use gpuflow_sim::SimTime;
+
+        let mut b = WorkflowBuilder::new();
+        let cost = CostProfile::serial_only(KernelWork::NONE);
+        for name in ["x", "y"] {
+            let out = b.intermediate(name, 8);
+            b.submit("mm", cost, &[(out, Direction::Out)], true)
+                .unwrap();
+        }
+        let wf = b.build();
+        let t = SimTime::from_nanos;
+        let (first, second) = (TaskType::new("mm"), TaskType::new("mm"));
+        assert!(!std::ptr::eq(first.as_str(), second.as_str()));
+        let log = TelemetryLog::from_events(
+            [(0, first), (1, second)]
+                .into_iter()
+                .flat_map(|(task, task_type)| {
+                    let task = TaskId(task);
+                    [
+                        TelemetryEvent::TaskDispatched {
+                            at: t(0),
+                            task,
+                            task_type,
+                            node: 0,
+                            core: 0,
+                            cores: 1,
+                            gpu: None,
+                        },
+                        TelemetryEvent::Stage {
+                            task,
+                            node: 0,
+                            core: 0,
+                            gpu: None,
+                            state: TraceState::SerialFraction,
+                            t0: t(0),
+                            t1: t(10),
+                        },
+                        TelemetryEvent::TaskCompleted {
+                            at: t(10),
+                            task,
+                            node: 0,
+                        },
+                    ]
+                })
+                .collect(),
+        );
+        let p = RunProfile::from_telemetry("w", &wf, &log, 10e-9).unwrap();
+        assert_eq!(p.per_type.keys().collect::<Vec<_>>(), ["mm"]);
+        let mm = &p.per_type["mm"];
+        assert_eq!((mm.duration.count, mm.serial_ns), (2, 20));
+    }
+
+    #[test]
     fn failed_attempts_stop_counting_as_wastage_when_they_fail() {
         use crate::data::Direction;
         use crate::task::{CostProfile, TaskId, TaskType};
@@ -1003,8 +1120,10 @@ mod tests {
         // failed attempt releases its cores when it fails.
         assert_eq!(p.wastage_ns, 20);
         // The sweep over the timeline's busy windows gives the same 20.
-        let timeline = TaskTimeline::from_log(&log);
-        assert_eq!(cpu_busy_gpu_idle_sweep(timeline.busy_windows(), 1), 20);
+        assert_eq!(
+            cpu_busy_gpu_idle_sweep(log.timeline().busy_windows(), 1),
+            20
+        );
     }
 
     #[test]

@@ -26,10 +26,13 @@
 //!   a lineage re-execution each open a new one. [`TaskTimeline`] pairs
 //!   the dispatch, stage, transfer, completion and failure events into
 //!   attempts in one pass, and it is the only code that decides which
-//!   attempt an event belongs to. [`SpanForest`], [`RunProfile`] (with
-//!   its CPU-busy/GPU-idle wastage), [`OverheadReport`] and
-//!   [`crate::trace_analysis::critical_path_from_telemetry`] are folded
-//!   from it.
+//!   attempt an event belongs to. The log builds this one index once,
+//!   on first use ([`TelemetryLog::timeline`]), and the index builds the
+//!   overhead partition's sorted sweep once, on first use. [`SpanForest`],
+//!   [`RunProfile`] (with its CPU-busy/GPU-idle wastage),
+//!   [`OverheadReport`] (at any makespan),
+//!   [`crate::trace_analysis::critical_path_from_telemetry`] and
+//!   gpuflowd's per-job root spans all read that index.
 //! * **In stream order.** Consumers that pair nothing walk the events
 //!   directly: [`crate::Trace::from_telemetry`] (the input of the
 //!   Paraver export, [`crate::to_paraver_prv`]), [`to_chrome_trace`],
@@ -57,7 +60,8 @@ mod sampler;
 mod span;
 mod timeline;
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::sync::OnceLock;
 
 pub use alert::{AlertEngine, AlertRule, AlertSeverity, AlertState, AlertTransition, RuleKind};
 pub use chrome::to_chrome_trace;
@@ -147,27 +151,54 @@ impl EventBus {
 
     /// Consumes the bus into an immutable log.
     pub fn into_log(self) -> TelemetryLog {
-        TelemetryLog {
-            events: self.events,
-        }
+        TelemetryLog::from_events(self.events)
     }
 }
 
-/// An immutable, replayable event stream from one run.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// An immutable, replayable event stream from one run, with its
+/// attempt index.
+///
+/// The index ([`TelemetryLog::timeline`]) is a function of the events,
+/// built on first use and kept: two logs are equal when their events
+/// are, whether or not either has built it.
+#[derive(Clone, Default)]
 pub struct TelemetryLog {
     events: Vec<TelemetryEvent>,
+    timeline: OnceLock<TaskTimeline>,
+}
+
+impl PartialEq for TelemetryLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.events == other.events
+    }
+}
+
+impl fmt::Debug for TelemetryLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TelemetryLog")
+            .field("events", &self.events)
+            .finish()
+    }
 }
 
 impl TelemetryLog {
     /// Wraps a pre-built event sequence.
     pub fn from_events(events: Vec<TelemetryEvent>) -> Self {
-        TelemetryLog { events }
+        TelemetryLog {
+            events,
+            timeline: OnceLock::new(),
+        }
     }
 
     /// The events, in emission order.
     pub fn events(&self) -> &[TelemetryEvent] {
         &self.events
+    }
+
+    /// The log's attempt index, built on the first call and shared by
+    /// every later one.
+    pub fn timeline(&self) -> &TaskTimeline {
+        self.timeline.get_or_init(|| TaskTimeline::from_log(self))
     }
 
     /// Number of events.
@@ -330,6 +361,25 @@ mod tests {
         for (kind, _) in log.summary_counts() {
             assert!(json.contains(&format!("\"{kind}\":")));
         }
+    }
+
+    #[test]
+    fn the_log_builds_its_timeline_once() {
+        let log = TelemetryLog::from_events(vec![ready(0), ready(1)]);
+        assert!(std::ptr::eq(log.timeline(), log.timeline()));
+        assert_eq!(log.timeline().first_seen(TaskId(1)), Some(SimTime::ZERO));
+    }
+
+    #[test]
+    fn equality_ignores_whether_the_timeline_is_built() {
+        let log = TelemetryLog::from_events(vec![ready(0), ready(1)]);
+        let copy = log.clone();
+        assert_eq!(copy, log);
+        log.timeline();
+        assert_eq!(copy, log, "built on one side only");
+        assert_eq!(log.clone(), log, "built on both sides");
+        assert_ne!(TelemetryLog::from_events(vec![ready(0)]), log);
+        assert_eq!(format!("{log:?}"), format!("{copy:?}"));
     }
 
     #[test]

@@ -77,57 +77,18 @@ pub struct OverheadReport {
 
 impl OverheadReport {
     /// Decomposes `makespan` seconds using the stage and decision
-    /// events of `log`.
+    /// events of `log`: one linear scan of the sorted sweep that the
+    /// log's [`TaskTimeline`] builds once, on first use, for every
+    /// makespan.
     pub fn from_log(log: &TelemetryLog, makespan: f64) -> Self {
-        Self::from_timeline(&TaskTimeline::from_log(log), makespan)
-    }
-
-    /// [`OverheadReport::from_log`] over an indexed log. Stage and
-    /// transfer intervals owned by a failed attempt are wasted work,
-    /// booked as recovery.
-    pub(crate) fn from_timeline(timeline: &TaskTimeline<'_>, makespan: f64) -> Self {
-        // Category depth changes on the nanosecond timeline, packed as
-        // `t << 3 | category << 1 | opens` so that one integer sort
-        // orders them by instant. Packing needs every instant below
-        // 2^61 ns, about 73 years. Categories in priority order:
-        // 0 = compute, 1 = data movement, 2 = recovery, 3 = master.
-        let mut deltas: Vec<u64> = Vec::with_capacity(
-            2 * (timeline.intervals.len() + timeline.decisions.len() + timeline.retries.len()),
-        );
-        let mut push = |t0: u64, t1: u64, cat: u64| {
-            debug_assert!((t0 | t1) >> 61 == 0, "instant past 2^61 ns");
-            deltas.push(t0 << 3 | cat << 1 | 1);
-            deltas.push(t1 << 3 | cat << 1);
-        };
-        for iv in &timeline.intervals {
-            // Transfers are already covered by their stage intervals,
-            // but standalone streams (e.g. filtered logs) still classify
-            // them as data movement.
-            let cat = match iv.kind {
-                _ if timeline.owner(iv).failed() => 2,
-                IntervalKind::Stage(TraceState::SerialFraction | TraceState::ParallelFraction) => 0,
-                IntervalKind::Stage(_) | IntervalKind::Transfer(..) => 1,
-            };
-            push(iv.t0.as_nanos(), iv.t1.as_nanos(), cat);
-        }
-        let mut master_sim_total = 0.0f64;
-        let mut master_host_nanos = 0u64;
-        for d in &timeline.decisions {
-            master_sim_total += d.sim_overhead.as_secs_f64();
-            master_host_nanos += d.host_nanos;
-            push(d.at.as_nanos(), (d.at + d.sim_overhead).as_nanos(), 3);
-        }
-        for r in &timeline.retries {
-            push(r.at.as_nanos(), r.until.as_nanos(), 2);
-        }
-        deltas.sort();
+        let timeline = log.timeline();
         // Each nanosecond goes to the highest-priority active category,
         // or to idle (slot 4) when none is active.
         let makespan_ns = SimDuration::from_secs_f64(makespan).as_nanos();
         let mut depth = [0i64; 4];
         let mut ns = [0u64; 5];
         let mut prev = 0u64;
-        for key in deltas {
+        for &key in timeline.sweep() {
             let t = (key >> 3).min(makespan_ns);
             if t > prev {
                 ns[depth.iter().position(|&d| d > 0).unwrap_or(4)] += t - prev;
@@ -136,6 +97,12 @@ impl OverheadReport {
             depth[(key >> 1 & 3) as usize] += if key & 1 == 1 { 1 } else { -1 };
         }
         ns[4] += makespan_ns.saturating_sub(prev);
+        let mut master_sim_total = 0.0f64;
+        let mut master_host_nanos = 0u64;
+        for d in &timeline.decisions {
+            master_sim_total += d.sim_overhead.as_secs_f64();
+            master_host_nanos += d.host_nanos;
+        }
         let secs = |v: u64| v as f64 / 1e9;
         OverheadReport {
             makespan,
@@ -212,6 +179,47 @@ impl OverheadReport {
         }
         out
     }
+}
+
+/// The category depth changes of `timeline` on the nanosecond grid, in
+/// ascending order: what [`OverheadReport::from_log`] scans. Stage and
+/// transfer intervals owned by a failed attempt are wasted work, booked
+/// as recovery.
+///
+/// Each change is packed as `t << 3 | category << 1 | opens`, so that
+/// one integer sort orders them by instant. Packing needs every instant
+/// below 2^61 ns, about 73 years. Categories in priority order: 0 =
+/// compute, 1 = data movement, 2 = recovery, 3 = master. The keys are
+/// plain integers, so an unstable sort yields the same sequence as a
+/// stable one.
+pub(super) fn sweep(timeline: &TaskTimeline) -> Vec<u64> {
+    let mut keys: Vec<u64> = Vec::with_capacity(
+        2 * (timeline.intervals.len() + timeline.decisions.len() + timeline.retries.len()),
+    );
+    let mut push = |t0: u64, t1: u64, cat: u64| {
+        debug_assert!((t0 | t1) >> 61 == 0, "instant past 2^61 ns");
+        keys.push(t0 << 3 | cat << 1 | 1);
+        keys.push(t1 << 3 | cat << 1);
+    };
+    for iv in &timeline.intervals {
+        // Transfers are already covered by their stage intervals, but
+        // standalone streams (e.g. filtered logs) still classify them
+        // as data movement.
+        let cat = match iv.kind {
+            _ if timeline.owner(iv).failed() => 2,
+            IntervalKind::Stage(TraceState::SerialFraction | TraceState::ParallelFraction) => 0,
+            IntervalKind::Stage(_) | IntervalKind::Transfer(..) => 1,
+        };
+        push(iv.t0.as_nanos(), iv.t1.as_nanos(), cat);
+    }
+    for d in &timeline.decisions {
+        push(d.at.as_nanos(), (d.at + d.sim_overhead).as_nanos(), 3);
+    }
+    for r in &timeline.retries {
+        push(r.at.as_nanos(), r.until.as_nanos(), 2);
+    }
+    keys.sort_unstable();
+    keys
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 //! finished last: the critical-path walk's own hop rule (ties on the
 //! higher [`TaskId`]), so a walk along causal parents from the last
 //! task reproduces the critical path hop for hop. Phases and attempt
-//! numbers come from the [`TaskTimeline`] of the log.
+//! numbers come from the [`TaskTimeline`](super::TaskTimeline) of the
+//! log.
 //!
 //! Everything is folded in integer virtual-time nanoseconds from the
 //! deterministic event stream, so the exports ([`SpanForest::to_otlp_json`]
@@ -25,7 +26,7 @@ use crate::workflow::Workflow;
 
 use super::event::LinkKind;
 use super::json::JsonWriter;
-use super::timeline::{IntervalKind, TaskTimeline};
+use super::timeline::IntervalKind;
 use super::TelemetryLog;
 
 /// Seed folded into every deterministic span/trace identifier.
@@ -159,16 +160,16 @@ pub struct SpanForest {
 impl SpanForest {
     /// Folds the forest from a workflow and its telemetry log.
     ///
-    /// The log is indexed once into a [`TaskTimeline`]; each attempt
-    /// contributes its queue wait and its stage and transfer intervals,
-    /// labelled with its attempt number, and retry windows and
-    /// resubmissions join as phase spans. Causal parents and the
+    /// It reads the log's one [`TaskTimeline`](super::TaskTimeline):
+    /// each attempt contributes its queue wait and its stage and
+    /// transfer intervals, labelled with its attempt number, and retry
+    /// windows and resubmissions join as phase spans. Causal parents and the
     /// critical-path marking come from the workflow's dependency
     /// structure. Tasks that never completed (e.g. the run was
     /// truncated) are dropped — a span tree without an end is not a
     /// span tree.
     pub fn from_telemetry(workflow: &Workflow, log: &TelemetryLog) -> SpanForest {
-        let timeline = TaskTimeline::from_log(log);
+        let timeline = log.timeline();
         let n = workflow.tasks().len();
         let mut phases: Vec<Vec<PhaseSpan>> = vec![Vec::new(); n];
         let mut push = |task: TaskId, phase, t0_ns, t1_ns, attempt| {

@@ -1,21 +1,24 @@
 //! The per-task attempt index that every post-hoc fold reads.
 
-use gpuflow_sim::SimTime;
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
+
+use gpuflow_sim::{SimDuration, SimTime};
 
 use crate::task::{TaskId, TaskType};
 use crate::trace::TraceState;
 use crate::trace_analysis::{self, CriticalHop};
 use crate::workflow::Workflow;
 
-use super::event::{LinkKind, SchedulerDecision, TelemetryEvent};
-use super::TelemetryLog;
+use super::event::{LinkKind, TelemetryEvent};
+use super::{overhead, TelemetryLog};
 
 /// The dispatch that opened an attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Dispatch<'a> {
+pub(crate) struct Dispatch {
     pub(crate) at: SimTime,
-    /// Task type, borrowed from the log.
-    pub(crate) task_type: &'a TaskType,
+    /// Index of the task type in [`TaskTimeline::types`].
+    pub(crate) task_type: u32,
     pub(crate) node: usize,
     /// Host cores held.
     pub(crate) cores: u16,
@@ -36,29 +39,24 @@ pub(crate) enum AttemptEnd {
 
 /// One execution of a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Attempt<'a> {
+pub(crate) struct Attempt {
     pub(crate) task: TaskId,
     /// Attempt number: 0 for the first run, advanced only by failures
     /// (see [`TaskTimeline`]).
     pub(crate) number: u32,
     /// The dispatch that opened the attempt; `None` when the log shows
     /// the attempt's work but not its dispatch.
-    pub(crate) dispatch: Option<Dispatch<'a>>,
+    pub(crate) dispatch: Option<Dispatch>,
     /// The latest ready instant before the dispatch that no earlier
     /// dispatch of the task claimed.
     pub(crate) ready: Option<SimTime>,
     pub(crate) end: AttemptEnd,
 }
 
-impl Attempt<'_> {
+impl Attempt {
     /// Whether the attempt ended in a failure.
     pub(crate) fn failed(&self) -> bool {
         matches!(self.end, AttemptEnd::Failed(_))
-    }
-
-    /// The task-type name, empty for an attempt without a dispatch.
-    pub(crate) fn task_type(&self) -> &str {
-        self.dispatch.map_or("", |d| d.task_type.as_str())
     }
 }
 
@@ -94,6 +92,14 @@ pub(crate) struct Recovery {
     pub(crate) until: SimTime,
 }
 
+/// The times of one scheduler decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Decision {
+    pub(crate) at: SimTime,
+    pub(crate) sim_overhead: SimDuration,
+    pub(crate) host_nanos: u64,
+}
+
 /// One task's summary, plus the state of the pass: its open attempt,
 /// the ready instant no dispatch has claimed yet, and its next attempt
 /// number.
@@ -110,20 +116,25 @@ struct TaskRow {
 ///
 /// It pairs the log's interleaved events into attempts (see the
 /// [module docs](super) for what an attempt is) in one pass, stored
-/// densely by [`TaskId`], borrowing task types and scheduler decisions
-/// from the log instead of copying them. An event belongs to the task's
-/// open attempt; work that shows up with none open (hand-built or
-/// filtered logs) opens an attempt without a dispatch.
+/// densely by [`TaskId`]. The log builds it once, on first use, and
+/// every fold reads that one index through [`TelemetryLog::timeline`].
+/// It owns what it keeps: task types are interned by name into one
+/// table, and decisions keep only their times. An event belongs to the
+/// task's open attempt; work that shows up with none open (hand-built
+/// or filtered logs) opens an attempt without a dispatch.
 ///
 /// Attempt *numbers* follow the span tree's convention. The first run
 /// is attempt 0, and only a failure advances the number, to one past
 /// the number that the failure reports. A lineage re-dispatch of a
 /// completed task therefore keeps its number.
 #[derive(Debug, Clone, Default)]
-pub struct TaskTimeline<'a> {
+pub struct TaskTimeline {
     tasks: Vec<TaskRow>,
+    /// The dispatched task types, one entry per name, in order of first
+    /// dispatch.
+    pub(crate) types: Vec<TaskType>,
     /// Every attempt, in the order the attempts opened.
-    pub(crate) attempts: Vec<Attempt<'a>>,
+    pub(crate) attempts: Vec<Attempt>,
     /// Every stage and transfer interval, in log order.
     pub(crate) intervals: Vec<Interval>,
     /// Retry backoff windows, in log order.
@@ -131,17 +142,20 @@ pub struct TaskTimeline<'a> {
     /// Resubmissions, in log order.
     pub(crate) resubmits: Vec<Recovery>,
     /// Scheduler decisions, in log order.
-    pub(crate) decisions: Vec<&'a SchedulerDecision>,
+    pub(crate) decisions: Vec<Decision>,
     /// Worker-cache lookups that hit.
     pub(crate) cache_hits: u64,
     /// Worker-cache lookups that missed.
     pub(crate) cache_misses: u64,
+    /// The overhead partition's sorted sweep, built on first use.
+    sweep: OnceLock<Vec<u64>>,
 }
 
-impl<'a> TaskTimeline<'a> {
+impl TaskTimeline {
     /// Indexes `log` in one pass.
-    pub fn from_log(log: &'a TelemetryLog) -> Self {
+    pub(crate) fn from_log(log: &TelemetryLog) -> Self {
         let mut tl = TaskTimeline::default();
+        let mut type_index: BTreeMap<&str, u32> = BTreeMap::new();
         for ev in log.events() {
             match ev {
                 TelemetryEvent::TaskReady { at, task } => {
@@ -149,7 +163,11 @@ impl<'a> TaskTimeline<'a> {
                     row.ready = Some(*at);
                     row.first_seen = Some(row.first_seen.map_or(*at, |f| f.min(*at)));
                 }
-                TelemetryEvent::Decision(d) => tl.decisions.push(d),
+                TelemetryEvent::Decision(d) => tl.decisions.push(Decision {
+                    at: d.at,
+                    sim_overhead: d.sim_overhead,
+                    host_nanos: d.host_nanos,
+                }),
                 TelemetryEvent::TaskDispatched {
                     at,
                     task,
@@ -159,6 +177,11 @@ impl<'a> TaskTimeline<'a> {
                     gpu,
                     ..
                 } => {
+                    let types = &mut tl.types;
+                    let task_type = *type_index.entry(task_type.as_str()).or_insert_with(|| {
+                        types.push(task_type.clone());
+                        types.len() as u32 - 1
+                    });
                     let dispatch = Dispatch {
                         at: *at,
                         task_type,
@@ -228,7 +251,7 @@ impl<'a> TaskTimeline<'a> {
     }
 
     /// The attempt that owns `interval`.
-    pub(crate) fn owner(&self, interval: &Interval) -> &Attempt<'a> {
+    pub(crate) fn owner(&self, interval: &Interval) -> &Attempt {
         &self.attempts[interval.attempt as usize]
     }
 
@@ -236,6 +259,14 @@ impl<'a> TaskTimeline<'a> {
     /// [`trace_analysis::critical_path`]'s rule.
     pub fn critical_path(&self, workflow: &Workflow) -> Vec<CriticalHop> {
         trace_analysis::critical_path_walk(workflow, |t| self.completion(t).map(|(at, _)| at))
+    }
+
+    /// The sorted category-depth changes that the overhead partition
+    /// scans, built once on first use: they do not depend on the
+    /// makespan, so every [`super::OverheadReport`] of the log shares
+    /// them.
+    pub(crate) fn sweep(&self) -> &[u64] {
+        self.sweep.get_or_init(|| overhead::sweep(self))
     }
 
     /// The busy windows of the dispatched attempts, in the form
@@ -264,7 +295,7 @@ impl<'a> TaskTimeline<'a> {
 
     /// Opens an attempt of `task`; a dispatch claims the task's ready
     /// instant.
-    fn open(&mut self, task: TaskId, dispatch: Option<Dispatch<'a>>) -> u32 {
+    fn open(&mut self, task: TaskId, dispatch: Option<Dispatch>) -> u32 {
         let index = self.attempts.len() as u32;
         let row = self.row(task);
         row.open = Some(index);
@@ -418,6 +449,6 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert!(a[0].failed() && a[0].dispatch.is_none());
         assert_eq!((a[1].number, a[1].end), (1, AttemptEnd::Open));
-        assert_eq!(a[1].task_type(), "");
+        assert!(tl.types.is_empty());
     }
 }

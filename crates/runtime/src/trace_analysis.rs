@@ -21,7 +21,7 @@ use gpuflow_sim::SimTime;
 
 use crate::metrics::TaskRecord;
 use crate::task::TaskId;
-use crate::telemetry::{TaskTimeline, TelemetryLog};
+use crate::telemetry::TelemetryLog;
 use crate::trace::{Trace, TraceState};
 use crate::workflow::Workflow;
 
@@ -149,8 +149,8 @@ pub fn cpu_busy_gpu_idle_seconds(records: &[TaskRecord], cpu_threshold: usize) -
 
 /// The one wastage sweep, on the nanosecond grid, behind
 /// [`cpu_busy_gpu_idle_seconds`] and the exact profile digest
-/// ([`crate::telemetry::RunProfile`], which sweeps the
-/// [`TaskTimeline`]'s busy windows: each attempt of a task holds the
+/// ([`crate::telemetry::RunProfile`], which sweeps the busy windows of
+/// the log's [`crate::TaskTimeline`]: each attempt of a task holds the
 /// cores or GPU of its dispatch until it completes or fails). Each
 /// window is `(start_ns, end_ns, cores, on_gpu)`: a GPU window holds one
 /// device and no counted cores; a window without an end stays busy to
@@ -207,7 +207,7 @@ pub fn critical_path(workflow: &Workflow, records: &[TaskRecord]) -> Vec<Critica
 /// record-based variant reads from [`TaskRecord`]s. Both variants share
 /// one walk, so they agree hop for hop on the same run.
 pub fn critical_path_from_telemetry(workflow: &Workflow, log: &TelemetryLog) -> Vec<CriticalHop> {
-    TaskTimeline::from_log(log).critical_path(workflow)
+    log.timeline().critical_path(workflow)
 }
 
 /// The one critical-path walk, over a dense per-task table of

@@ -15,6 +15,10 @@
 //! telemetry digest, the output fingerprint, the recovery counters and
 //! the makespan, so any change to the executor's decisions shows.
 //!
+//! The folds that read the log's one attempt index are also run in
+//! every order on one log, and the overhead partition at two makespans,
+//! so that a fold reading state another fold left in the index fails.
+//!
 //! Regenerate after a deliberate change with:
 //! `GOLDEN_REGEN=1 cargo test -p gpuflow-runtime --test fold_pins`
 
@@ -26,7 +30,7 @@ use gpuflow_runtime::trace_analysis::critical_path_from_telemetry;
 use gpuflow_runtime::{
     run, to_chrome_trace, to_collapsed, CostProfile, Direction, FaultPlan, JobSchedule, JobShape,
     JobSpec, OverheadReport, RecoveryPolicy, RunConfig, RunProfile, RunReport, SchedulingPolicy,
-    SpanForest, TenantSpec, Workflow, WorkflowBuilder,
+    SpanForest, TelemetryLog, TenantSpec, Workflow, WorkflowBuilder,
 };
 
 const MB: u64 = 1 << 20;
@@ -157,6 +161,12 @@ fn chains(width: usize) -> Workflow {
 /// failures on top.
 #[test]
 fn cpu_crash_regeneration_folds_match_golden() {
+    let (wf, report) = crash_regeneration_run();
+    golden_compare("folds_cpu_crash_regen.txt", &render_folds(&wf, &report));
+}
+
+/// The run of [`cpu_crash_regeneration_folds_match_golden`].
+fn crash_regeneration_run() -> (Workflow, RunReport) {
     let wf = chains(6);
     let mut base = RunConfig::new(ClusterSpec::tiny(), ProcessorKind::Cpu)
         .with_storage(StorageArchitecture::LocalDisk);
@@ -180,7 +190,61 @@ fn cpu_crash_regeneration_folds_match_golden() {
     );
     assert!(report.recovery.transient_failures > 0, "needs retries");
     assert_eq!(report.output_fingerprint, clean.output_fingerprint);
-    golden_compare("folds_cpu_crash_regen.txt", &render_folds(&wf, &report));
+    (wf, report)
+}
+
+/// A fold of a run's log at a makespan, rendered to text.
+type Fold = fn(&Workflow, &TelemetryLog, f64) -> String;
+
+/// The four folds that read the log's attempt index.
+const INDEXED_FOLDS: [(&str, Fold); 4] = [
+    ("spans", |wf, log, _| {
+        let forest = SpanForest::from_telemetry(wf, log);
+        format!("{}\n{}", forest.summary_json(), forest.to_otlp_json())
+    }),
+    ("profile", |wf, log, makespan| {
+        let profile = RunProfile::from_telemetry("pin", wf, log, makespan).expect("profile");
+        profile.render()
+    }),
+    ("overhead", |_, log, makespan| {
+        format!("{:?}", OverheadReport::from_log(log, makespan))
+    }),
+    ("critical path", |wf, log, _| {
+        format!("{:?}", critical_path_from_telemetry(wf, log))
+    }),
+];
+
+/// Each fold gives the same bytes on a fresh log as after the other
+/// three have built and read the log's one index.
+#[test]
+fn folds_agree_first_or_after_the_others() {
+    let (wf, report) = crash_regeneration_run();
+    let makespan = report.makespan();
+    let fresh = || TelemetryLog::from_events(report.telemetry.events().to_vec());
+    for (k, (name, fold)) in INDEXED_FOLDS.iter().enumerate() {
+        let first = fold(&wf, &fresh(), makespan);
+        let log = fresh();
+        for (_, other) in INDEXED_FOLDS.iter().filter(|(n, _)| n != name) {
+            other(&wf, &log, makespan);
+        }
+        assert_eq!(fold(&wf, &log, makespan), first, "fold {k}, {name}");
+    }
+}
+
+/// The sweep the index keeps does not depend on the makespan: one log
+/// decomposed at two makespans matches a fresh log at each.
+#[test]
+fn overhead_reports_of_one_log_follow_the_makespan() {
+    let (_, report) = crash_regeneration_run();
+    let fresh = || TelemetryLog::from_events(report.telemetry.events().to_vec());
+    let log = fresh();
+    let (full, half) = (report.makespan(), report.makespan() / 2.0);
+    let at_full = OverheadReport::from_log(&log, full);
+    let at_half = OverheadReport::from_log(&log, half);
+    assert_ne!(at_full, at_half);
+    assert_eq!(at_full, OverheadReport::from_log(&fresh(), full));
+    assert_eq!(at_half, OverheadReport::from_log(&fresh(), half));
+    assert_eq!(OverheadReport::from_log(&log, full), at_full);
 }
 
 /// [`render_folds`] plus the run's own outputs: the telemetry stream's

@@ -5,7 +5,8 @@
 //! retyped in either emitter fails this suite before it breaks a
 //! downstream consumer. The other CLI views checked here (the Chrome
 //! trace and event log of a faulted run, the flame graph, the doctor
-//! report, a rejected `submit`) are parsed the same way.
+//! report, a rejected `submit`) are parsed the same way, and `gpuflow
+//! diff` refuses a profile whose buckets do not sum to its makespan.
 
 use std::path::Path;
 use std::process::Command;
@@ -87,6 +88,34 @@ fn daemon_queue_json_matches_schema() {
     for state in ["done", "cancelled"] {
         assert!(out.contains(&format!("\"state\": \"{state}\"")), "{out}");
     }
+}
+
+/// A profile whose buckets do not partition its makespan is refused
+/// instead of diffed: the blame table could not be conservative.
+#[test]
+fn diff_rejects_a_profile_whose_buckets_miss_the_makespan() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let base = root.join("artifacts/baselines/matmul_cpu_shared_fifo.profile");
+    let text = std::fs::read_to_string(&base).expect("read the committed baseline");
+    let raised = text.replace("bucket compute 286966971", "bucket compute 286966976");
+    assert_ne!(raised, text, "the baseline's compute bucket moved");
+    let dir = std::env::temp_dir().join(format!("gpuflow_bucket_sum_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let copy = dir.join("raised.profile");
+    std::fs::write(&copy, raised).expect("write the copy");
+    let base = base.to_str().unwrap();
+    let out = gpuflow_status(&["diff", base, copy.to_str().unwrap(), "--json"]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        !out.status.success(),
+        "a non-partition profile must be refused"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("buckets sum to 440342885 ns but makespan_ns is 440342880"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no diff is printed");
 }
 
 #[test]
