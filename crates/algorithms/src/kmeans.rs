@@ -10,7 +10,7 @@ use gpuflow_data::{
     kmeans_partial_sum, kmeans_update_centers, BlockCoord, DatasetSpec, DsArray, DsArraySpec,
     GridDim, Matrix, PartitionError,
 };
-use gpuflow_runtime::{DataId, Direction, Workflow, WorkflowBuilder};
+use gpuflow_runtime::{DataId, Direction, Merge, Workflow, WorkflowBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,7 +83,7 @@ pub(crate) fn kmeans_tasks(
     let centers = b.input("centers", centers_bytes);
     for iter in 0..iterations {
         // One partial_sum per block-row (Fig. 6a's numbered nodes).
-        let mut partials: Vec<DataId> = (0..x.grid.rows)
+        let partials: Vec<DataId> = (0..x.grid.rows)
             .map(|r| {
                 let p = b.intermediate(format!("psum[{iter},{r}]"), tally_bytes);
                 let mut accesses: Vec<(DataId, Direction)> = (0..x.grid.cols)
@@ -102,37 +102,19 @@ pub(crate) fn kmeans_tasks(
             })
             .collect();
         // Merge tree (dislib's _merge, CPU-side bookkeeping).
-        let mut round = 0;
-        while partials.len() > 1 {
-            let mut next = Vec::with_capacity(partials.len().div_ceil(MERGE_ARITY));
-            for group in partials.chunks(MERGE_ARITY) {
-                if group.len() == 1 {
-                    next.push(group[0]);
-                    continue;
-                }
-                let merged =
-                    b.intermediate(format!("merge[{iter},{round},{}]", next.len()), tally_bytes);
-                let mut accesses: Vec<(DataId, Direction)> =
-                    group.iter().map(|&p| (p, Direction::In)).collect();
-                accesses.push((merged, Direction::Out));
-                b.submit(
-                    "merge",
-                    kmeans_merge_cost(clusters, n, group.len()),
-                    &accesses,
-                    true,
-                )
-                .expect("valid merge task");
-                next.push(merged);
-            }
-            partials = next;
-            round += 1;
-        }
+        let merged = b.reduce(partials, MERGE_ARITY, |round, index, len| Merge {
+            name: format!("merge[{iter},{round},{index}]"),
+            bytes: tally_bytes,
+            task_type: "merge",
+            cost: kmeans_merge_cost(clusters, n, len),
+            cpu_only: true,
+        });
         // Update the centers from the merged tally (the sync point of
         // Fig. 6a; the InOut access serialises iterations).
         b.submit(
             "update_centers",
             kmeans_update_cost(clusters, n),
-            &[(partials[0], Direction::In), (centers, Direction::InOut)],
+            &[(merged, Direction::In), (centers, Direction::InOut)],
             true,
         )
         .expect("valid update task");

@@ -18,7 +18,7 @@ use gpuflow_data::{
     squared_distance, BlockCoord, DatasetSpec, DsArray, DsArraySpec, GridDim, Matrix,
     PartitionError,
 };
-use gpuflow_runtime::{CostProfile, DataId, Direction, Workflow, WorkflowBuilder};
+use gpuflow_runtime::{CostProfile, DataId, Direction, Merge, Workflow, WorkflowBuilder};
 
 use crate::kmeans::MERGE_ARITY;
 use crate::operand::{ArrayHandle, ObjectHandle};
@@ -110,7 +110,7 @@ pub(crate) fn knn_tasks(
     let (_, n) = x.shape();
     // One candidate set: q × k (distance, index) pairs.
     let cand_bytes = q * k * 16;
-    let mut cands: Vec<DataId> = (0..x.grid.rows)
+    let cands: Vec<DataId> = (0..x.grid.rows)
         .map(|r| {
             let out = b.intermediate(format!("cand[{r}]"), cand_bytes);
             let mut accesses: Vec<(DataId, Direction)> = (0..x.grid.cols)
@@ -128,32 +128,15 @@ pub(crate) fn knn_tasks(
             out
         })
         .collect();
-    let mut round = 0;
-    while cands.len() > 1 {
-        let mut next = Vec::with_capacity(cands.len().div_ceil(MERGE_ARITY));
-        for group in cands.chunks(MERGE_ARITY) {
-            if group.len() == 1 {
-                next.push(group[0]);
-                continue;
-            }
-            let merged = b.intermediate(format!("kmerge[{round},{}]", next.len()), cand_bytes);
-            let mut accesses: Vec<(DataId, Direction)> =
-                group.iter().map(|&p| (p, Direction::In)).collect();
-            accesses.push((merged, Direction::Out));
-            b.submit(
-                "knn_merge",
-                knn_merge_cost(q, k, group.len()),
-                &accesses,
-                true,
-            )
-            .expect("valid merge task");
-            next.push(merged);
-        }
-        cands = next;
-        round += 1;
-    }
+    let merged = b.reduce(cands, MERGE_ARITY, |round, index, len| Merge {
+        name: format!("kmerge[{round},{index}]"),
+        bytes: cand_bytes,
+        task_type: "knn_merge",
+        cost: knn_merge_cost(q, k, len),
+        cpu_only: true,
+    });
     ObjectHandle {
-        data: cands[0],
+        data: merged,
         bytes: cand_bytes,
     }
 }

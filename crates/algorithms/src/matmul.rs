@@ -8,7 +8,7 @@
 //! wide and shallow DAG of Fig. 6b (high task parallelism).
 
 use gpuflow_data::{BlockCoord, DatasetSpec, DsArray, DsArraySpec, Matrix, PartitionError};
-use gpuflow_runtime::{DataId, Direction, Workflow, WorkflowBuilder};
+use gpuflow_runtime::{DataId, Direction, Merge, Workflow, WorkflowBuilder};
 
 use crate::calibration::{add_func_cost, matmul_func_cost};
 use crate::operand::ArrayHandle;
@@ -66,7 +66,7 @@ pub(crate) fn matmul_tasks(
     let mut out = Vec::with_capacity(a.grid.blocks() as usize);
     for i in 0..g {
         for j in 0..g {
-            let mut partials: Vec<DataId> = (0..g)
+            let partials: Vec<DataId> = (0..g)
                 .map(|k| {
                     let p = b.intermediate(format!("P[{i},{j},{k}]"), block_bytes);
                     b.submit(
@@ -83,35 +83,13 @@ pub(crate) fn matmul_tasks(
                     p
                 })
                 .collect();
-            let mut round = 0u32;
-            while partials.len() > 1 {
-                let mut next = Vec::with_capacity(partials.len().div_ceil(2));
-                for pair in partials.chunks(2) {
-                    if let [x, y] = pair {
-                        let s = b.intermediate(
-                            format!("S[{i},{j}]r{round}n{}", next.len()),
-                            block_bytes,
-                        );
-                        b.submit(
-                            "add_func",
-                            add_func_cost(order, order),
-                            &[
-                                (*x, Direction::In),
-                                (*y, Direction::In),
-                                (s, Direction::Out),
-                            ],
-                            false,
-                        )
-                        .expect("valid add task");
-                        next.push(s);
-                    } else {
-                        next.push(pair[0]);
-                    }
-                }
-                partials = next;
-                round += 1;
-            }
-            out.push(partials[0]);
+            out.push(b.reduce(partials, 2, |round, index, _| Merge {
+                name: format!("S[{i},{j}]r{round}n{index}"),
+                bytes: block_bytes,
+                task_type: "add_func",
+                cost: add_func_cost(order, order),
+                cpu_only: false,
+            }));
         }
     }
     out

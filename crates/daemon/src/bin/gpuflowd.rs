@@ -18,19 +18,19 @@
 //! `gpuflowd listening on 127.0.0.1:PORT` so scripts can capture it.
 //! Every integer flag is parsed at its field's width (a port is a
 //! `u16`, quotas and windows are `u32`): a value out of range is a
-//! usage error. A connection that sends no request line within
-//! [`CLIENT_TIMEOUT`] gets `err timeout`, so an idle client cannot
-//! stall the others.
+//! usage error. A connection whose request line is not complete
+//! within [`gpuflow_daemon::CLIENT_TIMEOUT`] of its accept gets `err
+//! timeout`, so an idle or trickling client cannot stall the others.
 //! `--log FILE` persists the journal after every accepted decision.
 //! `--metrics-port` additionally serves `GET /metrics` + `/healthz`
 //! on a scrape endpoint that shuts down cleanly with the daemon.
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{ErrorKind, Write};
+use std::net::TcpListener;
 
 use gpuflow_daemon::core::DrainSummary;
 use gpuflow_daemon::protocol::parse_command;
-use gpuflow_daemon::{Command, DaemonConfig, DaemonCore, ServeControl, CLIENT_TIMEOUT};
+use gpuflow_daemon::{read_request, Command, DaemonConfig, DaemonCore, ServeControl};
 
 fn usage() -> ! {
     eprintln!(
@@ -178,25 +178,6 @@ fn execute(core: &mut DaemonCore, cmd: Command) -> (String, bool) {
     }
 }
 
-/// Reads one request line from an accepted connection (newline, EOF or
-/// a 4 KiB cap, whichever first). A client silent for
-/// [`CLIENT_TIMEOUT`] fails the read.
-fn read_line(stream: &mut TcpStream) -> std::io::Result<String> {
-    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
-    stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
-    let mut buf = [0u8; 4096];
-    let mut n = 0;
-    loop {
-        let read = stream.read(&mut buf[n..])?;
-        n += read;
-        if read == 0 || n == buf.len() || buf[..n].contains(&b'\n') {
-            break;
-        }
-    }
-    let text = String::from_utf8_lossy(&buf[..n]);
-    Ok(text.lines().next().unwrap_or("").to_string())
-}
-
 fn main() {
     let opts = parse_args();
     let mut core = match DaemonCore::new(opts.cfg) {
@@ -250,7 +231,8 @@ fn main() {
     for stream in listener.incoming() {
         let Ok(mut stream) = stream else { continue };
         let seq_before = core.seq();
-        let (reply, shutdown) = match read_line(&mut stream) {
+        // One request line, capped at 4 KiB.
+        let (reply, shutdown) = match read_request(&mut stream, b"\n", 4096) {
             Ok(line) => match parse_command(&line) {
                 Ok(cmd) => execute(&mut core, cmd),
                 Err(e) => (format!("err {e}\n"), false),

@@ -393,15 +393,22 @@ impl DaemonCore {
         }
     }
 
+    /// The job numbered `job`: ids are dense from 1, so it sits at
+    /// `job - 1` in the table.
+    fn job_mut(&mut self, job: u64) -> Option<&mut JobRecord> {
+        let i = usize::try_from(job.checked_sub(1)?).ok()?;
+        self.jobs.get_mut(i)
+    }
+
     /// Live cancel path. Only queued jobs can be cancelled; anything
     /// else is an error (and journals nothing).
     pub fn cancel(&mut self, job: u64) -> Result<(), String> {
-        match self.jobs.iter().find(|j| j.id == job) {
-            None => return Err(format!("no such job {job}")),
-            Some(j) if j.state != JobState::Queued => {
-                return Err(format!("job {job} is {}, not queued", j.state.label()))
-            }
-            Some(_) => {}
+        let state = self
+            .job_mut(job)
+            .ok_or_else(|| format!("no such job {job}"))?
+            .state;
+        if state != JobState::Queued {
+            return Err(format!("job {job} is {}, not queued", state.label()));
         }
         let t_us = self.next_t();
         self.commit(LogLine::Cancel { t_us, job })
@@ -451,6 +458,12 @@ impl DaemonCore {
                 if *tenant >= self.cfg.tenants.len() {
                     return Err(format!("submit: tenant index {tenant} out of range"));
                 }
+                if *job != self.next_job {
+                    return Err(format!(
+                        "submit: job {job} is not the next job id {}",
+                        self.next_job
+                    ));
+                }
                 self.sync_seq(*t_us)?;
                 self.jobs.push(JobRecord {
                     id: *job,
@@ -463,7 +476,7 @@ impl DaemonCore {
                     fingerprint: 0,
                     epoch: 0,
                 });
-                self.next_job = self.next_job.max(job + 1);
+                self.next_job += 1;
                 self.queued[*tenant] += 1;
                 let queued = self.queued_of(*tenant);
                 self.hub.update(|r| {
@@ -492,9 +505,8 @@ impl DaemonCore {
             LogLine::Cancel { t_us, job } => {
                 self.sync_seq(*t_us)?;
                 let j = self
-                    .jobs
-                    .iter_mut()
-                    .find(|j| j.id == *job && j.state == JobState::Queued)
+                    .job_mut(*job)
+                    .filter(|j| j.state == JobState::Queued)
                     .ok_or_else(|| format!("cancel: job {job} is not queued"))?;
                 j.state = JobState::Cancelled;
                 let tenant = j.tenant;
@@ -1107,6 +1119,17 @@ mod tests {
         // Timestamp off the tick grid.
         let tampered = format!("{text}cancel t=0.020500 job=1\n");
         assert!(DaemonCore::replay(&tampered).is_err());
+        // A second job numbered 1, and a skipped id.
+        let tampered = format!("{text}submit t=0.020000 tenant=0 job=1 shape=wide tasks=8\n");
+        assert_eq!(
+            DaemonCore::replay(&tampered).err(),
+            Some("submit: job 1 is not the next job id 2".into())
+        );
+        let tampered = format!("{text}submit t=0.020000 tenant=0 job=7 shape=wide tasks=8\n");
+        assert_eq!(
+            DaemonCore::replay(&tampered).err(),
+            Some("submit: job 7 is not the next job id 2".into())
+        );
     }
 
     #[test]

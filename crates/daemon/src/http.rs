@@ -10,7 +10,7 @@
 //! accept(2) loop by self-connecting, so daemon shutdown never has to
 //! kill a thread mid-request.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -64,22 +64,12 @@ pub fn handle_request(request_line: &str, hub: &MetricsHub) -> (String, &'static
 
 /// Answers one accepted connection. The request is read until the
 /// header-terminating blank line (clients may deliver it in several
-/// segments), EOF, or the 2 KiB cap — whichever comes first; a client
-/// silent for [`crate::CLIENT_TIMEOUT`] fails the read, and the loop
-/// moves on.
+/// segments), EOF, or the 2 KiB cap — whichever comes first; a request
+/// not complete within [`crate::CLIENT_TIMEOUT`] fails the read, and the
+/// loop moves on.
 fn answer(stream: &mut TcpStream, hub: &MetricsHub) -> std::io::Result<()> {
-    let mut buf = [0u8; 2048];
-    let mut n = 0;
-    loop {
-        let read = stream.read(&mut buf[n..])?;
-        n += read;
-        if read == 0 || n == buf.len() || buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
-            break;
-        }
-    }
-    let request = String::from_utf8_lossy(&buf[..n]);
-    let request_line = request.lines().next().unwrap_or("");
-    let (status, ctype, body) = handle_request(request_line, hub);
+    let request_line = crate::read_request(stream, b"\r\n\r\n", 2048)?;
+    let (status, ctype, body) = handle_request(&request_line, hub);
     let header = format!(
         "{status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
@@ -135,8 +125,6 @@ pub fn serve_until(
             break;
         }
         if let Ok(mut stream) = stream {
-            let _ = stream.set_read_timeout(Some(crate::CLIENT_TIMEOUT));
-            let _ = stream.set_write_timeout(Some(crate::CLIENT_TIMEOUT));
             let _ = answer(&mut stream, hub);
             answered += 1;
         }

@@ -26,12 +26,13 @@
 //!   `gpuflow serve`;
 //! * [`client`] — the one-request TCP helper the CLI verbs use.
 //!
-//! Determinism contract: the daemon never reads a wall clock. Journal
+//! Determinism contract: no decision reads a wall clock. Journal
 //! timestamps are virtual (`seq × tick`), epochs run entirely inside
 //! the discrete-event executor, and the metrics registry concatenates
 //! epochs onto one monotonic virtual clock — so `gpuflowd` output is a
 //! pure function of its configuration and the order of accepted
-//! commands.
+//! commands. The one host-clock read, in [`read_request`], bounds how
+//! long a client may take to send its request.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -42,11 +43,46 @@ pub mod http;
 pub mod log;
 pub mod protocol;
 
-/// The read and the write timeout of every accepted connection, on the
-/// daemon's request port and on the scrape endpoint: a client that
-/// sends nothing, or takes nothing, for this long is dropped, so one
-/// idle client cannot stall the accept loop.
-pub const CLIENT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
+use std::io::{ErrorKind, Read};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
+
+/// How long an accepted connection, on the daemon's request port or on
+/// the scrape endpoint, may take to deliver its whole request, and the
+/// timeout of each write of the reply: a client that trickles its
+/// request, sends nothing, or takes nothing is dropped, so one slow
+/// client cannot stall the accept loop for longer than this.
+pub const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Reads one request from a just-accepted connection: bytes up to the
+/// first `terminator`, EOF or `cap` bytes, whichever comes first. Returns
+/// the request's first line (lossy UTF-8). A request still incomplete
+/// [`CLIENT_TIMEOUT`] after the call fails with a `TimedOut` or
+/// `WouldBlock` error, however the client spaces its bytes.
+pub fn read_request(
+    stream: &mut TcpStream,
+    terminator: &[u8],
+    cap: usize,
+) -> std::io::Result<String> {
+    // lint: allow(D2, the request deadline only bounds a socket wait and never reaches an artifact)
+    let accepted = Instant::now();
+    stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
+    let mut buf = vec![0u8; cap];
+    let mut n = 0;
+    while n < cap && !buf[..n].windows(terminator.len()).any(|w| w == terminator) {
+        let left = CLIENT_TIMEOUT.saturating_sub(accepted.elapsed());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
+        match stream.read(&mut buf[n..])? {
+            0 => break,
+            read => n += read,
+        }
+    }
+    let text = String::from_utf8_lossy(&buf[..n]);
+    Ok(text.lines().next().unwrap_or("").to_string())
+}
 
 pub use crate::core::{DaemonConfig, DaemonCore, DrainSummary, JobRootSpan, JobState};
 pub use crate::http::{handle_request, serve_until, ServeControl};

@@ -91,6 +91,55 @@ pub enum Command {
     Shutdown,
 }
 
+/// The verbs that take no argument, with their commands, in help order:
+/// what `gpuflow ctl ACTION` forwards.
+pub const CONTROL: [(&str, Command); 7] = [
+    ("drain", Command::Drain),
+    ("health", Command::Health),
+    ("report", Command::Report),
+    ("metrics", Command::Metrics),
+    ("alerts", Command::Alerts),
+    ("log", Command::Log),
+    ("shutdown", Command::Shutdown),
+];
+
+/// The argument-free command `verb` names, if any.
+pub fn control(verb: &str) -> Option<Command> {
+    CONTROL
+        .into_iter()
+        .find_map(|(v, command)| (v == verb).then_some(command))
+}
+
+impl Command {
+    /// The request line [`parse_command`] parses back to this command
+    /// (`prio=` only when it is not 0).
+    pub fn render(&self) -> String {
+        match self {
+            Command::Submit {
+                tenant,
+                shape,
+                tasks,
+                prio,
+            } => {
+                let shape = shape.label();
+                let mut line = format!("submit tenant={tenant} shape={shape} tasks={tasks}");
+                if *prio != 0 {
+                    line.push_str(&format!(" prio={prio}"));
+                }
+                line
+            }
+            Command::Cancel { job } => format!("cancel job={job}"),
+            Command::Queue { json: false } => "queue".to_string(),
+            Command::Queue { json: true } => "queue json".to_string(),
+            control => CONTROL
+                .iter()
+                .find(|(_, c)| c == control)
+                .map(|(verb, _)| verb.to_string())
+                .expect("every other command is a control verb"),
+        }
+    }
+}
+
 /// Tenant names are journal- and label-safe by construction: ASCII
 /// alphanumerics, `_`, `-`, 1..=64 chars.
 pub fn valid_tenant_name(s: &str) -> bool {
@@ -142,23 +191,83 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                 .map_err(|_| "job= must be an integer".to_string())?;
             Ok(Command::Cancel { job })
         }
-        "drain" => Ok(Command::Drain),
         "queue" => Ok(Command::Queue {
             json: words.get(1) == Some(&"json"),
         }),
-        "report" => Ok(Command::Report),
-        "metrics" => Ok(Command::Metrics),
-        "alerts" => Ok(Command::Alerts),
-        "health" => Ok(Command::Health),
-        "log" => Ok(Command::Log),
-        "shutdown" => Ok(Command::Shutdown),
-        other => Err(format!("unknown verb {other:?}")),
+        other => control(other).ok_or_else(|| format!("unknown verb {other:?}")),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Words the request grammar knows, and some it does not.
+    const TOKENS: [&str; 16] = [
+        "submit", "cancel", "queue", "json", "drain", "tenant=", "shape=", "tasks=", "prio=",
+        "job=", "wide", "tree", "=", " ", "\n", "\u{e9}",
+    ];
+
+    /// Arbitrary text over the grammar's words, digits, signs and any
+    /// other character.
+    fn text(raw: &[(u32, u64)]) -> String {
+        raw.iter()
+            .map(|&(kind, bits)| match kind {
+                0 => TOKENS[bits as usize % TOKENS.len()].to_string(),
+                1 => bits.to_string(),
+                2 => ["-", "+", "\t", ""][bits as usize % 4].to_string(),
+                _ => char::from_u32(bits as u32 % 0x11_0000)
+                    .unwrap_or('\u{fffd}')
+                    .to_string(),
+            })
+            .collect()
+    }
+
+    /// A command from random draws; tenant names use only the
+    /// characters `valid_tenant_name` accepts.
+    fn command(kind: u32, name: &[u32], n: u64) -> Command {
+        const NAME: &[u8] = b"abcxyzABCXYZ0189_-";
+        match kind {
+            0 => Command::Submit {
+                tenant: name
+                    .iter()
+                    .map(|&i| NAME[i as usize % NAME.len()] as char)
+                    .collect(),
+                shape: JobShape::ALL[(n % 3) as usize],
+                tasks: n >> 2,
+                prio: [0, 1, u32::MAX, n as u32][(n % 4) as usize],
+            },
+            1 => Command::Cancel { job: n },
+            2 => Command::Queue { json: n % 2 == 0 },
+            _ => CONTROL[n as usize % CONTROL.len()].1.clone(),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_text_never_panics_the_parser(
+            raw in prop::collection::vec((0u32..5, 0u64..u64::MAX), 0..24),
+        ) {
+            let line = text(&raw);
+            if let Ok(command) = parse_command(&line) {
+                prop_assert_eq!(parse_command(&command.render()), Ok(command));
+            }
+        }
+
+        #[test]
+        fn parse_inverts_render(
+            kind in 0u32..4,
+            name in prop::collection::vec(0u32..64, 1..65),
+            n in 0u64..u64::MAX,
+        ) {
+            let c = command(kind, &name, n);
+            if let Command::Submit { tenant, .. } = &c {
+                prop_assert!(valid_tenant_name(tenant), "{tenant:?}");
+            }
+            prop_assert_eq!(parse_command(&c.render()), Ok(c));
+        }
+    }
 
     #[test]
     fn parses_submit_with_and_without_prio() {

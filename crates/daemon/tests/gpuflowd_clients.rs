@@ -1,11 +1,15 @@
-//! The live daemon at its boundaries: an idle client cannot stall the
-//! accept loop, and an integer flag too wide for its field is a usage
-//! error instead of a truncated value.
+//! The live daemon at its boundaries: an idle or trickling client
+//! cannot stall the accept loop, and an integer flag too wide for its
+//! field is a usage error instead of a truncated value.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::process::{Child, Command, Output, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use gpuflow_daemon::CLIENT_TIMEOUT;
 
 /// How long the test waits for any reply or exit: well past the
 /// daemon's client timeout, so a daemon that never answers fails the
@@ -72,6 +76,44 @@ fn an_idle_client_does_not_stall_the_next_one() {
     idle.read_to_string(&mut reply)
         .expect("idle client gets a reply");
     assert_eq!(reply, "err timeout\n");
+    assert_eq!(daemon.request("shutdown").unwrap(), "ok shutting down\n");
+}
+
+#[test]
+fn a_trickling_client_does_not_stall_the_next_one() {
+    let daemon = Daemon::spawn();
+    // Connected first; sends one byte every 0.5 s and never a newline,
+    // so no single read waits as long as the client timeout.
+    let mut trickler = daemon.connect();
+    let mut writer = trickler.try_clone().expect("clone the trickling stream");
+    let stop = Arc::new(AtomicBool::new(false));
+    let sender = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            for &byte in b"health".iter().cycle() {
+                if stop.load(Ordering::SeqCst) || writer.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(500));
+            }
+        })
+    };
+    let start = Instant::now();
+    let health = daemon.request("health");
+    let waited = start.elapsed();
+    // The daemon may reset a connection whose last bytes it never read;
+    // the reply it wrote before that still arrives.
+    let mut reply = Vec::new();
+    let _ = trickler.read_to_end(&mut reply);
+    stop.store(true, Ordering::SeqCst);
+    sender.join().expect("the trickling sender stops");
+    let health = health.expect("health is answered");
+    assert!(health.starts_with("ok gpuflowd alive"), "{health:?}");
+    assert!(
+        waited < CLIENT_TIMEOUT + Duration::from_secs(2),
+        "health waited {waited:?} behind a trickling client"
+    );
+    assert_eq!(String::from_utf8_lossy(&reply), "err timeout\n");
     assert_eq!(daemon.request("shutdown").unwrap(), "ok shutting down\n");
 }
 

@@ -207,7 +207,7 @@ const ARTIFACTS: [(&str, bool, Render); 21] = [
     ("fig10b", true, |o| Ok(fig10::run_kmeans(&o.ctx).render())),
     ("fig11", true, render_fig11),
     ("fig12", true, |o| Ok(fig12::run(&o.ctx).render())),
-    ("sensitivity", true, |_| Ok(sensitivity::render_all())),
+    ("sensitivity", true, |o| Ok(sensitivity::render_all(&o.ctx))),
     ("generalizability", true, |o| {
         Ok(generalizability::run(&o.ctx).render())
     }),

@@ -19,6 +19,7 @@ use gpuflow_analysis::signed_speedup;
 use gpuflow_cluster::{ClusterSpec, ProcessorKind};
 use gpuflow_runtime::{RunConfig, RunError, Workflow};
 
+use crate::measure::Context;
 use crate::table::TextTable;
 
 /// One sweep point: the varied value and the measured outcomes.
@@ -228,10 +229,10 @@ pub fn cpu_threads_vs_makespan(grid: u64) -> Sweep {
     }
 }
 
-/// Runs every sweep. The sweeps are independent and run on
-/// [`auto_threads`](crate::measure::auto_threads) workers; the result
-/// order (and content) is fixed regardless of thread count.
-pub fn run_all() -> Vec<Sweep> {
+/// Runs every sweep. The sweeps are independent and run on `ctx`'s
+/// threads; the result order (and content) is fixed regardless of
+/// thread count.
+pub fn run_all(ctx: &Context) -> Vec<Sweep> {
     type Job = fn() -> Sweep;
     let jobs: [Job; 6] = [
         bus_bandwidth_vs_add_func,
@@ -241,12 +242,12 @@ pub fn run_all() -> Vec<Sweep> {
         || cpu_threads_vs_makespan(256),
         || cpu_threads_vs_makespan(8),
     ];
-    crate::measure::par_map(crate::measure::auto_threads(), &jobs, |_, job| job())
+    ctx.par_map(&jobs, |_, job| job())
 }
 
 /// Renders all sweeps.
-pub fn render_all() -> String {
-    run_all()
+pub fn render_all(ctx: &Context) -> String {
+    run_all(ctx)
         .iter()
         .map(Sweep::render)
         .collect::<Vec<_>>()

@@ -22,7 +22,9 @@
 
 use gpuflow_algorithms::{KmeansConfig, MatmulConfig};
 use gpuflow_cluster::{ProcessorKind, StorageArchitecture};
-use gpuflow_experiments::{fig11, measure::par_map, obs, replay, spans, stress, Context};
+use gpuflow_experiments::{
+    fig11, measure::par_map, obs, replay, sensitivity, spans, stress, Context,
+};
 use gpuflow_runtime::{
     FaultPlan, MetricsHub, MetricsRegistry, RunConfig, SchedulingPolicy, SpanForest, SpanSampler,
     Workflow,
@@ -132,6 +134,15 @@ fn par_map_preserves_item_order() {
 fn fig11_render_is_identical_across_thread_counts() {
     let single = fig11::run_quick(&Context::default().with_threads(1)).render();
     let multi = fig11::run_quick(&Context::default().with_threads(4)).render();
+    assert_eq!(single, multi);
+}
+
+/// The sensitivity sweeps run on the context's threads and render the
+/// same bytes on one worker or many.
+#[test]
+fn sensitivity_render_is_identical_across_thread_counts() {
+    let single = sensitivity::render_all(&Context::default().with_threads(1));
+    let multi = sensitivity::render_all(&Context::default().with_threads(4));
     assert_eq!(single, multi);
 }
 

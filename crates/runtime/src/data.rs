@@ -4,12 +4,12 @@
 //! partial result, the K-means centers) is registered once and identified
 //! by a [`DataId`]. Writes bump the version, so a value at a point in time
 //! is a `dNvM` pair exactly as in PyCOMPSs DAG dumps (Fig. 6 of the
-//! paper). The registry records last writers and readers, from which the
-//! workflow builder derives RAW/WAW/WAR dependencies.
+//! paper). The workflow builder tracks each object's version, last writer
+//! and readers while tasks are submitted, derives RAW/WAW/WAR dependencies
+//! from them, and drops that state when it builds the workflow: the
+//! registry a built workflow keeps is read-only.
 
 use std::fmt;
-
-use crate::task::TaskId;
 
 /// Identifier of a registered data object (`dN`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,48 +65,25 @@ pub struct DataObject {
     /// Whether version 0 exists on storage before the run (input dataset
     /// blocks) — data without this flag must be written before being read.
     pub initial: bool,
-    /// Current version number.
-    pub version: u32,
-    /// Task that produced the current version.
-    pub last_writer: Option<TaskId>,
-    /// Tasks that read the current version since the last write.
-    pub readers_since_write: Vec<TaskId>,
 }
 
-/// The registry of all data objects of one workflow.
+/// The registry of all data objects of one workflow. Only the workflow
+/// builder registers objects.
 #[derive(Debug, Clone, Default)]
 pub struct DataRegistry {
     objects: Vec<DataObject>,
 }
 
 impl DataRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers an input object whose version 0 already exists on
-    /// storage (a dataset block).
-    pub fn register_input(&mut self, name: impl Into<String>, bytes: u64) -> DataId {
-        self.register(name, bytes, true)
-    }
-
-    /// Registers an intermediate/output object that some task must write
-    /// before anyone reads it.
-    pub fn register_intermediate(&mut self, name: impl Into<String>, bytes: u64) -> DataId {
-        self.register(name, bytes, false)
-    }
-
-    fn register(&mut self, name: impl Into<String>, bytes: u64, initial: bool) -> DataId {
+    /// Registers an object; `initial` marks one whose version 0 already
+    /// exists on storage (a dataset block).
+    pub(crate) fn register(&mut self, name: String, bytes: u64, initial: bool) -> DataId {
         let id = DataId(self.objects.len() as u32);
         self.objects.push(DataObject {
             id,
-            name: name.into(),
+            name,
             bytes,
             initial,
-            version: 0,
-            last_writer: None,
-            readers_since_write: Vec::new(),
         });
         id
     }
@@ -117,10 +94,6 @@ impl DataRegistry {
     /// Panics on an unknown id (ids are never exposed before creation).
     pub fn object(&self, id: DataId) -> &DataObject {
         &self.objects[id.0 as usize]
-    }
-
-    fn object_mut(&mut self, id: DataId) -> &mut DataObject {
-        &mut self.objects[id.0 as usize]
     }
 
     /// Number of registered objects.
@@ -137,97 +110,15 @@ impl DataRegistry {
     pub fn iter(&self) -> impl Iterator<Item = &DataObject> {
         self.objects.iter()
     }
-
-    /// Records that `task` reads `id`, returning the version read and the
-    /// RAW dependency (the last writer), if any.
-    ///
-    /// # Errors
-    /// Fails when the object has no initial version and was never written
-    /// (read-before-write is a workflow construction bug).
-    pub fn note_read(&mut self, id: DataId, task: TaskId) -> Result<(u32, Option<TaskId>), String> {
-        let obj = self.object_mut(id);
-        if obj.version == 0 && !obj.initial {
-            return Err(format!(
-                "task {task} reads {} (d{}) before any task wrote it",
-                obj.name, id.0
-            ));
-        }
-        obj.readers_since_write.push(task);
-        Ok((obj.version, obj.last_writer))
-    }
-
-    /// Records that `task` writes `id`, returning the new version and the
-    /// WAW/WAR dependencies (previous writer, readers of the previous
-    /// version).
-    pub fn note_write(&mut self, id: DataId, task: TaskId) -> (u32, Option<TaskId>, Vec<TaskId>) {
-        let obj = self.object_mut(id);
-        let waw = obj.last_writer;
-        let war = std::mem::take(&mut obj.readers_since_write);
-        obj.version += 1;
-        obj.last_writer = Some(task);
-        (obj.version, waw, war)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tid(n: u32) -> TaskId {
-        TaskId(n)
-    }
-
     #[test]
-    fn versions_start_at_zero_and_bump_on_write() {
-        let mut reg = DataRegistry::new();
-        let d = reg.register_input("block", 100);
-        assert_eq!(reg.object(d).version, 0);
-        let (v, waw, war) = reg.note_write(d, tid(1));
-        assert_eq!(v, 1);
-        assert_eq!(waw, None);
-        assert!(war.is_empty());
-        assert_eq!(reg.object(d).version, 1);
-    }
-
-    #[test]
-    fn raw_dependency_points_at_last_writer() {
-        let mut reg = DataRegistry::new();
-        let d = reg.register_intermediate("x", 8);
-        reg.note_write(d, tid(1));
-        let (version, dep) = reg.note_read(d, tid(2)).unwrap();
-        assert_eq!(version, 1);
-        assert_eq!(dep, Some(tid(1)));
-    }
-
-    #[test]
-    fn war_dependencies_cover_readers_since_write() {
-        let mut reg = DataRegistry::new();
-        let d = reg.register_input("block", 100);
-        reg.note_read(d, tid(1)).unwrap();
-        reg.note_read(d, tid(2)).unwrap();
-        let (v, waw, war) = reg.note_write(d, tid(3));
-        assert_eq!(v, 1);
-        assert_eq!(waw, None);
-        assert_eq!(war, vec![tid(1), tid(2)]);
-        // Readers list resets after the write.
-        let (_, waw2, war2) = reg.note_write(d, tid(4));
-        assert_eq!(waw2, Some(tid(3)));
-        assert!(war2.is_empty());
-    }
-
-    #[test]
-    fn read_before_write_is_rejected() {
-        let mut reg = DataRegistry::new();
-        let d = reg.register_intermediate("out", 8);
-        assert!(reg.note_read(d, tid(1)).is_err());
-    }
-
-    #[test]
-    fn initial_data_readable_at_version_zero() {
-        let mut reg = DataRegistry::new();
-        let d = reg.register_input("block", 100);
-        let (version, dep) = reg.note_read(d, tid(1)).unwrap();
-        assert_eq!((version, dep), (0, None));
+    fn a_data_object_holds_no_builder_state() {
+        assert_eq!(std::mem::size_of::<DataObject>(), 40);
     }
 
     #[test]

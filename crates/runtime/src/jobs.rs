@@ -29,7 +29,7 @@ use gpuflow_cluster::KernelWork;
 
 use crate::data::Direction;
 use crate::task::{CostProfile, TaskId};
-use crate::workflow::{Workflow, WorkflowBuilder};
+use crate::workflow::{Merge, Workflow, WorkflowBuilder};
 
 /// DAG templates of the jobs and of the stress suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +122,7 @@ impl JobShape {
             }
             JobShape::Tree => {
                 let leaves = tasks.div_ceil(2).max(1);
-                let mut frontier: Vec<_> = (0..leaves)
+                let frontier: Vec<_> = (0..leaves)
                     .map(|i| {
                         let x = b.input(format!("{prefix}x{i}"), MB);
                         let o = b.intermediate(format!("{prefix}l{i}"), MB);
@@ -138,31 +138,13 @@ impl JobShape {
                         o
                     })
                     .collect();
-                let mut lvl = 0;
-                while frontier.len() > 1 {
-                    let mut next = Vec::with_capacity(frontier.len().div_ceil(2));
-                    for (q, pair) in frontier.chunks(2).enumerate() {
-                        if let [a, bb] = pair {
-                            let o = b.intermediate(format!("{prefix}m{lvl}_{q}"), MB);
-                            b.submit(
-                                inner,
-                                cost,
-                                &[
-                                    (*a, Direction::In),
-                                    (*bb, Direction::In),
-                                    (o, Direction::Out),
-                                ],
-                                false,
-                            )
-                            .expect("valid template task");
-                            next.push(o);
-                        } else {
-                            next.push(pair[0]);
-                        }
-                    }
-                    frontier = next;
-                    lvl += 1;
-                }
+                b.reduce(frontier, 2, |lvl, q, _| Merge {
+                    name: format!("{prefix}m{lvl}_{q}"),
+                    bytes: MB,
+                    task_type: inner,
+                    cost,
+                    cpu_only: false,
+                });
             }
         }
         roots

@@ -42,7 +42,7 @@ pub use telemetry::{
     TaskTypeProfile, TelemetryEvent, TelemetryLog, TypeDelta,
 };
 pub use trace::{paraver_pcf, to_paraver_prv, Trace, TraceRecord, TraceState};
-pub use workflow::{DagShape, Workflow, WorkflowBuilder};
+pub use workflow::{DagShape, Merge, Workflow, WorkflowBuilder};
 
 // The unit tests share the integration tests' inputs, which name this
 // crate by its package name.

@@ -14,6 +14,9 @@ use crate::data::{DataId, DataRegistry, Direction};
 use crate::task::{CostProfile, Param, TaskId, TaskSpec, TaskType};
 
 /// A fully built workflow: tasks, dependencies, registry, and DAG shape.
+/// It is read-only data: the builder's version bookkeeping (current
+/// versions, last writers, readers since the last write) does not outlive
+/// [`WorkflowBuilder::build`].
 ///
 /// Dependency edges are stored in CSR (compressed sparse row) form — one
 /// flat edge array per direction plus an offsets array — so a million-task
@@ -209,6 +212,12 @@ impl Workflow {
 #[derive(Debug, Default)]
 pub struct WorkflowBuilder {
     registry: DataRegistry,
+    /// Version state per registered object, indexed by [`DataId`].
+    versions: Vec<VersionState>,
+    /// Every read access as `(reader, previous read of the same object)`:
+    /// one arena threading each object's reads since its last write into
+    /// a list, so no object needs a reader list of its own.
+    reads: Vec<(TaskId, Option<u32>)>,
     tasks: Vec<TaskSpec>,
     succs: Vec<Vec<TaskId>>,
     preds: Vec<Vec<TaskId>>,
@@ -219,6 +228,34 @@ pub struct WorkflowBuilder {
     type_ids: Vec<u32>,
 }
 
+/// What the builder knows of one object while tasks are submitted.
+#[derive(Debug, Default)]
+struct VersionState {
+    /// Current version number; 0 is the initial (on-storage) version.
+    current: u32,
+    /// Task that produced the current version.
+    last_writer: Option<TaskId>,
+    /// Newest read of the current version since the last write, an
+    /// index into the builder's `reads`.
+    last_read: Option<u32>,
+}
+
+/// One merge of [`WorkflowBuilder::reduce`]: the object it writes and the
+/// task that writes it.
+#[derive(Debug, Clone)]
+pub struct Merge<'a> {
+    /// Debug name of the merged object.
+    pub name: String,
+    /// Payload size of the merged object.
+    pub bytes: u64,
+    /// Type of the merge task.
+    pub task_type: &'a str,
+    /// Cost of the merge task.
+    pub cost: CostProfile,
+    /// Whether the merge task must run on a CPU.
+    pub cpu_only: bool,
+}
+
 impl WorkflowBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
@@ -227,12 +264,17 @@ impl WorkflowBuilder {
 
     /// Registers a dataset block (exists on storage before the run).
     pub fn input(&mut self, name: impl Into<String>, bytes: u64) -> DataId {
-        self.registry.register_input(name, bytes)
+        self.register(name.into(), bytes, true)
     }
 
     /// Registers an intermediate object (must be written before read).
     pub fn intermediate(&mut self, name: impl Into<String>, bytes: u64) -> DataId {
-        self.registry.register_intermediate(name, bytes)
+        self.register(name.into(), bytes, false)
+    }
+
+    fn register(&mut self, name: String, bytes: u64, initial: bool) -> DataId {
+        self.versions.push(VersionState::default());
+        self.registry.register(name, bytes, initial)
     }
 
     /// Number of tasks submitted so far (the next task id).
@@ -260,12 +302,12 @@ impl WorkflowBuilder {
         for &(data, dir) in accesses {
             let mut version = 0;
             if dir.reads() {
-                let (v, raw) = self.registry.note_read(data, id)?;
+                let (v, raw) = self.note_read(data, id)?;
                 version = v;
                 deps.extend(raw);
             }
             if dir.writes() {
-                let (v, waw, war) = self.registry.note_write(data, id);
+                let (v, waw, war) = self.note_write(data, id);
                 version = v;
                 deps.extend(waw);
                 deps.extend(war.into_iter().filter(|&t| t != id));
@@ -286,6 +328,83 @@ impl WorkflowBuilder {
             self.preds[id.0 as usize].push(dep);
         }
         Ok(id)
+    }
+
+    /// Records that `task` reads `id`, returning the version read and the
+    /// RAW dependency (the last writer), if any.
+    ///
+    /// # Errors
+    /// Fails when the object has no initial version and was never written
+    /// (read-before-write is a workflow construction bug).
+    fn note_read(&mut self, id: DataId, task: TaskId) -> Result<(u32, Option<TaskId>), String> {
+        let v = &mut self.versions[id.0 as usize];
+        let obj = self.registry.object(id);
+        if v.current == 0 && !obj.initial {
+            return Err(format!(
+                "task {task} reads {} (d{}) before any task wrote it",
+                obj.name, id.0
+            ));
+        }
+        self.reads.push((task, v.last_read));
+        v.last_read = Some(self.reads.len() as u32 - 1);
+        Ok((v.current, v.last_writer))
+    }
+
+    /// Records that `task` writes `id`, returning the new version and the
+    /// WAW/WAR dependencies (previous writer, readers of the previous
+    /// version).
+    fn note_write(&mut self, id: DataId, task: TaskId) -> (u32, Option<TaskId>, Vec<TaskId>) {
+        let v = &mut self.versions[id.0 as usize];
+        v.current += 1;
+        let waw = v.last_writer.replace(task);
+        let mut war = Vec::new();
+        let mut read = v.last_read.take();
+        while let Some(i) = read {
+            let (reader, previous) = self.reads[i as usize];
+            war.push(reader);
+            read = previous;
+        }
+        war.reverse();
+        (v.current, waw, war)
+    }
+
+    /// Folds `frontier` down to one object in rounds: each group of up to
+    /// `arity` consecutive objects becomes one task that reads the group
+    /// and writes a new object, and a lone trailing object passes through
+    /// to the next round. `merge(round, index, len)` describes the merge of
+    /// the `index`-th group of `len` objects in `round` (both from 0).
+    /// Returns the one object left.
+    ///
+    /// # Panics
+    /// Panics on an empty frontier, an `arity` below 2, or a frontier
+    /// object that is not readable yet.
+    pub fn reduce<'a>(
+        &mut self,
+        mut frontier: Vec<DataId>,
+        arity: usize,
+        mut merge: impl FnMut(u32, usize, usize) -> Merge<'a>,
+    ) -> DataId {
+        assert!(arity >= 2, "a merge reads at least two objects");
+        let mut round = 0;
+        while frontier.len() > 1 {
+            let mut next = Vec::with_capacity(frontier.len().div_ceil(arity));
+            for (index, group) in frontier.chunks(arity).enumerate() {
+                if let [lone] = group {
+                    next.push(*lone);
+                    continue;
+                }
+                let m = merge(round, index, group.len());
+                let out = self.intermediate(m.name, m.bytes);
+                let mut accesses: Vec<_> = group.iter().map(|&d| (d, Direction::In)).collect();
+                accesses.push((out, Direction::Out));
+                self.submit(m.task_type, m.cost, &accesses, m.cpu_only)
+                    .expect("a merge reads what the frontier holds");
+                next.push(out);
+            }
+            frontier = next;
+            round += 1;
+        }
+        *frontier.first().expect("a reduction needs an object")
     }
 
     /// Returns the interned [`TaskType`] for `name` and its table index,
@@ -309,11 +428,9 @@ impl WorkflowBuilder {
     /// wait on.
     pub fn barrier(&mut self) -> Option<TaskId> {
         use gpuflow_cluster::KernelWork;
-        let written: Vec<(DataId, Direction)> = self
-            .registry
-            .iter()
-            .filter(|o| o.last_writer.is_some())
-            .map(|o| (o.id, Direction::In))
+        let written: Vec<(DataId, Direction)> = (0..self.versions.len())
+            .filter(|&i| self.versions[i].last_writer.is_some())
+            .map(|i| (DataId(i as u32), Direction::In))
             .collect();
         if written.is_empty() {
             return None;
@@ -330,7 +447,7 @@ impl WorkflowBuilder {
     }
 
     /// Finalises the workflow, computing DAG levels and packing the
-    /// dependency lists into CSR form.
+    /// dependency lists into CSR form. The version state is dropped here.
     pub fn build(self) -> Workflow {
         let mut levels = vec![0u32; self.tasks.len()];
         // Tasks are in topological order by construction (edges forward).
@@ -378,6 +495,67 @@ mod tests {
 
     fn cost() -> CostProfile {
         CostProfile::fully_parallel(KernelWork::data_parallel(1e6, 1e6))
+    }
+
+    fn tid(n: u32) -> TaskId {
+        TaskId(n)
+    }
+
+    fn version(b: &WorkflowBuilder, d: DataId) -> u32 {
+        b.versions[d.0 as usize].current
+    }
+
+    #[test]
+    fn versions_start_at_zero_and_bump_on_write() {
+        let mut b = WorkflowBuilder::new();
+        let d = b.input("block", 100);
+        assert_eq!(version(&b, d), 0);
+        let (v, waw, war) = b.note_write(d, tid(1));
+        assert_eq!(v, 1);
+        assert_eq!(waw, None);
+        assert!(war.is_empty());
+        assert_eq!(version(&b, d), 1);
+    }
+
+    #[test]
+    fn raw_dependency_points_at_last_writer() {
+        let mut b = WorkflowBuilder::new();
+        let d = b.intermediate("x", 8);
+        b.note_write(d, tid(1));
+        let (version, dep) = b.note_read(d, tid(2)).unwrap();
+        assert_eq!(version, 1);
+        assert_eq!(dep, Some(tid(1)));
+    }
+
+    #[test]
+    fn war_dependencies_cover_readers_since_write() {
+        let mut b = WorkflowBuilder::new();
+        let d = b.input("block", 100);
+        b.note_read(d, tid(1)).unwrap();
+        b.note_read(d, tid(2)).unwrap();
+        let (v, waw, war) = b.note_write(d, tid(3));
+        assert_eq!(v, 1);
+        assert_eq!(waw, None);
+        assert_eq!(war, vec![tid(1), tid(2)]);
+        // Readers list resets after the write.
+        let (_, waw2, war2) = b.note_write(d, tid(4));
+        assert_eq!(waw2, Some(tid(3)));
+        assert!(war2.is_empty());
+    }
+
+    #[test]
+    fn read_before_write_is_rejected() {
+        let mut b = WorkflowBuilder::new();
+        let d = b.intermediate("out", 8);
+        assert!(b.note_read(d, tid(1)).is_err());
+    }
+
+    #[test]
+    fn initial_data_readable_at_version_zero() {
+        let mut b = WorkflowBuilder::new();
+        let d = b.input("block", 100);
+        let (version, dep) = b.note_read(d, tid(1)).unwrap();
+        assert_eq!((version, dep), (0, None));
     }
 
     /// A diamond: t0 writes x; t1 and t2 read x, write y1/y2; t3 reads both.

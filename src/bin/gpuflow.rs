@@ -38,8 +38,9 @@ use std::process::ExitCode;
 
 use gpuflow::advisor::{Advisor, SearchSpace, Workload};
 use gpuflow::analysis::{DoctorReport, WhatIf};
-use gpuflow::cli::{daemon_request_from, run_config, workload_from, Args, CTL_ACTIONS};
+use gpuflow::cli::{daemon_request_from, run_config, workload_from, Args};
 use gpuflow::cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
+use gpuflow::daemon::protocol::{control, CONTROL};
 use gpuflow::runtime::{
     run, to_chrome_trace, to_collapsed, to_paraver_prv, trace_analysis, JsonWriter, MetricsHub,
     MetricsRegistry, OverheadReport, RunConfig, RunDiff, RunProfile, SchedulingPolicy, SpanForest,
@@ -579,12 +580,12 @@ fn main() -> ExitCode {
         "submit" | "cancel" => Args::parse(rest).and_then(|a| cmd_daemon(cmd, &a)),
         "queue" => Args::parse_with(rest, &["json"]).and_then(|a| cmd_daemon(cmd, &a)),
         "ctl" => match rest.split_first() {
-            Some((action, rest)) if CTL_ACTIONS.contains(&action.as_str()) => {
+            Some((action, rest)) if control(action).is_some() => {
                 Args::parse(rest).and_then(|a| cmd_daemon(action, &a))
             }
             _ => Err(format!(
                 "ctl needs an action: gpuflow ctl <{}> --port P",
-                CTL_ACTIONS.join("|")
+                CONTROL.map(|(verb, _)| verb).join("|")
             )),
         },
         "diff" => match rest {

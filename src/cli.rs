@@ -5,8 +5,9 @@ use std::collections::HashMap;
 
 use gpuflow_advisor::Workload;
 use gpuflow_cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
+use gpuflow_daemon::protocol::{control, Command, CONTROL};
 use gpuflow_data::DatasetSpec;
-use gpuflow_runtime::{FaultPlan, RecoveryPolicy, RunConfig, SchedulingPolicy};
+use gpuflow_runtime::{FaultPlan, JobShape, RecoveryPolicy, RunConfig, SchedulingPolicy};
 
 /// Parsed `--key value` flags.
 #[derive(Debug, Clone)]
@@ -220,49 +221,41 @@ pub fn run_config(args: &Args) -> Result<RunConfig, String> {
     Ok(config)
 }
 
-/// Control verbs `gpuflow ctl ACTION` forwards to a running `gpuflowd`
-/// unchanged.
-pub const CTL_ACTIONS: [&str; 7] = [
-    "drain", "health", "report", "metrics", "alerts", "log", "shutdown",
-];
-
 /// Builds the one-line daemon request for the client verbs
-/// (`gpuflow submit` / `queue` / `cancel` / `ctl ACTION`) — kept in the
-/// library so the request grammar is unit-testable. `verb` is the CLI
-/// subcommand; for `ctl`, the action is the verb itself.
+/// (`gpuflow submit` / `queue` / `cancel` / `ctl ACTION`) as the
+/// protocol renders it — kept in the library so the request grammar is
+/// unit-testable. `verb` is the CLI subcommand; for `ctl`, the action is
+/// one of the protocol's [`CONTROL`] verbs.
 ///
 /// # Errors
-/// Reports missing flags and unknown control actions.
+/// Reports missing flags, an unknown shape and unknown control actions.
 pub fn daemon_request_from(verb: &str, args: &Args) -> Result<String, String> {
-    match verb {
+    let command = match verb {
         "submit" => {
             let tenant = args
                 .get("tenant")
                 .ok_or("--tenant is required (a tenant name the daemon was started with)")?;
             let shape = args.get("shape").unwrap_or("wide");
-            let tasks: u64 = args.required_num("tasks")?;
-            let prio: u32 = args.num("prio", 0)?;
-            let mut line = format!("submit tenant={tenant} shape={shape} tasks={tasks}");
-            if prio != 0 {
-                line.push_str(&format!(" prio={prio}"));
+            Command::Submit {
+                tenant: tenant.to_string(),
+                shape: JobShape::parse(shape)
+                    .ok_or_else(|| format!("unknown shape '{shape}' (wide, stencil, tree)"))?,
+                tasks: args.required_num("tasks")?,
+                prio: args.num("prio", 0)?,
             }
-            Ok(line)
         }
-        "queue" => Ok(if args.flag("json") {
-            "queue json".to_string()
-        } else {
-            "queue".to_string()
-        }),
-        "cancel" => {
-            let job: u64 = args.required_num("job")?;
-            Ok(format!("cancel job={job}"))
-        }
-        action if CTL_ACTIONS.contains(&action) => Ok(action.to_string()),
-        other => Err(format!(
-            "unknown daemon action '{other}' ({})",
-            CTL_ACTIONS.join(", ")
-        )),
-    }
+        "queue" => Command::Queue {
+            json: args.flag("json"),
+        },
+        "cancel" => Command::Cancel {
+            job: args.required_num("job")?,
+        },
+        action => control(action).ok_or_else(|| {
+            let actions = CONTROL.map(|(verb, _)| verb).join(", ");
+            format!("unknown daemon action '{action}' ({actions})")
+        })?,
+    };
+    Ok(command.render())
 }
 
 #[cfg(test)]
@@ -492,7 +485,7 @@ mod tests {
         let a = Args::parse_with(&v, &["json"]).unwrap();
         assert_eq!(daemon_request_from("queue", &a).unwrap(), "queue json");
         assert_eq!(daemon_request_from("queue", &args(&[])).unwrap(), "queue");
-        for action in CTL_ACTIONS {
+        for (action, _) in CONTROL {
             assert_eq!(daemon_request_from(action, &args(&[])).unwrap(), action);
         }
         assert!(daemon_request_from("submit", &args(&[])).is_err());
