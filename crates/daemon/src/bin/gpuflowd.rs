@@ -241,6 +241,10 @@ fn main() {
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 ("err timeout\n".to_string(), false)
             }
+            // Past the cap: refused whole, never cut to its first 4 KiB.
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                ("err request too long\n".to_string(), false)
+            }
             Err(_) => continue,
         };
         if let Err(e) = stream.write_all(reply.as_bytes()) {

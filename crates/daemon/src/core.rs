@@ -20,7 +20,7 @@
 //! registry's single monotonic clock via
 //! [`MetricsRegistry::begin_epoch`](gpuflow_runtime::MetricsRegistry::begin_epoch).
 
-use crate::log::{parse_journal, render_journal, LogLine};
+use crate::log::{parse_numbered, render_journal, LogLine};
 use crate::protocol::{valid_tenant_name, RejectReason};
 use gpuflow_chaos::mix64;
 use gpuflow_cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
@@ -259,18 +259,21 @@ impl DaemonCore {
     /// to the live daemon that wrote the log: same job table and
     /// fingerprints, same journal text, same metrics exposition.
     pub fn replay(text: &str) -> Result<DaemonCore, String> {
-        let lines = parse_journal(text)?;
+        let lines = parse_numbered(text)?;
         let mut it = lines.into_iter().peekable();
         let mut cfg = match it.next() {
-            Some(LogLine::Config {
-                seed,
-                tick_us,
-                interval_us,
-                quota,
-                queue_cap,
-                window,
-                tenant_window,
-            }) => DaemonConfig {
+            Some((
+                _,
+                LogLine::Config {
+                    seed,
+                    tick_us,
+                    interval_us,
+                    quota,
+                    queue_cap,
+                    window,
+                    tenant_window,
+                },
+            )) => DaemonConfig {
                 tenants: Vec::new(),
                 quota,
                 queue_cap,
@@ -283,15 +286,16 @@ impl DaemonCore {
             },
             _ => return Err("journal must start with a config record".into()),
         };
-        while let Some(LogLine::Tenant { .. }) = it.peek() {
-            let Some(LogLine::Tenant { name, weight }) = it.next() else {
+        while let Some((_, LogLine::Tenant { .. })) = it.peek() {
+            let Some((_, LogLine::Tenant { name, weight })) = it.next() else {
                 unreachable!()
             };
             cfg.tenants.push((name, weight));
         }
         let mut core = DaemonCore::new(cfg)?;
-        for line in it {
-            core.commit(line)?;
+        for (number, line) in it {
+            core.commit(line)
+                .map_err(|e| format!("line {number}: {e}"))?;
         }
         Ok(core)
     }
@@ -1110,25 +1114,35 @@ mod tests {
         let mut live = DaemonCore::new(small_cfg()).unwrap();
         live.submit("acme", JobShape::Wide, 8, 0).unwrap();
         let text = live.journal_text();
+        // Each tampered record is appended as the journal's last line.
+        let last = text.lines().count() + 1;
+        let replay = |record: &str| DaemonCore::replay(&format!("{text}{record}\n")).err();
         // Drain count that disagrees with the queue.
-        let tampered = format!("{text}drain t=0.020000 jobs=7\n");
-        assert!(DaemonCore::replay(&tampered).is_err());
-        // Cancel of a job that was never submitted.
-        let tampered = format!("{text}cancel t=0.020000 job=9\n");
-        assert!(DaemonCore::replay(&tampered).is_err());
-        // Timestamp off the tick grid.
-        let tampered = format!("{text}cancel t=0.020500 job=1\n");
-        assert!(DaemonCore::replay(&tampered).is_err());
-        // A second job numbered 1, and a skipped id.
-        let tampered = format!("{text}submit t=0.020000 tenant=0 job=1 shape=wide tasks=8\n");
         assert_eq!(
-            DaemonCore::replay(&tampered).err(),
-            Some("submit: job 1 is not the next job id 2".into())
+            replay("drain t=0.020000 jobs=7"),
+            Some(format!(
+                "line {last}: drain: journal says 7 jobs but 1 are queued"
+            ))
         );
-        let tampered = format!("{text}submit t=0.020000 tenant=0 job=7 shape=wide tasks=8\n");
+        // Cancel of a job that was never submitted.
         assert_eq!(
-            DaemonCore::replay(&tampered).err(),
-            Some("submit: job 7 is not the next job id 2".into())
+            replay("cancel t=0.020000 job=9"),
+            Some(format!("line {last}: cancel: job 9 is not queued"))
+        );
+        // Timestamp off the tick grid.
+        assert!(replay("cancel t=0.020500 job=1").is_some());
+        // A second job numbered 1, and a skipped id.
+        assert_eq!(
+            replay("submit t=0.020000 tenant=0 job=1 shape=wide tasks=8"),
+            Some(format!(
+                "line {last}: submit: job 1 is not the next job id 2"
+            ))
+        );
+        assert_eq!(
+            replay("submit t=0.020000 tenant=0 job=7 shape=wide tasks=8"),
+            Some(format!(
+                "line {last}: submit: job 7 is not the next job id 2"
+            ))
         );
     }
 

@@ -64,9 +64,9 @@ pub fn handle_request(request_line: &str, hub: &MetricsHub) -> (String, &'static
 
 /// Answers one accepted connection. The request is read until the
 /// header-terminating blank line (clients may deliver it in several
-/// segments), EOF, or the 2 KiB cap — whichever comes first; a request
-/// not complete within [`crate::CLIENT_TIMEOUT`] fails the read, and the
-/// loop moves on.
+/// segments) or EOF; a request not complete within
+/// [`crate::CLIENT_TIMEOUT`], or longer than 2 KiB, fails the read, and
+/// the loop drops the connection and moves on.
 fn answer(stream: &mut TcpStream, hub: &MetricsHub) -> std::io::Result<()> {
     let request_line = crate::read_request(stream, b"\r\n\r\n", 2048)?;
     let (status, ctype, body) = handle_request(&request_line, hub);

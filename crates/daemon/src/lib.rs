@@ -55,10 +55,13 @@ use std::time::{Duration, Instant};
 pub const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Reads one request from a just-accepted connection: bytes up to the
-/// first `terminator`, EOF or `cap` bytes, whichever comes first. Returns
-/// the request's first line (lossy UTF-8). A request still incomplete
-/// [`CLIENT_TIMEOUT`] after the call fails with a `TimedOut` or
-/// `WouldBlock` error, however the client spaces its bytes.
+/// first `terminator` or EOF. Returns the request's first line (lossy
+/// UTF-8). A request still incomplete [`CLIENT_TIMEOUT`] after the call
+/// fails with a `TimedOut` or `WouldBlock` error, however the client
+/// spaces its bytes. A request that fills `cap` bytes without its
+/// terminator fails with an `InvalidData` error once the rest of it has
+/// been read and discarded, up to the terminator, EOF or that same
+/// deadline, so the caller can still reply on a clean connection.
 pub fn read_request(
     stream: &mut TcpStream,
     terminator: &[u8],
@@ -67,9 +70,40 @@ pub fn read_request(
     // lint: allow(D2, the request deadline only bounds a socket wait and never reaches an artifact)
     let accepted = Instant::now();
     stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
+    let ends = |bytes: &[u8]| bytes.windows(terminator.len()).any(|w| w == terminator);
     let mut buf = vec![0u8; cap];
-    let mut n = 0;
-    while n < cap && !buf[..n].windows(terminator.len()).any(|w| w == terminator) {
+    let mut n = fill(stream, &mut buf, 0, &ends, accepted)?;
+    if n == cap && !ends(&buf) {
+        // A terminator may straddle two reads: keep its first bytes.
+        let keep = terminator.len().saturating_sub(1);
+        while n == cap && !ends(&buf) {
+            buf.copy_within(cap - keep.., 0);
+            n = match fill(stream, &mut buf, keep, &ends, accepted) {
+                Ok(n) => n,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+                Err(e) => return Err(e),
+            };
+        }
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidData,
+            format!("request longer than {cap} bytes"),
+        ));
+    }
+    let text = String::from_utf8_lossy(&buf[..n]);
+    Ok(text.lines().next().unwrap_or("").to_string())
+}
+
+/// Reads into `buf` from byte `n` on until its bytes hold a terminator
+/// (`ends`), the client closes, or `buf` is full, all before
+/// [`CLIENT_TIMEOUT`] from `accepted`; returns the bytes held.
+fn fill(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    mut n: usize,
+    ends: &impl Fn(&[u8]) -> bool,
+    accepted: Instant,
+) -> std::io::Result<usize> {
+    while n < buf.len() && !ends(&buf[..n]) {
         let left = CLIENT_TIMEOUT.saturating_sub(accepted.elapsed());
         if left.is_zero() {
             return Err(ErrorKind::TimedOut.into());
@@ -80,8 +114,7 @@ pub fn read_request(
             read => n += read,
         }
     }
-    let text = String::from_utf8_lossy(&buf[..n]);
-    Ok(text.lines().next().unwrap_or("").to_string())
+    Ok(n)
 }
 
 pub use crate::core::{DaemonConfig, DaemonCore, DrainSummary, JobRootSpan, JobState};

@@ -285,6 +285,11 @@ fn int_at<T: TryFrom<u64>>(verb: &str, key: &str, text: &str) -> Result<T, Strin
 /// Parses a whole journal: header, then one [`LogLine`] per non-empty
 /// line. Returns line-numbered errors.
 pub fn parse_journal(text: &str) -> Result<Vec<LogLine>, String> {
+    Ok(parse_numbered(text)?.into_iter().map(|(_, l)| l).collect())
+}
+
+/// [`parse_journal`], keeping each record's 1-based line number.
+pub(crate) fn parse_numbered(text: &str) -> Result<Vec<(usize, LogLine)>, String> {
     let mut lines = text.lines().enumerate();
     match lines.next() {
         Some((_, h)) if h.trim_end() == LOG_HEADER => {}
@@ -296,7 +301,8 @@ pub fn parse_journal(text: &str) -> Result<Vec<LogLine>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        out.push(LogLine::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?);
+        let record = LogLine::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        out.push((i + 1, record));
     }
     Ok(out)
 }

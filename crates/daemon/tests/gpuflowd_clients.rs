@@ -1,6 +1,7 @@
 //! The live daemon at its boundaries: an idle or trickling client
-//! cannot stall the accept loop, and an integer flag too wide for its
-//! field is a usage error instead of a truncated value.
+//! cannot stall the accept loop, a request longer than the 4 KiB cap is
+//! refused whole, and an integer flag too wide for its field is a usage
+//! error instead of a truncated value.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -114,6 +115,34 @@ fn a_trickling_client_does_not_stall_the_next_one() {
         "health waited {waited:?} behind a trickling client"
     );
     assert_eq!(String::from_utf8_lossy(&reply), "err timeout\n");
+    assert_eq!(daemon.request("shutdown").unwrap(), "ok shutting down\n");
+}
+
+#[test]
+fn an_overlong_request_is_refused_whole() {
+    let daemon = Daemon::spawn();
+    let queue = daemon.request("queue").expect("queue is answered");
+    // 4,097 bytes without a newline; its first 4,096 parse as a valid
+    // submit of 1,234 tasks.
+    let tail = " tasks=12345";
+    let head = "submit tenant=acme shape=wide";
+    let line = format!("{head}{}{tail}", " ".repeat(4097 - head.len() - tail.len()));
+    assert_eq!(line.len(), 4097);
+    let mut stream = daemon.connect();
+    stream.write_all(line.as_bytes()).expect("send the request");
+    stream
+        .shutdown(Shutdown::Write)
+        .expect("close the write half");
+    let mut reply = String::new();
+    stream
+        .read_to_string(&mut reply)
+        .expect("the reply arrives on a clean connection");
+    assert_eq!(reply, "err request too long\n");
+    assert_eq!(
+        daemon.request("queue").unwrap(),
+        queue,
+        "nothing was queued"
+    );
     assert_eq!(daemon.request("shutdown").unwrap(), "ok shutting down\n");
 }
 

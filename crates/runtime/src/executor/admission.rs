@@ -57,7 +57,7 @@ impl<'a> Exec<'a> {
         // and released by an engine event at their arrival instant.
         for &(tid, at_secs) in &self.cfg.arrivals {
             if at_secs > 0.0 {
-                self.unarrived.insert(tid.0);
+                self.unarrived[tid.0 as usize] = true;
                 self.engine.schedule_at(
                     SimTime::ZERO + SimDuration::from_secs_f64(at_secs),
                     Ev::Release(tid),
@@ -69,7 +69,7 @@ impl<'a> Exec<'a> {
         if let Some(sched) = self.cfg.jobs.as_ref() {
             for (j, job) in sched.jobs.iter().enumerate() {
                 for r in &job.roots {
-                    self.unarrived.insert(r.0);
+                    self.unarrived[r.0 as usize] = true;
                 }
                 self.engine.schedule_at(
                     SimTime::ZERO + SimDuration::from_secs_f64(job.arrival_secs),
@@ -78,7 +78,7 @@ impl<'a> Exec<'a> {
             }
         }
         for i in 0..self.deps_left.len() {
-            if self.deps_left[i] == 0 && !self.unarrived.contains(&(i as u32)) {
+            if self.deps_left[i] == 0 && !self.unarrived[i] {
                 self.admit(TaskId(i as u32));
             }
         }
@@ -88,8 +88,7 @@ impl<'a> Exec<'a> {
     /// task enters the queue, except the master's silent re-queue of a
     /// decision a fault overtook.
     pub(super) fn admit(&mut self, tid: TaskId) {
-        self.ready
-            .insert(self.upward_rank[tid.0 as usize], tid, self.lane(tid));
+        self.ready.insert(self.rank(tid), tid, self.lane(tid));
         if self.bus.active() {
             let at = self.now();
             self.bus.push(TelemetryEvent::TaskReady { at, task: tid });
@@ -98,7 +97,7 @@ impl<'a> Exec<'a> {
 
     /// A held-back root task reached its submission time.
     pub(super) fn on_release(&mut self, tid: TaskId) {
-        if !self.unarrived.remove(&tid.0) {
+        if !std::mem::take(&mut self.unarrived[tid.0 as usize]) {
             return;
         }
         self.admit(tid);
@@ -173,7 +172,7 @@ impl<'a> Exec<'a> {
             gate.tenant_inflight[job.tenant] += 1;
             gate.consumed[job.tenant] += job.task_count();
             for &r in &job.roots {
-                if self.unarrived.remove(&r.0) {
+                if std::mem::take(&mut self.unarrived[r.0 as usize]) {
                     self.admit(r);
                 }
             }

@@ -13,7 +13,7 @@ use crate::task::TaskId;
 use crate::telemetry::{CandidateScore, SchedulerDecision, TelemetryEvent};
 
 use super::pipeline::{Stage, TaskRun};
-use super::{Ev, Exec, RunError};
+use super::{Ev, Exec, RunError, NONE};
 
 impl Exec<'_> {
     /// Does this task offload its parallel fraction to a GPU in this run?
@@ -109,7 +109,7 @@ impl Exec<'_> {
             // A fault may have invalidated the assignment while the
             // master was deciding.
             let i = tid.0 as usize;
-            if self.completed[i] || self.runs[i].is_some() {
+            if self.completed[i] || self.live.is_live(tid) {
                 self.try_start_master();
                 return Ok(());
             }
@@ -121,7 +121,7 @@ impl Exec<'_> {
             }
             if self.free_slots(node, tid) == 0 {
                 if !self.in_backoff[i] {
-                    self.ready.insert(self.upward_rank[i], tid, self.lane(tid));
+                    self.ready.insert(self.rank(tid), tid, self.lane(tid));
                 }
                 self.try_start_master();
                 return Ok(());
@@ -202,11 +202,14 @@ impl Exec<'_> {
         // Resubmission steers a previously failed task away from the
         // node that killed it, when any alternative has capacity.
         if self.faults.is_some() && self.cfg.recovery.resubmit_alternate {
-            if let Some(bad) = self.last_failed_node[tid.0 as usize] {
-                if avail.iter().any(|a| a.node != bad && a.free_slots > 0) {
-                    if let Some(slot) = avail.iter_mut().find(|a| a.node == bad) {
-                        slot.free_slots = 0;
-                    }
+            let bad = self.last_failed_node[tid.0 as usize];
+            if bad != NONE
+                && avail
+                    .iter()
+                    .any(|a| a.node != bad as usize && a.free_slots > 0)
+            {
+                if let Some(slot) = avail.iter_mut().find(|a| a.node == bad as usize) {
+                    slot.free_slots = 0;
                 }
             }
         }
@@ -257,12 +260,11 @@ impl Exec<'_> {
             self.stats.gpu_fallbacks += 1;
         }
         self.attempts[tid.0 as usize] += 1;
-        // Reuse buffers from a finished attempt; steady-state dispatch
+        // Reuse the buffers of a finished attempt; steady-state dispatch
         // then allocates nothing.
-        let (mut inputs, mut outputs, mut core_ids) = self.run_pool.pop().unwrap_or_default();
+        let (mut inputs, mut outputs, mut core_ids) = self.live.take_buffers();
         self.resolve(spec.reads(), &mut inputs);
         self.resolve(spec.writes(), &mut outputs);
-        core_ids.clear();
         let in_bytes: u64 = inputs.iter().map(|(_, b)| b).sum();
         let out_bytes: u64 = outputs.iter().map(|(_, b)| b).sum();
 
@@ -316,17 +318,17 @@ impl Exec<'_> {
         // Fold the attempt's input lineage now: every input version is
         // available at dispatch (dependency tracking guarantees it).
         let mut in_hash = mix64(0x517C_C1B7_2722_0A95 ^ tid.0 as u64);
-        for (v, _) in &inputs {
+        for &(v, _) in &inputs {
             let hv = self
-                .data_hash
-                .get(v)
-                .copied()
-                .unwrap_or_else(|| Self::source_hash(*v));
+                .versions
+                .committed(self.versions.slot(v.id, v.version))
+                .unwrap_or_else(|| Self::source_hash(v));
             in_hash = mix64(in_hash ^ hv);
         }
         inputs.reverse();
         outputs.reverse();
-        self.runs[tid.0 as usize] = Some(TaskRun {
+        let core = core_ids[0];
+        self.live.insert(TaskRun {
             node,
             stage: Stage::SerialFrac, // placeholder; set by enter_inputs
             cores_held: cores,
@@ -344,7 +346,7 @@ impl Exec<'_> {
                 task: tid,
                 task_type: spec.task_type.clone(),
                 node,
-                core: 0, // set below from the acquired identity
+                core,
                 cores: cores as u16,
                 processor: if on_gpu {
                     ProcessorKind::Gpu
@@ -363,18 +365,17 @@ impl Exec<'_> {
                 cache_misses: 0,
             },
         });
-        {
-            let run = self.runs[tid.0 as usize].as_mut().expect("run");
-            run.rec.core = run.core_ids[0];
-        }
+        debug_assert!(
+            self.live.len() <= self.cfg.cluster.total_cpu_cores(),
+            "every live attempt holds a core"
+        );
         if self.bus.active() {
-            let run = self.runs[tid.0 as usize].as_ref().expect("run");
             self.bus.push(TelemetryEvent::TaskDispatched {
                 at: now,
                 task: tid,
                 task_type: spec.task_type.clone(),
                 node,
-                core: run.rec.core,
+                core,
                 cores: cores as u16,
                 gpu: gpu_id,
             });
@@ -386,12 +387,11 @@ impl Exec<'_> {
 
     /// Ends `tid`'s live attempt: gives its cores, RAM and — unless the
     /// device itself failed — its GPU back to the node, and charges the
-    /// time they were held.
-    pub(super) fn release(&mut self, tid: TaskId, release_gpu: bool) -> TaskRun {
-        let run = self.runs[tid.0 as usize]
-            .take()
-            .expect("releasing a live attempt");
-        let (node, held) = (run.node, (self.now() - run.rec.start).as_secs_f64());
+    /// time they were held. Returns the ended attempt.
+    pub(super) fn release(&mut self, tid: TaskId, release_gpu: bool) -> &mut TaskRun {
+        let now = self.now();
+        let run = self.live.release(tid);
+        let (node, held) = (run.node, (now - run.rec.start).as_secs_f64());
         self.free_cores[node] += run.cores_held;
         self.core_stacks[node].extend(run.core_ids.iter().copied());
         self.core_held_seconds += run.cores_held as f64 * held;

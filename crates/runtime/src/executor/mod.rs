@@ -35,22 +35,20 @@ mod dispatch;
 mod pipeline;
 mod recovery;
 
-use fxhash::{FxHashMap, FxHashSet};
-
 use gpuflow_chaos::{mix64, FaultPlan};
-use gpuflow_cluster::ProcessorKind;
+use gpuflow_cluster::{CpuModel, ProcessorKind, StorageArchitecture};
 use gpuflow_sim::{Engine, Jitter, SimTime};
 
 use crate::cache::BlockCache;
-use crate::data::DataVersion;
+use crate::data::{DataId, DataVersion};
 use crate::metrics::{RunMetrics, TaskRecord};
-use crate::scheduler::{NodeAvail, ReadyQueue};
+use crate::scheduler::{NodeAvail, ReadyQueue, SchedulingPolicy};
 use crate::task::TaskId;
 use crate::telemetry::EventBus;
 use crate::workflow::Workflow;
 
 use admission::JobGate;
-use pipeline::{Link, LinkKey, RunBuffers, TaskRun};
+use pipeline::{Link, LinkKey, LiveRuns};
 use recovery::{fault_timeline, FaultAction};
 
 use api::validate;
@@ -81,8 +79,8 @@ pub fn run(workflow: &Workflow, config: &RunConfig) -> Result<RunReport, RunErro
 // Internal machinery
 // ---------------------------------------------------------------------
 
-/// Sentinel in the dense `home` table: the block has no disk home (yet).
-const NO_HOME: usize = usize::MAX;
+/// Sentinel of the dense `u32` tables: no node, task or slab entry.
+const NONE: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -127,30 +125,30 @@ struct Exec<'a> {
     harvested: Vec<(TaskId, u32)>,
     // Scheduling.
     /// HEFT-style upward rank per task (estimated seconds on the
-    /// critical path to the sink), used by the CriticalPath policy.
+    /// critical path to the sink); computed only under the CriticalPath
+    /// policy, the one [`ReadyQueue`] order that reads ranks.
     upward_rank: Vec<f64>,
     rr_cursor: usize,
     master_busy: bool,
     pending_assign: Option<(TaskId, usize)>,
     sched_overhead: f64,
     ready: ReadyQueue,
-    deps_left: Vec<usize>,
+    deps_left: Vec<u32>,
     /// Scratch for node scoring, reused across decisions.
     avail_scratch: Vec<NodeAvail>,
     /// Scratch for the chosen task's resolved reads `(version, bytes)`,
     /// reused across decisions.
     reads_scratch: Vec<(DataVersion, u64)>,
     // Task state.
-    runs: Vec<Option<TaskRun>>,
+    /// The live attempts, at most one per held core.
+    live: LiveRuns,
     records: Vec<TaskRecord>,
-    /// Freed [`TaskRun`] buffers, recycled by the next dispatch.
-    run_pool: Vec<RunBuffers>,
     done: usize,
     // Data placement & caching.
     caches: Vec<BlockCache>,
-    /// Home node per `DataId` (dense, indexed by id), `NO_HOME` where a
+    /// Home node per `DataId` (dense, indexed by id), `NONE` where a
     /// block has no disk home yet. Only meaningful under local disks.
-    home: Vec<usize>,
+    home: Vec<u32>,
     jitter: Jitter,
     /// The telemetry bus; it records only when telemetry is collected.
     bus: EventBus,
@@ -166,14 +164,14 @@ struct Exec<'a> {
     attempts: Vec<u32>,
     /// Transient failures per task, charged against the retry budget.
     transient_fails: Vec<u32>,
-    /// Node of the task's last failed attempt (alternate-node
-    /// resubmission steers away from it when possible).
-    last_failed_node: Vec<Option<usize>>,
+    /// Node of the task's last failed attempt, `NONE` before any
+    /// (alternate-node resubmission steers away from it when possible).
+    last_failed_node: Vec<u32>,
     /// Task sits out a backoff window and must not be scheduled.
     in_backoff: Vec<bool>,
-    /// Root tasks with a future submission time: invisible to the
+    /// Root task with a future submission time: invisible to the
     /// scheduler (and to recovery re-admission) until released.
-    unarrived: FxHashSet<u32>,
+    unarrived: Vec<bool>,
     /// The job gate, when [`RunConfig::jobs`] is set.
     gate: Option<JobGate>,
     /// Task currently has a valid completed output.
@@ -183,16 +181,8 @@ struct Exec<'a> {
     node_up: Vec<bool>,
     /// Permanently failed GPU devices per node.
     gpus_dead: Vec<usize>,
-    /// Home node of every *written* (non-durable) version; shared-disk
-    /// writes are durable and never appear here.
-    version_home: FxHashMap<DataVersion, usize>,
-    /// Producing task of every written version.
-    producer: FxHashMap<DataVersion, TaskId>,
-    /// Versions written but never read by any task, sorted — the
-    /// fingerprint domain.
-    terminal: Vec<DataVersion>,
-    /// Lineage hash of every currently available produced version.
-    data_hash: FxHashMap<DataVersion, u64>,
+    /// Lineage state of every (object, version) pair.
+    versions: VersionSlots,
     stats: RecoveryStats,
     /// Fatal error raised deep inside the stage machinery; the run loop
     /// surfaces it after the current event.
@@ -204,52 +194,29 @@ impl<'a> Exec<'a> {
         let c = &cfg.cluster;
         let nodes = c.nodes;
         let cache_bytes = (c.node.ram_bytes as f64 * cfg.cache_fraction) as u64;
-        let mut home = vec![NO_HOME; wf.registry().len()];
+        let mut home = vec![NONE; wf.registry().len()];
         // Initial dataset blocks round-robin over node disks (local-disk
         // architecture); with shared disk the home node is irrelevant.
         let mut rr = 0usize;
         for obj in wf.registry().iter() {
             if obj.initial {
-                home[obj.id.0 as usize] = rr % nodes;
+                home[obj.id.0 as usize] = (rr % nodes) as u32;
                 rr += 1;
             }
         }
-        // Upward ranks: est(t) + max over successors (reverse topological
-        // pass; tasks are indexed in topological order by construction).
-        let cpu = c.node.cpu;
-        let mut upward_rank = vec![0.0f64; wf.tasks().len()];
-        for idx in (0..wf.tasks().len()).rev() {
-            let t = &wf.tasks()[idx];
-            let est =
-                cpu.time(&t.cost.serial).as_secs_f64() + cpu.time(&t.cost.parallel).as_secs_f64();
-            let succ_max = wf
-                .successors(t.id)
-                .iter()
-                .map(|s| upward_rank[s.0 as usize])
-                .fold(0.0, f64::max);
-            upward_rank[idx] = est + succ_max;
-        }
-        // Lineage bookkeeping: who writes each version, and which
-        // versions are terminal (written, never consumed).
-        let mut producer: FxHashMap<DataVersion, TaskId> = FxHashMap::default();
-        let mut consumed: FxHashSet<DataVersion> = FxHashSet::default();
-        for t in wf.tasks() {
-            for (id, version) in t.reads() {
-                consumed.insert(DataVersion { id, version });
-            }
-            for (id, version) in t.writes() {
-                producer.insert(DataVersion { id, version }, t.id);
-            }
-        }
-        let mut terminal: Vec<DataVersion> = producer
-            .keys()
-            .filter(|v| !consumed.contains(v))
-            .copied()
-            .collect();
-        terminal.sort_by_key(|v| (v.id.0, v.version));
+        let upward_rank = if cfg.policy == SchedulingPolicy::CriticalPath {
+            upward_ranks(wf, &c.node.cpu)
+        } else {
+            Vec::new()
+        };
         // An empty plan must be indistinguishable from no plan.
         let faults = cfg.faults.as_ref().filter(|p| !p.is_empty());
         let fault_timeline = faults.map(fault_timeline).unwrap_or_default();
+        let versions = VersionSlots::new(
+            wf,
+            faults.is_some(),
+            faults.is_some() && cfg.storage == StorageArchitecture::LocalDisk,
+        );
         let n_tasks = wf.tasks().len();
         // The event population is bounded by resources, not tasks: one
         // delay per running attempt (≤ cores), one tick per link, the
@@ -290,11 +257,11 @@ impl<'a> Exec<'a> {
             deps_left: wf
                 .tasks()
                 .iter()
-                .map(|t| wf.predecessors(t.id).len())
+                .map(|t| wf.predecessors(t.id).len() as u32)
                 .collect(),
             avail_scratch: Vec::with_capacity(nodes),
             reads_scratch: Vec::new(),
-            runs: wf.tasks().iter().map(|_| None).collect(),
+            live: LiveRuns::new(n_tasks, c.total_cpu_cores()),
             records: Vec::with_capacity(wf.tasks().len()),
             done: 0,
             caches: (0..nodes).map(|_| BlockCache::new(cache_bytes)).collect(),
@@ -314,19 +281,15 @@ impl<'a> Exec<'a> {
             fault_timeline,
             attempts: vec![0; n_tasks],
             transient_fails: vec![0; n_tasks],
-            last_failed_node: vec![None; n_tasks],
+            last_failed_node: vec![NONE; n_tasks],
             in_backoff: vec![false; n_tasks],
-            unarrived: FxHashSet::default(),
+            unarrived: vec![false; n_tasks],
             gate: cfg.jobs.as_ref().map(JobGate::new),
             completed: vec![false; n_tasks],
             recorded: vec![false; n_tasks],
             node_up: vec![true; nodes],
             gpus_dead: vec![0; nodes],
-            version_home: FxHashMap::default(),
-            producer,
-            terminal,
-            data_hash: FxHashMap::default(),
-            run_pool: Vec::new(),
+            versions,
             stats: RecoveryStats::default(),
             fatal: None,
         }
@@ -334,6 +297,11 @@ impl<'a> Exec<'a> {
 
     fn now(&self) -> SimTime {
         self.engine.now()
+    }
+
+    /// `tid`'s upward rank; 0 under the policies that ignore ranks.
+    fn rank(&self, tid: TaskId) -> f64 {
+        self.upward_rank.get(tid.0 as usize).copied().unwrap_or(0.0)
     }
 
     fn handle(&mut self, ev: Ev) -> Result<(), RunError> {
@@ -387,11 +355,11 @@ impl<'a> Exec<'a> {
             self.peak_ram,
         );
         self.bus.finish_live();
-        // Fold the lineage hashes of the terminal outputs, in a fixed
-        // order — the run's output fingerprint.
+        // Fold the lineage hashes of the terminal outputs, in (id,
+        // version) order — the run's output fingerprint.
         let mut fingerprint = 0xCBF2_9CE4_8422_2325u64;
-        for v in &self.terminal {
-            fingerprint = mix64(fingerprint ^ self.data_hash.get(v).copied().unwrap_or(0));
+        for &slot in &self.versions.terminal {
+            fingerprint = mix64(fingerprint ^ self.versions.committed(slot as usize).unwrap_or(0));
         }
         Ok(RunReport {
             metrics,
@@ -404,6 +372,151 @@ impl<'a> Exec<'a> {
             recovery: self.stats,
             output_fingerprint: fingerprint,
         })
+    }
+}
+
+/// HEFT-style upward ranks: each task's estimated user-code seconds on
+/// `cpu` plus the largest rank among its successors (one reverse pass;
+/// tasks are indexed in topological order by construction).
+fn upward_ranks(wf: &Workflow, cpu: &CpuModel) -> Vec<f64> {
+    let mut rank = vec![0.0f64; wf.tasks().len()];
+    for idx in (0..wf.tasks().len()).rev() {
+        let t = &wf.tasks()[idx];
+        let est = cpu.time(&t.cost.serial).as_secs_f64() + cpu.time(&t.cost.parallel).as_secs_f64();
+        let succ_max = wf
+            .successors(t.id)
+            .iter()
+            .map(|s| rank[s.0 as usize])
+            .fold(0.0, f64::max);
+        rank[idx] = est + succ_max;
+    }
+    rank
+}
+
+/// The run's lineage state, one dense slot per (object, version) pair:
+/// `slot = base[id] + version`, so ascending slots are ascending
+/// `(id, version)` pairs and every per-version table is a vector.
+struct VersionSlots {
+    /// First slot of each object, then the slot count (length
+    /// `objects + 1`).
+    base: Vec<u32>,
+    /// Lineage hash of each produced version, valid while `available`.
+    hash: Vec<u64>,
+    /// The version was produced and not lost since.
+    available: Vec<bool>,
+    /// Producing task of each written version (`NONE` for version 0).
+    /// Only a fault plan regenerates lineage, so only it builds this.
+    producer: Vec<u32>,
+    /// Node whose local disk holds each written version (`NONE` where
+    /// none does). Only kept under a fault plan with local disks: a
+    /// crash loses these versions; shared-disk writes are durable.
+    home: Vec<u32>,
+    /// Versions written but never read by any task, as ascending slots:
+    /// the fingerprint domain.
+    terminal: Vec<u32>,
+}
+
+impl VersionSlots {
+    fn new(wf: &Workflow, producers: bool, homes: bool) -> Self {
+        let objects = wf.registry().len();
+        // One pass over the params. Tasks are in generation order, where
+        // a read sees its object's current version, so this finds each
+        // object's last version, whether anyone read it, and the versions
+        // a write replaced before anyone read them.
+        let mut last = vec![0u32; objects + 1];
+        let mut read = vec![false; objects];
+        let mut replaced_unread = Vec::new();
+        for t in wf.tasks() {
+            for p in &t.params {
+                let i = p.data.0 as usize;
+                read[i] |= p.dir.reads();
+                if p.dir.writes() {
+                    if last[i] > 0 && !read[i] {
+                        replaced_unread.push((i, last[i]));
+                    }
+                    (last[i], read[i]) = (p.version, false);
+                }
+            }
+        }
+        // Each object's versions run from 0 to its last one.
+        let mut base = last;
+        let mut next = 0u32;
+        for b in &mut base {
+            let versions = *b + 1;
+            *b = next;
+            next += versions;
+        }
+        let slots = base[objects] as usize;
+        // Terminal versions: written and never read. Marking them per
+        // slot lists them in (id, version) order without a sort.
+        let mut unread = vec![false; slots];
+        for (i, version) in replaced_unread {
+            unread[(base[i] + version) as usize] = true;
+        }
+        for i in 0..objects {
+            if base[i + 1] - base[i] > 1 && !read[i] {
+                unread[base[i + 1] as usize - 1] = true;
+            }
+        }
+        let terminal = (0..slots as u32).filter(|&s| unread[s as usize]).collect();
+        let mut versions = VersionSlots {
+            hash: vec![0; slots],
+            available: vec![false; slots],
+            producer: Vec::new(),
+            home: if homes { vec![NONE; slots] } else { Vec::new() },
+            terminal,
+            base,
+        };
+        if producers {
+            versions.producer = vec![NONE; slots];
+            for t in wf.tasks() {
+                for (id, version) in t.writes() {
+                    let slot = versions.slot(id, version);
+                    versions.producer[slot] = t.id.0;
+                }
+            }
+        }
+        versions
+    }
+
+    fn slot(&self, id: DataId, version: u32) -> usize {
+        (self.base[id.0 as usize] + version) as usize
+    }
+
+    /// The lineage hash of `slot`, if its version is available.
+    fn committed(&self, slot: usize) -> Option<u64> {
+        self.available[slot].then(|| self.hash[slot])
+    }
+
+    /// Makes `slot`'s version available with lineage hash `hash`.
+    fn commit(&mut self, slot: usize, hash: u64) {
+        self.hash[slot] = hash;
+        self.available[slot] = true;
+    }
+
+    /// Whether `(id, version)` was produced by a task and is lost: it
+    /// must be regenerated before anyone reads it.
+    fn lost(&self, id: DataId, version: u32) -> bool {
+        version > 0 && !self.available[self.slot(id, version)]
+    }
+
+    /// Forgets every version homed on `node`'s disk and appends each to
+    /// `lost` in ascending (id, version) order.
+    fn lose_homed_on(&mut self, node: u32, lost: &mut Vec<DataVersion>) {
+        for id in 0..self.base.len() - 1 {
+            let first = self.base[id];
+            for slot in first..self.base[id + 1] {
+                let s = slot as usize;
+                if self.home[s] == node {
+                    self.home[s] = NONE;
+                    self.available[s] = false;
+                    lost.push(DataVersion {
+                        id: DataId(id as u32),
+                        version: slot - first,
+                    });
+                }
+            }
+        }
     }
 }
 

@@ -12,12 +12,12 @@ use crate::task::TaskId;
 use crate::telemetry::{LinkKind, TelemetryEvent};
 use crate::trace::TraceState;
 
-use super::{Ev, Exec, RunConfig, NO_HOME};
+use super::{Ev, Exec, RunConfig, NONE};
 
-/// Recycled `TaskRun` buffers — `(inputs, outputs, core_ids)` — so the
-/// steady-state dispatch path reuses capacity instead of allocating
-/// three fresh vectors per task.
-pub(super) type RunBuffers = (Vec<(DataVersion, u64)>, Vec<(DataVersion, u64)>, Vec<u16>);
+/// A [`TaskRun`]'s buffers — `(inputs, outputs, core_ids)` — handed from
+/// a released entry to the next dispatch, so dispatch reuses their
+/// capacity instead of allocating three fresh vectors per task.
+type RunBuffers = (Vec<(DataVersion, u64)>, Vec<(DataVersion, u64)>, Vec<u16>);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum LinkKey {
@@ -80,7 +80,108 @@ pub(super) struct TaskRun {
     /// dispatch time (inputs are guaranteed available then, even if a
     /// later crash invalidates them mid-run).
     pub(super) in_hash: u64,
+    /// The attempt's record; `rec.task` names the attempt's task.
     pub(super) rec: TaskRecord,
+}
+
+/// The live attempts: a slab of [`TaskRun`]s and, per task, the index
+/// of its live entry. Every live attempt holds a core, so the slab never
+/// outgrows the cluster's cores. A released entry keeps its buffers and
+/// the next dispatch reuses it in place, so steady-state dispatch
+/// allocates nothing.
+pub(super) struct LiveRuns {
+    /// Slab index of each task's live attempt, `NONE` without one.
+    index: Vec<u32>,
+    runs: Vec<TaskRun>,
+    /// Released entries; the last one is reused first.
+    free: Vec<u32>,
+}
+
+impl LiveRuns {
+    pub(super) fn new(tasks: usize, cores: usize) -> Self {
+        LiveRuns {
+            index: vec![NONE; tasks],
+            runs: Vec::with_capacity(cores.min(tasks)),
+            free: Vec::new(),
+        }
+    }
+
+    pub(super) fn is_live(&self, tid: TaskId) -> bool {
+        self.index[tid.0 as usize] != NONE
+    }
+
+    /// `tid`'s live attempt.
+    ///
+    /// # Panics
+    /// Panics when `tid` has no live attempt.
+    pub(super) fn run(&mut self, tid: TaskId) -> &mut TaskRun {
+        let k = self.index[tid.0 as usize];
+        assert!(k != NONE, "{tid} has no live attempt");
+        &mut self.runs[k as usize]
+    }
+
+    /// Number of live attempts.
+    pub(super) fn len(&self) -> usize {
+        self.runs.len() - self.free.len()
+    }
+
+    /// Empty `(inputs, outputs, core_ids)` buffers for the next
+    /// dispatch, with the capacity of the entry it will reuse.
+    pub(super) fn take_buffers(&mut self) -> RunBuffers {
+        let Some(&k) = self.free.last() else {
+            return Default::default();
+        };
+        let run = &mut self.runs[k as usize];
+        let mut bufs = (
+            std::mem::take(&mut run.inputs),
+            std::mem::take(&mut run.outputs),
+            std::mem::take(&mut run.core_ids),
+        );
+        bufs.0.clear();
+        bufs.1.clear();
+        bufs.2.clear();
+        bufs
+    }
+
+    /// Makes `run` the live attempt of its task, in the last released
+    /// entry if there is one.
+    pub(super) fn insert(&mut self, run: TaskRun) {
+        let i = run.rec.task.0 as usize;
+        debug_assert!(self.index[i] == NONE, "{} is already running", run.rec.task);
+        self.index[i] = match self.free.pop() {
+            Some(k) => {
+                self.runs[k as usize] = run;
+                k
+            }
+            None => {
+                self.runs.push(run);
+                (self.runs.len() - 1) as u32
+            }
+        };
+    }
+
+    /// Ends `tid`'s live attempt. Its entry stays readable until the
+    /// next [`LiveRuns::insert`] reuses it.
+    ///
+    /// # Panics
+    /// Panics when `tid` has no live attempt.
+    pub(super) fn release(&mut self, tid: TaskId) -> &mut TaskRun {
+        let k = std::mem::replace(&mut self.index[tid.0 as usize], NONE);
+        assert!(k != NONE, "releasing {tid} without a live attempt");
+        self.free.push(k);
+        &mut self.runs[k as usize]
+    }
+
+    /// The live attempts, in slab order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = &TaskRun> {
+        // A released entry is no longer its task's index entry (the task
+        // has none, or a newer one).
+        self.runs
+            .iter()
+            .enumerate()
+            .filter(|&(k, r)| self.index[r.rec.task.0 as usize] == k as u32)
+            .map(|(_, r)| r)
+    }
 }
 
 impl Exec<'_> {
@@ -96,7 +197,7 @@ impl Exec<'_> {
     /// node. Latencies are fixed and go through [`Exec::delay`] directly.
     fn work_delay(&mut self, tid: TaskId, d: SimDuration) {
         let d = self.jitter.apply(d);
-        let node = self.runs[tid.0 as usize].as_ref().expect("run").node;
+        let node = self.live.run(tid).node;
         let d = self.stretch(node, d);
         self.delay(d, tid);
     }
@@ -104,8 +205,8 @@ impl Exec<'_> {
     /// Disk home of `data`, if it has one (dense-table lookup).
     fn home_of(&self, data: DataId) -> Option<usize> {
         match self.home[data.0 as usize] {
-            NO_HOME => None,
-            h => Some(h),
+            NONE => None,
+            h => Some(h as usize),
         }
     }
 
@@ -122,7 +223,7 @@ impl Exec<'_> {
     /// of `bytes` on `key`.
     fn start_flow(&mut self, tid: TaskId, stage: Stage, key: LinkKey, bytes: u64) {
         let now = self.now();
-        let run = self.runs[tid.0 as usize].as_mut().expect("running task");
+        let run = self.live.run(tid);
         run.stage = stage;
         run.flow_start = now;
         // The shared file system has one front-end (NIC) per node; a
@@ -163,7 +264,7 @@ impl Exec<'_> {
         link.flows.harvest(now, &mut done);
         for &(tid, att) in &done {
             let i = tid.0 as usize;
-            if self.runs[i].is_some() && att == self.attempts[i] {
+            if self.live.is_live(tid) && att == self.attempts[i] {
                 self.on_flow_done(tid);
             }
         }
@@ -198,7 +299,7 @@ impl Exec<'_> {
     /// starts a read. When inputs are exhausted, moves on to compute.
     pub(super) fn enter_inputs(&mut self, tid: TaskId) {
         loop {
-            let run = self.runs[tid.0 as usize].as_mut().expect("running task");
+            let run = self.live.run(tid);
             let node = run.node;
             match run.inputs.pop() {
                 Some((key, bytes)) => {
@@ -213,15 +314,11 @@ impl Exec<'_> {
                         });
                     }
                     if hit {
-                        self.runs[tid.0 as usize]
-                            .as_mut()
-                            .expect("run")
-                            .rec
-                            .cache_hits += 1;
+                        self.live.run(tid).rec.cache_hits += 1;
                         continue;
                     }
                     {
-                        let run = self.runs[tid.0 as usize].as_mut().expect("run");
+                        let run = self.live.run(tid);
                         run.rec.cache_misses += 1;
                         run.anchor = self.engine.now();
                         run.stage = Stage::ReadLatency { key, bytes };
@@ -243,7 +340,7 @@ impl Exec<'_> {
         let serial_time = self.cfg.cluster.node.cpu.time(&cost.serial);
         if !serial_time.is_zero() {
             let now = self.now();
-            let run = self.runs[tid.0 as usize].as_mut().expect("run");
+            let run = self.live.run(tid);
             run.stage = Stage::SerialFrac;
             run.anchor = now;
             self.work_delay(tid, serial_time);
@@ -259,19 +356,15 @@ impl Exec<'_> {
             return;
         }
         let now = self.now();
-        let on_gpu = self.runs[tid.0 as usize]
-            .as_ref()
-            .expect("run")
-            .gpu_id
-            .is_some();
+        let on_gpu = self.live.run(tid).gpu_id.is_some();
         if on_gpu {
-            let run = self.runs[tid.0 as usize].as_mut().expect("run");
+            let run = self.live.run(tid);
             run.stage = Stage::H2dLatency;
             run.anchor = now;
             let latency = self.cfg.cluster.node.pcie.latency;
             self.delay(latency, tid);
         } else {
-            let run = self.runs[tid.0 as usize].as_mut().expect("run");
+            let run = self.live.run(tid);
             run.stage = Stage::CpuCompute;
             run.anchor = now;
             let speedup = RunConfig::thread_speedup(run.cores_held);
@@ -282,14 +375,10 @@ impl Exec<'_> {
 
     fn enter_outputs(&mut self, tid: TaskId) {
         let now = self.now();
-        let next = self.runs[tid.0 as usize]
-            .as_mut()
-            .expect("run")
-            .outputs
-            .pop();
+        let next = self.live.run(tid).outputs.pop();
         match next {
             Some((key, bytes)) => {
-                let run = self.runs[tid.0 as usize].as_mut().expect("run");
+                let run = self.live.run(tid);
                 run.stage = Stage::Encode { key, bytes };
                 run.anchor = now;
                 self.work_delay(tid, self.cfg.cluster.serde.serialize_time(bytes as f64));
@@ -302,11 +391,11 @@ impl Exec<'_> {
     /// its next stage, unless the attempt died or was superseded since.
     pub(super) fn on_delay_done(&mut self, tid: TaskId, att: u32) {
         let i = tid.0 as usize;
-        if self.runs[i].is_none() || att != self.attempts[i] {
+        if !self.live.is_live(tid) || att != self.attempts[i] {
             return;
         }
         let now = self.now();
-        let run = self.runs[i].as_mut().expect("live attempt");
+        let run = self.live.run(tid);
         let (stage, node, anchor) = (run.stage, run.node, run.anchor);
         match stage {
             Stage::ReadLatency { key, bytes } => {
@@ -358,7 +447,7 @@ impl Exec<'_> {
     /// Emits a [`TelemetryEvent::Transfer`] for a completed link flow
     /// of `tid` (callers guard on `bus.active()`).
     fn push_transfer(&mut self, tid: TaskId, link: LinkKind, bytes: u64, t1: SimTime) {
-        let run = self.runs[tid.0 as usize].as_ref().expect("run");
+        let run = self.live.run(tid);
         let (node, t0) = (run.node, run.flow_start);
         self.bus.push(TelemetryEvent::Transfer {
             task: tid,
@@ -372,7 +461,7 @@ impl Exec<'_> {
 
     fn on_flow_done(&mut self, tid: TaskId) {
         let now = self.now();
-        let run = self.runs[tid.0 as usize].as_mut().expect("live attempt");
+        let run = self.live.run(tid);
         let (stage, node) = (run.stage, run.node);
         match stage {
             Stage::ReadFlow { key, bytes } => {
@@ -409,11 +498,12 @@ impl Exec<'_> {
                 // with local disks, now lives on this node's disk.
                 self.cache_insert(node, key, bytes, now);
                 if self.cfg.storage == StorageArchitecture::LocalDisk {
-                    self.home[key.id.0 as usize] = node;
+                    self.home[key.id.0 as usize] = node as u32;
                     if self.faults.is_some() {
                         // Written versions on a local disk die with the
                         // node; shared-disk writes are durable.
-                        self.version_home.insert(key, node);
+                        let slot = self.versions.slot(key.id, key.version);
+                        self.versions.home[slot] = node as u32;
                     }
                 }
                 self.close_stage(tid, TraceState::Serialize);
@@ -445,25 +535,24 @@ impl Exec<'_> {
             }
         }
         let now = self.now();
-        let mut run = self.release(tid, true);
+        let run = self.release(tid, true);
         run.rec.end = now;
-        let node = run.node;
+        let (node, in_hash, rec) = (run.node, run.in_hash, run.rec.clone());
         // Commit the outputs' lineage hashes: pure functions of the task
-        // and its input lineage, so a regenerated producer reinserts the
+        // and its input lineage, so a regenerated producer recommits the
         // exact value a crash destroyed.
         for (id, version) in self.wf.task(tid).writes() {
-            let key = DataVersion { id, version };
-            let h = mix64(run.in_hash ^ (((key.id.0 as u64) << 32) | key.version as u64));
-            self.data_hash.insert(key, h);
+            let h = mix64(in_hash ^ (((id.0 as u64) << 32) | version as u64));
+            let slot = self.versions.slot(id, version);
+            self.versions.commit(slot, h);
         }
         debug_assert!(!self.completed[i], "double completion of {tid}");
         self.completed[i] = true;
-        self.run_pool.push((run.inputs, run.outputs, run.core_ids));
         if !self.recorded[i] {
             // Only the first successful attempt is recorded; lineage
             // re-executions keep the books at one record per task.
             self.recorded[i] = true;
-            self.records.push(run.rec);
+            self.records.push(rec);
             self.done += 1;
             self.job_task_done(tid);
         }
@@ -477,7 +566,7 @@ impl Exec<'_> {
         }
         for &succ in self.wf.successors(tid) {
             let si = succ.0 as usize;
-            if self.completed[si] || self.runs[si].is_some() {
+            if self.completed[si] || self.live.is_live(succ) {
                 // A lineage re-execution's successor may already be
                 // done or running; never feed it back into the queue.
                 continue;
@@ -501,7 +590,7 @@ impl Exec<'_> {
     /// its next stage opens.
     fn close_stage(&mut self, tid: TaskId, state: TraceState) {
         let now = self.now();
-        let run = self.runs[tid.0 as usize].as_mut().expect("running task");
+        let run = self.live.run(tid);
         let anchor = std::mem::replace(&mut run.anchor, now);
         let rec = &mut run.rec;
         let field = match state {

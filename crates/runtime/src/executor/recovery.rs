@@ -132,9 +132,9 @@ impl Exec<'_> {
         let now = self.now();
         let i = tid.0 as usize;
         let run = self.release(tid, release_gpu);
-        let node = run.node;
+        let (node, started) = (run.node, run.rec.start);
         if self.cfg.recovery.resubmit_alternate {
-            self.last_failed_node[i] = Some(node);
+            self.last_failed_node[i] = node as u32;
         }
         if self.bus.active() {
             self.bus.push(TelemetryEvent::TaskFailed {
@@ -142,12 +142,11 @@ impl Exec<'_> {
                 task: tid,
                 node,
                 attempt: self.attempts[i].saturating_sub(1),
-                started: run.rec.start,
+                started,
                 reason,
             });
             self.push_gauge(node, now);
         }
-        self.run_pool.push((run.inputs, run.outputs, run.core_ids));
         node
     }
 
@@ -222,10 +221,10 @@ impl Exec<'_> {
     fn requeue(&mut self, tid: TaskId) {
         let i = tid.0 as usize;
         if self.completed[i]
-            || self.runs[i].is_some()
+            || self.live.is_live(tid)
             || self.in_backoff[i]
             || self.deps_left[i] > 0
-            || self.unarrived.contains(&tid.0)
+            || self.unarrived[i]
             || self.pending_assign.map(|(t, _)| t) == Some(tid)
         {
             return;
@@ -235,10 +234,11 @@ impl Exec<'_> {
         // live then, so no crash-time sweep chased its inputs. Re-read
         // lineage now: a missing produced version forces regeneration of
         // its producer before this task may run again.
-        let lost_input = self.wf.task(tid).reads().any(|(id, version)| {
-            let v = DataVersion { id, version };
-            !self.data_hash.contains_key(&v) && self.producer.contains_key(&v)
-        });
+        let lost_input = self
+            .wf
+            .task(tid)
+            .reads()
+            .any(|(id, version)| self.versions.lost(id, version));
         if lost_input {
             self.mark_regeneration(&[]);
             self.rebuild_dependencies();
@@ -266,26 +266,21 @@ impl Exec<'_> {
             });
             self.bus.push(TelemetryEvent::NodeDown { at: now, node });
         }
-        let victims: Vec<TaskId> = (0..self.runs.len())
-            .filter(|&i| self.runs[i].as_ref().is_some_and(|r| r.node == node))
-            .map(|i| TaskId(i as u32))
+        let mut victims: Vec<TaskId> = self
+            .live
+            .iter()
+            .filter(|r| r.node == node)
+            .map(|r| r.rec.task)
             .collect();
+        victims.sort_unstable();
         for tid in victims {
             self.resubmit(tid, false);
         }
         let dropped = self.caches[node].clear();
         let mut lost: Vec<DataVersion> = Vec::new();
         if self.cfg.storage == StorageArchitecture::LocalDisk {
-            lost = self
-                .version_home
-                .iter()
-                .filter(|&(_, &h)| h == node)
-                .map(|(&v, _)| v)
-                .collect();
-            lost.sort_by_key(|v| (v.id.0, v.version));
+            self.versions.lose_homed_on(node as u32, &mut lost);
             for &v in &lost {
-                self.version_home.remove(&v);
-                self.data_hash.remove(&v);
                 // Cached copies elsewhere are invalidated too: a lost
                 // version must be regenerated before anyone consumes it
                 // again, which is what makes fingerprint equality prove
@@ -301,11 +296,12 @@ impl Exec<'_> {
                 .home
                 .iter()
                 .enumerate()
-                .filter(|&(_, &h)| h == node)
+                .filter(|&(_, &h)| h == node as u32)
                 .map(|(id, _)| id)
                 .collect();
-            let alive: Vec<usize> = (0..self.cfg.cluster.nodes)
+            let alive: Vec<u32> = (0..self.cfg.cluster.nodes)
                 .filter(|&n| self.node_up[n])
+                .map(|n| n as u32)
                 .collect();
             if !alive.is_empty() {
                 for (k, id) in ids.into_iter().enumerate() {
@@ -365,13 +361,12 @@ impl Exec<'_> {
         if self.free_gpus[node] > 0 {
             self.free_gpus[node] -= 1;
             self.gpu_stacks[node].pop();
-        } else if let Some(tid) = (0..self.runs.len())
-            .find(|&i| {
-                self.runs[i]
-                    .as_ref()
-                    .is_some_and(|r| r.node == node && r.gpu_id.is_some())
-            })
-            .map(|i| TaskId(i as u32))
+        } else if let Some(tid) = self
+            .live
+            .iter()
+            .filter(|r| r.node == node && r.gpu_id.is_some())
+            .map(|r| r.rec.task)
+            .min()
         {
             self.resubmit(tid, true);
             self.requeue(tid);
@@ -387,18 +382,13 @@ impl Exec<'_> {
     fn mark_regeneration(&mut self, lost: &[DataVersion]) {
         let n = self.wf.tasks().len();
         let mut work: Vec<TaskId> = (0..n)
-            .filter(|&i| !self.completed[i] && self.runs[i].is_none())
             .map(|i| TaskId(i as u32))
+            .filter(|&t| !self.completed[t.0 as usize] && !self.live.is_live(t))
             .collect();
         for v in lost {
-            if self
-                .terminal
-                .binary_search_by_key(&(v.id.0, v.version), |t| (t.id.0, t.version))
-                .is_ok()
-            {
-                if let Some(&p) = self.producer.get(v) {
-                    work.push(p);
-                }
+            let slot = self.versions.slot(v.id, v.version);
+            if self.versions.terminal.binary_search(&(slot as u32)).is_ok() {
+                work.push(TaskId(self.versions.producer[slot]));
             }
         }
         let mut visited = vec![false; n];
@@ -416,12 +406,10 @@ impl Exec<'_> {
             // from the lineage table forces its producer to re-run
             // (initial versions have no producer — they are durable).
             for (id, version) in self.wf.task(t).reads() {
-                let v = DataVersion { id, version };
-                if !self.data_hash.contains_key(&v) {
-                    if let Some(&p) = self.producer.get(&v) {
-                        if !visited[p.0 as usize] {
-                            work.push(p);
-                        }
+                if self.versions.lost(id, version) {
+                    let p = self.versions.producer[self.versions.slot(id, version)];
+                    if !visited[p as usize] {
+                        work.push(TaskId(p));
                     }
                 }
             }
@@ -433,19 +421,19 @@ impl Exec<'_> {
     fn rebuild_dependencies(&mut self) {
         self.ready = ReadyQueue::new(self.cfg.policy);
         for i in 0..self.wf.tasks().len() {
-            if self.completed[i] || self.runs[i].is_some() {
+            let tid = TaskId(i as u32);
+            if self.completed[i] || self.live.is_live(tid) {
                 continue;
             }
-            let tid = TaskId(i as u32);
             let deps = self
                 .wf
                 .predecessors(tid)
                 .iter()
                 .filter(|p| !self.completed[p.0 as usize])
                 .count();
-            self.deps_left[i] = deps;
+            self.deps_left[i] = deps as u32;
             let pending = self.pending_assign.map(|(t, _)| t) == Some(tid);
-            if deps == 0 && !self.in_backoff[i] && !pending && !self.unarrived.contains(&tid.0) {
+            if deps == 0 && !self.in_backoff[i] && !pending && !self.unarrived[i] {
                 self.admit(tid);
             }
         }

@@ -7,14 +7,16 @@
 //!   rejoin, stragglers, and link degradations completes, passes the
 //!   report invariants, reproduces the fault-free output fingerprint
 //!   (lineage regeneration recomputes exactly the lost results), and is
-//!   bitwise-reproducible run-to-run;
+//!   bitwise-reproducible run-to-run, over chains of fresh objects and
+//!   over in-place chains that write one object version after version;
 //! * **unrecoverable plans fail typed** — exhausted retry budgets and
 //!   whole-cluster losses return a typed [`RunError`], never a panic or
 //!   a silent wrong answer.
 
 use gpuflow_cluster::{ClusterSpec, KernelWork, ProcessorKind, StorageArchitecture};
 use gpuflow_runtime::{
-    run, CostProfile, Direction, FaultPlan, RecoveryPolicy, RunConfig, Workflow, WorkflowBuilder,
+    run, CostProfile, Direction, FaultPlan, RecoveryPolicy, RunConfig, TelemetryEvent, Workflow,
+    WorkflowBuilder,
 };
 use proptest::prelude::*;
 
@@ -53,6 +55,34 @@ fn pipeline(width: usize) -> Workflow {
     b.build()
 }
 
+/// A `g`×`g` blocked `C += A·B` with fused multiply-adds: each `C`
+/// block is an in-place chain of `g` tasks, so its versions run 0..=g.
+fn fma(g: usize) -> Workflow {
+    let mut b = WorkflowBuilder::new();
+    let block = |b: &mut WorkflowBuilder, m: &str| -> Vec<_> {
+        (0..g * g).map(|n| b.input(format!("{m}{n}"), MB)).collect()
+    };
+    let (a, bb, c) = (block(&mut b, "A"), block(&mut b, "B"), block(&mut b, "C"));
+    for i in 0..g {
+        for j in 0..g {
+            for k in 0..g {
+                b.submit(
+                    "fma",
+                    compute_cost(1e9),
+                    &[
+                        (a[i * g + k], Direction::In),
+                        (bb[k * g + j], Direction::In),
+                        (c[i * g + j], Direction::InOut),
+                    ],
+                    false,
+                )
+                .unwrap();
+            }
+        }
+    }
+    b.build()
+}
+
 fn base_cfg() -> RunConfig {
     let mut c = RunConfig::new(ClusterSpec::tiny(), ProcessorKind::Cpu);
     c.jitter_sigma = 0.0;
@@ -69,11 +99,14 @@ proptest! {
         seed in 0u64..1024,
         p in 0.0f64..0.45,
         crash in prop::bool::ANY,
+        in_place in prop::bool::ANY,
     ) {
-        let wf = pipeline(5);
+        // In-place chains always crash: crash loss, lineage regeneration
+        // and the fingerprint then run over versions above 1.
+        let wf = if in_place { fma(3) } else { pipeline(5) };
         let clean = run(&wf, &base_cfg()).expect("fault-free run completes");
         let mut plan = FaultPlan::new(seed).with_task_failures(None, p);
-        if crash {
+        if crash || in_place {
             // Crash mid-run, rejoin shortly after: always recoverable.
             plan = plan.with_node_crash(
                 (seed % 2) as usize,
@@ -84,7 +117,11 @@ proptest! {
         // A generous budget makes any p < 0.45 recoverable in practice:
         // the keyed hash decides each attempt independently, so eight
         // failures in a row at p = 0.45 never occurs over this domain.
-        let policy = RecoveryPolicy { max_retries: 8, ..RecoveryPolicy::default() };
+        // The in-place chains run 27 tasks instead of 10, and at seed 102
+        // (p = 0.36) one fails nine attempts in a row; 16 retries leave
+        // a chance below 0.45^17 ≈ 1.3e-6 per task.
+        let max_retries = if in_place { 16 } else { 8 };
+        let policy = RecoveryPolicy { max_retries, ..RecoveryPolicy::default() };
         let cfg = base_cfg()
             .with_telemetry()
             .with_faults(plan.clone())
@@ -171,6 +208,48 @@ fn retry_after_crash_regenerates_lost_inputs() {
     assert!(a.recovery.transient_failures >= 1, "needs the late retry");
     assert!(a.recovery.blocks_invalidated > 0, "needs the lost blocks");
     assert_eq!(a.output_fingerprint, clean.output_fingerprint);
+}
+
+/// A crash late in in-place chains loses versions above 1, chain ends
+/// (terminal versions) included, and regenerates them from their own
+/// earlier versions.
+#[test]
+fn a_crash_regenerates_in_place_versions_above_one() {
+    let g = 3;
+    let wf = fma(g);
+    let clean = run(&wf, &base_cfg()).expect("fault-free run completes");
+    let m = clean.makespan();
+    let plan = FaultPlan::new(7).with_node_crash(0, m * 0.8, Some(m * 0.1));
+    let cfg = base_cfg().with_telemetry().with_faults(plan);
+    let report = run(&wf, &cfg).expect("recoverable");
+    report.check_invariants(&wf, &ClusterSpec::tiny()).unwrap();
+    assert_eq!(report.output_fingerprint, clean.output_fingerprint);
+    assert!(
+        report.recovery.regenerated_tasks > 0,
+        "{:?}",
+        report.recovery
+    );
+    // Task `t` is the `t % g`-th step of its chain and writes version
+    // `t % g + 1`; one that completes twice was regenerated.
+    let mut completions = vec![0u32; wf.tasks().len()];
+    for ev in report.telemetry.events() {
+        if let TelemetryEvent::TaskCompleted { task, .. } = ev {
+            completions[task.0 as usize] += 1;
+        }
+    }
+    let regenerated = |step: usize| {
+        (step..wf.tasks().len())
+            .step_by(g)
+            .any(|t| completions[t] > 1)
+    };
+    assert!(
+        (1..g).any(regenerated),
+        "no version above 1 was regenerated: {completions:?}"
+    );
+    assert!(
+        regenerated(g - 1),
+        "no chain end was regenerated: {completions:?}"
+    );
 }
 
 /// The five overhead buckets (compute, data movement, recovery, master,
