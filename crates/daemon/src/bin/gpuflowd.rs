@@ -21,10 +21,16 @@
 //! usage error. A connection whose request line is not complete
 //! within [`gpuflow_daemon::CLIENT_TIMEOUT`] of its accept gets `err
 //! timeout`, so an idle or trickling client cannot stall the others.
-//! `--log FILE` persists the journal after every accepted decision.
+//! `--log FILE` keeps the journal across restarts: a new or empty file
+//! gets the fresh core's header, a non-empty one is resumed through
+//! [`DaemonCore::resume`] (gpuflowd refuses to start, printing both
+//! headers, when the file's header is not the one the flags write),
+//! and each decision then appends and syncs only its own lines before
+//! its reply is sent.
 //! `--metrics-port` additionally serves `GET /metrics` + `/healthz`
 //! on a scrape endpoint that shuts down cleanly with the daemon.
 
+use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Write};
 use std::net::TcpListener;
 
@@ -178,14 +184,60 @@ fn execute(core: &mut DaemonCore, cmd: Command) -> (String, bool) {
     }
 }
 
+/// Prints `message` and exits with `code`.
+fn fail(code: i32, message: &str) -> ! {
+    eprintln!("gpuflowd: {message}");
+    std::process::exit(code);
+}
+
+/// Appends `bytes` to the journal and flushes them to the disk.
+fn append(file: &mut File, bytes: &[u8]) -> std::io::Result<()> {
+    file.write_all(bytes)?;
+    file.sync_data()
+}
+
+/// Opens the journal at `path` for appending, with the core it holds:
+/// a new or empty file gets the header of a fresh core under `cfg`,
+/// and a non-empty one is resumed under `cfg` (and given a final
+/// newline if it lacks one, so that appended records start a line).
+fn open_journal(path: &str, cfg: DaemonConfig) -> (DaemonCore, File) {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == ErrorKind::NotFound => String::new(),
+        Err(e) => fail(1, &format!("cannot read {path}: {e}")),
+    };
+    let (core, start) = if text.is_empty() {
+        let core = DaemonCore::new(cfg).unwrap_or_else(|e| fail(2, &e));
+        let header = core.journal_text();
+        (core, header)
+    } else {
+        let core = DaemonCore::resume(cfg, &text)
+            .unwrap_or_else(|e| fail(1, &format!("cannot resume {path}: {e}")));
+        let newline = if text.ends_with('\n') { "" } else { "\n" };
+        (core, newline.to_string())
+    };
+    let mut file = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .unwrap_or_else(|e| fail(1, &format!("cannot open {path}: {e}")));
+    if let Err(e) = append(&mut file, start.as_bytes()) {
+        fail(1, &format!("cannot write {path}: {e}"));
+    }
+    (core, file)
+}
+
 fn main() {
     let opts = parse_args();
-    let mut core = match DaemonCore::new(opts.cfg) {
-        Ok(core) => core,
-        Err(e) => {
-            eprintln!("gpuflowd: {e}");
-            std::process::exit(2);
+    let (mut core, mut journal) = match &opts.log {
+        Some(path) => {
+            let (core, file) = open_journal(path, opts.cfg);
+            (core, Some((path.as_str(), file)))
         }
+        None => (
+            DaemonCore::new(opts.cfg).unwrap_or_else(|e| fail(2, &e)),
+            None,
+        ),
     };
     let listener = match TcpListener::bind(("127.0.0.1", opts.port)) {
         Ok(l) => l,
@@ -221,16 +273,9 @@ fn main() {
         (ctl, handle)
     });
 
-    if let Some(path) = &opts.log {
-        if let Err(e) = std::fs::write(path, core.journal_text()) {
-            eprintln!("gpuflowd: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
     for stream in listener.incoming() {
         let Ok(mut stream) = stream else { continue };
-        let seq_before = core.seq();
+        let journaled = core.journal_len();
         // One request line, capped at 4 KiB.
         let (reply, shutdown) = match read_request(&mut stream, b"\n", 4096) {
             Ok(line) => match parse_command(&line) {
@@ -247,17 +292,18 @@ fn main() {
             }
             Err(_) => continue,
         };
+        // The decision is on disk before its reply is sent.
+        if let Some((path, file)) = &mut journal {
+            if core.journal_len() != journaled {
+                if let Err(e) = append(file, core.journal_tail(journaled).as_bytes()) {
+                    eprintln!("gpuflowd: cannot append to {path}: {e}");
+                }
+            }
+        }
         if let Err(e) = stream.write_all(reply.as_bytes()) {
             eprintln!("gpuflowd: reply not delivered: {e}");
         }
         drop(stream);
-        if core.seq() != seq_before {
-            if let Some(path) = &opts.log {
-                if let Err(e) = std::fs::write(path, core.journal_text()) {
-                    eprintln!("gpuflowd: cannot write {path}: {e}");
-                }
-            }
-        }
         if shutdown {
             break;
         }

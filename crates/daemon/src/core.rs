@@ -300,6 +300,31 @@ impl DaemonCore {
         Ok(core)
     }
 
+    /// Resumes the recorded journal `text` under `cfg`, the
+    /// configuration a fresh core would start with: replays it, and
+    /// refuses it, showing both headers, when its header records are
+    /// not the ones `cfg` writes. `max_tasks`, which no journal
+    /// records, is taken from `cfg`.
+    pub fn resume(cfg: DaemonConfig, text: &str) -> Result<DaemonCore, String> {
+        let fresh = DaemonCore::new(cfg)?;
+        let mut core = DaemonCore::replay(text)?;
+        let (journal, want) = (core.header_text(), fresh.header_text());
+        if journal != want {
+            return Err(format!(
+                "the journal's header differs from the configuration's\n\
+                 --- journal ---\n{journal}--- configuration ---\n{want}"
+            ));
+        }
+        core.cfg.max_tasks = fresh.cfg.max_tasks;
+        Ok(core)
+    }
+
+    /// The journal's header: its first line, then the config and
+    /// tenant records.
+    fn header_text(&self) -> String {
+        render_journal(&self.journal[..1 + self.cfg.tenants.len()])
+    }
+
     /// The configuration this core was built with.
     pub fn config(&self) -> &DaemonConfig {
         &self.cfg
@@ -674,6 +699,25 @@ impl DaemonCore {
     /// The journal as recorded text (header + one line per decision).
     pub fn journal_text(&self) -> String {
         render_journal(&self.journal)
+    }
+
+    /// Number of journal records, the config and tenant records
+    /// included: a decision that journals something raises it.
+    pub fn journal_len(&self) -> usize {
+        self.journal.len()
+    }
+
+    /// The journal records from the `from`-th on, one line each,
+    /// rendered as [`DaemonCore::journal_text`] renders them: appended
+    /// to a file that holds the journal's first `from` records, they
+    /// make it the whole journal.
+    pub fn journal_tail(&self, from: usize) -> String {
+        let mut s = String::new();
+        for line in &self.journal[from..] {
+            s.push_str(&line.render());
+            s.push('\n');
+        }
+        s
     }
 
     /// The current Prometheus exposition (text format 0.0.4).
@@ -1072,6 +1116,49 @@ mod tests {
         assert_eq!(replayed.queue_json(), live.queue_json());
         assert_eq!(replayed.alerts_text(), live.alerts_text());
         assert_eq!(replayed.job_spans(), live.job_spans());
+    }
+
+    #[test]
+    fn resume_continues_the_journal_under_its_own_header() {
+        let mut live = DaemonCore::new(small_cfg()).unwrap();
+        live.submit("acme", JobShape::Wide, 12, 1).unwrap();
+        live.drain().unwrap();
+        let mark = live.journal_len();
+        live.submit("beta", JobShape::Tree, 9, 0).unwrap();
+        let text = live.journal_text();
+        // The tail after `mark` is what a file of the first `mark`
+        // records lacks.
+        let prefix = render_journal(&live.journal[..mark]);
+        assert_eq!(prefix + &live.journal_tail(mark), text);
+
+        let cfg = DaemonConfig {
+            max_tasks: 10,
+            ..small_cfg()
+        };
+        let mut resumed = DaemonCore::resume(cfg, &text).unwrap();
+        assert_eq!(resumed.journal_text(), text);
+        assert_eq!(resumed.report(), live.report());
+        // `max_tasks` comes from the configuration, not the journal.
+        assert_eq!(
+            resumed.submit("acme", JobShape::Wide, 11, 0),
+            Err(RejectReason::BadRequest)
+        );
+        assert_eq!(resumed.submit("acme", JobShape::Wide, 10, 0), Ok(3));
+
+        let other = DaemonConfig {
+            quota: small_cfg().quota + 1,
+            ..small_cfg()
+        };
+        let err = DaemonCore::resume(other.clone(), &text).unwrap_err();
+        let want = DaemonCore::new(other).unwrap().journal_text();
+        assert!(
+            err.contains(&format!("--- configuration ---\n{want}")),
+            "{err}"
+        );
+        assert!(
+            err.contains(&format!("--- journal ---\n{}", live.header_text())),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The live daemon at its boundaries: an idle or trickling client
 //! cannot stall the accept loop, a request longer than the 4 KiB cap is
-//! refused whole, and an integer flag too wide for its field is a usage
-//! error instead of a truncated value.
+//! refused whole, an integer flag too wide for its field is a usage
+//! error instead of a truncated value, and a restart resumes its
+//! journal, or refuses one written under other flags.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::process::{Child, Command, Output, Stdio};
+use std::path::PathBuf;
+use std::process::{Child, Command, ExitStatus, Output, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,8 +26,14 @@ struct Daemon {
 
 impl Daemon {
     fn spawn() -> Daemon {
+        Daemon::spawn_with(&[])
+    }
+
+    /// Spawns gpuflowd on an ephemeral port with `flags` added.
+    fn spawn_with(flags: &[&str]) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_gpuflowd"))
             .args(["--port", "0"])
+            .args(flags)
             .stdout(Stdio::piped())
             .spawn()
             .expect("spawn gpuflowd");
@@ -56,6 +64,20 @@ impl Daemon {
         let mut reply = String::new();
         stream.read_to_string(&mut reply)?;
         Ok(reply)
+    }
+
+    /// Shuts the daemon down and waits, with the test's patience, for
+    /// it to exit.
+    fn shut_down(mut self) -> ExitStatus {
+        assert_eq!(self.request("shutdown").unwrap(), "ok shutting down\n");
+        let start = Instant::now();
+        while start.elapsed() < PATIENCE {
+            if let Some(status) = self.child.try_wait().expect("poll gpuflowd") {
+                return status;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        panic!("gpuflowd kept running after shutdown");
     }
 }
 
@@ -190,4 +212,78 @@ fn flags_too_wide_for_their_field_are_usage_errors() {
         assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
         assert!(stderr.contains(message), "{flag} {value}: {stderr}");
     }
+}
+
+/// A journal path of this test process, with no file there yet.
+fn fresh_log(name: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "gpuflowd_clients_{}_{name}.log",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+#[test]
+fn a_restart_resumes_the_journal_and_appends_to_it() {
+    let path = fresh_log("resume");
+    let flags = ["--log", path.to_str().unwrap(), "--quota", "4"];
+    let first = Daemon::spawn_with(&flags);
+    for (line, reply) in [
+        ("submit tenant=acme shape=wide tasks=12", "ok job=1 "),
+        ("submit tenant=nobody shape=wide tasks=4", "err reject"),
+        ("submit tenant=beta shape=tree tasks=9", "ok job=2 "),
+    ] {
+        let got = first.request(line).unwrap();
+        assert!(got.starts_with(reply), "{line}: {got:?}");
+    }
+    let queue = first.request("queue json").unwrap();
+    let log = first.request("log").unwrap();
+    assert!(first.shut_down().success());
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), log);
+
+    let second = Daemon::spawn_with(&flags);
+    assert_eq!(second.request("queue json").unwrap(), queue);
+    for job in [
+        "{\"id\": 1, \"tenant\": \"acme\"",
+        "{\"id\": 2, \"tenant\": \"beta\"",
+    ] {
+        assert!(queue.contains(job), "{job} missing from {queue}");
+    }
+    let got = second
+        .request("submit tenant=acme shape=stencil tasks=8")
+        .unwrap();
+    assert!(got.starts_with("ok job=3 "), "{got:?}");
+    let log = second.request("log").unwrap();
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), log);
+    assert!(second.shut_down().success());
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_restart_under_other_flags_leaves_the_journal_alone() {
+    let path = fresh_log("refuse");
+    let log = path.to_str().unwrap();
+    let daemon = Daemon::spawn_with(&["--log", log, "--quota", "4"]);
+    let got = daemon
+        .request("submit tenant=acme shape=wide tasks=12")
+        .unwrap();
+    assert!(got.starts_with("ok job=1 "), "{got:?}");
+    assert!(daemon.shut_down().success());
+    let before = std::fs::read(&path).unwrap();
+
+    let out = run_to_exit(&["--port", "0", "--log", log, "--quota", "5"])
+        .expect("gpuflowd refuses to start");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    for shown in [
+        "--- journal ---",
+        "quota=4",
+        "--- configuration ---",
+        "quota=5",
+    ] {
+        assert!(stderr.contains(shown), "{shown} missing from {stderr}");
+    }
+    assert_eq!(std::fs::read(&path).unwrap(), before);
+    let _ = std::fs::remove_file(&path);
 }

@@ -10,7 +10,7 @@ use crate::data::{DataId, DataVersion};
 use crate::metrics::TaskRecord;
 use crate::scheduler::{decision_overhead, place, NodeAvail, ReadyLane, SchedulingPolicy};
 use crate::task::TaskId;
-use crate::telemetry::{CandidateScore, SchedulerDecision, TelemetryEvent};
+use crate::telemetry::{CandidateScore, Candidates, SchedulerDecision, TelemetryEvent};
 
 use super::pipeline::{Stage, TaskRun};
 use super::{Ev, Exec, RunError, NONE};
@@ -225,24 +225,28 @@ impl Exec<'_> {
         );
         self.sched_overhead += overhead.as_secs_f64();
         if self.bus.active() {
-            self.bus.push(TelemetryEvent::Decision(SchedulerDecision {
+            // Node indices, slot counts and the ready queue's depth (at
+            // most the task count, whose ids are `u32`) fit the events'
+            // `u32` fields.
+            let decision = SchedulerDecision {
                 at: self.now(),
                 task: tid,
-                chosen: node,
-                queue_depth,
+                chosen: node as u32,
+                queue_depth: queue_depth as u32,
                 sim_overhead: overhead,
                 host_nanos: host_t0.map_or(0, |t| {
                     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
                 }),
-                candidates: avail
-                    .iter()
-                    .map(|a| CandidateScore {
-                        node: a.node,
-                        free_slots: a.free_slots,
-                        cached_bytes: a.cached_bytes,
-                    })
-                    .collect(),
-            }));
+                candidates: Candidates::default(),
+            };
+            self.bus.decide(
+                decision,
+                avail.iter().map(|a| CandidateScore {
+                    node: a.node as u32,
+                    free_slots: a.free_slots as u32,
+                    cached_bytes: a.cached_bytes,
+                }),
+            );
         }
         self.avail_scratch = avail;
         self.reads_scratch = reads;
@@ -374,7 +378,7 @@ impl Exec<'_> {
                 at: now,
                 task: tid,
                 task_type: spec.task_type.clone(),
-                node,
+                node: node as u32,
                 core,
                 cores: cores as u16,
                 gpu: gpu_id,
@@ -412,10 +416,10 @@ impl Exec<'_> {
         let c = &self.cfg.cluster;
         self.bus.push(TelemetryEvent::NodeGauge {
             at,
-            node,
+            node: node as u32,
             ram_used: self.ram_used[node],
-            busy_cores: c.cores_of(node) - self.free_cores[node],
-            busy_gpus: c.gpus_of(node) - self.free_gpus[node],
+            busy_cores: (c.cores_of(node) - self.free_cores[node]) as u32,
+            busy_gpus: (c.gpus_of(node) - self.free_gpus[node]) as u32,
         });
     }
 }

@@ -307,7 +307,7 @@ impl Exec<'_> {
                     if self.bus.active() {
                         self.bus.push(TelemetryEvent::CacheAccess {
                             at: self.engine.now(),
-                            node,
+                            node: node as u32,
                             task: tid,
                             key,
                             hit,
@@ -451,7 +451,7 @@ impl Exec<'_> {
         let (node, t0) = (run.node, run.flow_start);
         self.bus.push(TelemetryEvent::Transfer {
             task: tid,
-            node,
+            node: node as u32,
             link,
             bytes,
             t0,
@@ -560,7 +560,7 @@ impl Exec<'_> {
             self.bus.push(TelemetryEvent::TaskCompleted {
                 at: now,
                 task: tid,
-                node,
+                node: node as u32,
             });
             self.push_gauge(node, now);
         }
@@ -610,7 +610,7 @@ impl Exec<'_> {
             };
             self.bus.push(TelemetryEvent::Stage {
                 task: tid,
-                node: run.node,
+                node: run.node as u32,
                 core: run.core_ids[0],
                 gpu,
                 state,
@@ -629,7 +629,7 @@ impl Exec<'_> {
             if evicted > 0 {
                 self.bus.push(TelemetryEvent::CacheEvicted {
                     at,
-                    node,
+                    node: node as u32,
                     count: evicted,
                 });
                 // Eviction instants are occupancy-relevant sample points

@@ -66,7 +66,7 @@ impl Exec<'_> {
             for s in &plan.stragglers {
                 self.bus.push(TelemetryEvent::FaultInjected {
                     at: SimTime::ZERO + SimDuration::from_secs_f64(s.at_secs),
-                    node: Some(s.node),
+                    node: Some(s.node as u32),
                     what: "straggler",
                 });
             }
@@ -140,7 +140,7 @@ impl Exec<'_> {
             self.bus.push(TelemetryEvent::TaskFailed {
                 at: now,
                 task: tid,
-                node,
+                node: node as u32,
                 attempt: self.attempts[i].saturating_sub(1),
                 started,
                 reason,
@@ -167,7 +167,7 @@ impl Exec<'_> {
             self.bus.push(TelemetryEvent::TaskResubmitted {
                 at,
                 task: tid,
-                from_node: node,
+                from_node: node as u32,
             });
         }
     }
@@ -261,10 +261,13 @@ impl Exec<'_> {
         if self.bus.active() {
             self.bus.push(TelemetryEvent::FaultInjected {
                 at: now,
-                node: Some(node),
+                node: Some(node as u32),
                 what: "node-crash",
             });
-            self.bus.push(TelemetryEvent::NodeDown { at: now, node });
+            self.bus.push(TelemetryEvent::NodeDown {
+                at: now,
+                node: node as u32,
+            });
         }
         let mut victims: Vec<TaskId> = self
             .live
@@ -313,7 +316,7 @@ impl Exec<'_> {
         if self.bus.active() {
             self.bus.push(TelemetryEvent::BlocksInvalidated {
                 at: now,
-                node,
+                node: node as u32,
                 count: dropped,
                 lost_versions: lost.len() as u64,
             });
@@ -335,7 +338,10 @@ impl Exec<'_> {
         let now = self.now();
         self.node_up[node] = true;
         if self.bus.active() {
-            self.bus.push(TelemetryEvent::NodeUp { at: now, node });
+            self.bus.push(TelemetryEvent::NodeUp {
+                at: now,
+                node: node as u32,
+            });
             // A rejoined node restarts cold: gauge the empty occupancy.
             self.push_gauge(node, now);
         }
@@ -354,7 +360,7 @@ impl Exec<'_> {
         if self.bus.active() {
             self.bus.push(TelemetryEvent::FaultInjected {
                 at: now,
-                node: Some(node),
+                node: Some(node as u32),
                 what: "gpu-failure",
             });
         }

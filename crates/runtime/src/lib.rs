@@ -35,11 +35,11 @@ pub use scheduler::{
 pub use task::{CostProfile, Param, TaskId, TaskSpec, TaskType};
 pub use telemetry::{
     to_chrome_trace, to_collapsed, AlertEngine, AlertRule, AlertSeverity, AlertState,
-    AlertTransition, BucketDelta, BucketHistogram, CandidateScore, CriticalSegment, EventBus,
-    Histogram, HistogramDigest, JsonWriter, LinkKind, MetricsHub, MetricsRegistry, OverheadReport,
-    PathChange, PathDelta, PhaseSpan, ResourceProfile, RuleKind, RunDiff, RunProfile, SampleRow,
-    SampleStats, SchedulerDecision, SpanForest, SpanPhase, SpanSampler, TaskSpans, TaskTimeline,
-    TaskTypeProfile, TelemetryEvent, TelemetryLog, TypeDelta,
+    AlertTransition, BucketDelta, BucketHistogram, CandidateScore, Candidates, CriticalSegment,
+    EventBus, Histogram, HistogramDigest, JsonWriter, LinkKind, MetricsHub, MetricsRegistry,
+    OverheadReport, PathChange, PathDelta, PhaseSpan, ResourceProfile, RuleKind, RunDiff,
+    RunProfile, SampleRow, SampleStats, SchedulerDecision, SpanForest, SpanPhase, SpanSampler,
+    TaskSpans, TaskTimeline, TaskTypeProfile, TelemetryEvent, TelemetryLog, TypeDelta,
 };
 pub use trace::{paraver_pcf, to_paraver_prv, Trace, TraceRecord, TraceState};
 pub use workflow::{DagShape, Merge, Workflow, WorkflowBuilder};

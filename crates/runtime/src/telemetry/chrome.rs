@@ -53,22 +53,22 @@ trait Records {
 
     /// A metadata (`"M"`) record naming a process, or the thread track
     /// `tid`: the name is `label`, followed by `index` when given.
-    fn meta(&mut self, pid: usize, tid: Option<u32>, kind: &str, label: &str, index: Option<u64>);
+    fn meta(&mut self, pid: u64, tid: Option<u32>, kind: &str, label: &str, index: Option<u64>);
 
     /// Ends a complete (`"X"`) record on track `(pid, tid)`.
-    fn complete(&mut self, cat: &str, track: (usize, u32), t0: u64, dur: u64, args: &[(&str, u64)]);
+    fn complete(&mut self, cat: &str, track: (u64, u32), t0: u64, dur: u64, args: &[(&str, u64)]);
 
     /// Ends a process-scoped instant (`"i"`) record, with `args` unless
     /// they are empty.
-    fn instant(&mut self, cat: &str, pid: usize, at: u64, args: &[(&str, u64)]);
+    fn instant(&mut self, cat: &str, pid: u64, at: u64, args: &[(&str, u64)]);
 
     /// A counter (`"C"`) sample.
-    fn counter(&mut self, name: &str, pid: usize, at: u64, args: &[(&str, u64)]);
+    fn counter(&mut self, name: &str, pid: u64, at: u64, args: &[(&str, u64)]);
 
     /// The begin (`"b"`) or end (`"e"`) of a task's async span, named
     /// `"<type> t<id>"`, or `"t<id>"` for a task the log never
     /// dispatched.
-    fn task_span(&mut self, ph: &str, ty: Option<&TaskType>, task: u32, pid: usize, at: u64);
+    fn task_span(&mut self, ph: &str, ty: Option<&TaskType>, task: u32, pid: u64, at: u64);
 }
 
 impl Records for JsonWriter {
@@ -89,8 +89,8 @@ impl Records for JsonWriter {
         self.end("}")
     }
 
-    fn meta(&mut self, pid: usize, tid: Option<u32>, kind: &str, label: &str, index: Option<u64>) {
-        self.record().lit("\"ph\":\"M\",\"pid\":").num(pid as u64);
+    fn meta(&mut self, pid: u64, tid: Option<u32>, kind: &str, label: &str, index: Option<u64>) {
+        self.record().lit("\"ph\":\"M\",\"pid\":").num(pid);
         if let Some(tid) = tid {
             self.lit(",\"tid\":").num(tid.into());
         }
@@ -107,7 +107,7 @@ impl Records for JsonWriter {
     fn complete(
         &mut self,
         cat: &str,
-        (pid, tid): (usize, u32),
+        (pid, tid): (u64, u32),
         t0: u64,
         dur: u64,
         args: &[(&str, u64)],
@@ -115,7 +115,7 @@ impl Records for JsonWriter {
         self.lit("\",\"cat\":\"")
             .lit(cat)
             .lit("\",\"ph\":\"X\",\"pid\":")
-            .num(pid as u64)
+            .num(pid)
             .lit(",\"tid\":")
             .num(tid.into())
             .lit(",\"ts\":")
@@ -126,11 +126,11 @@ impl Records for JsonWriter {
             .lit("}");
     }
 
-    fn instant(&mut self, cat: &str, pid: usize, at: u64, args: &[(&str, u64)]) {
+    fn instant(&mut self, cat: &str, pid: u64, at: u64, args: &[(&str, u64)]) {
         self.lit("\",\"cat\":\"")
             .lit(cat)
             .lit("\",\"ph\":\"i\",\"s\":\"p\",\"pid\":")
-            .num(pid as u64)
+            .num(pid)
             .lit(",\"tid\":0,\"ts\":")
             .us(at);
         if !args.is_empty() {
@@ -139,18 +139,18 @@ impl Records for JsonWriter {
         self.lit("}");
     }
 
-    fn counter(&mut self, name: &str, pid: usize, at: u64, args: &[(&str, u64)]) {
+    fn counter(&mut self, name: &str, pid: u64, at: u64, args: &[(&str, u64)]) {
         self.name()
             .lit(name)
             .lit("\",\"ph\":\"C\",\"pid\":")
-            .num(pid as u64)
+            .num(pid)
             .lit(",\"tid\":0,\"ts\":")
             .us(at)
             .args(args)
             .lit("}");
     }
 
-    fn task_span(&mut self, ph: &str, ty: Option<&TaskType>, task: u32, pid: usize, at: u64) {
+    fn task_span(&mut self, ph: &str, ty: Option<&TaskType>, task: u32, pid: u64, at: u64) {
         self.name();
         if let Some(ty) = ty {
             self.escaped(ty).lit(" ");
@@ -162,7 +162,7 @@ impl Records for JsonWriter {
             .lit("\",\"id\":")
             .num(task.into())
             .lit(",\"pid\":")
-            .num(pid as u64)
+            .num(pid)
             .lit(",\"tid\":0,\"ts\":")
             .us(at)
             .lit("}");
@@ -170,7 +170,8 @@ impl Records for JsonWriter {
 }
 
 /// Records track `tid` of `node` in its node's sorted track list.
-fn add_track(tracks: &mut Vec<Vec<u32>>, node: usize, tid: u32) {
+fn add_track(tracks: &mut Vec<Vec<u32>>, node: u32, tid: u32) {
+    let node = node as usize;
     if node >= tracks.len() {
         tracks.resize_with(node + 1, Vec::new);
     }
@@ -184,7 +185,7 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
     // Pass 1: discover tracks and each task's type.
     let mut tracks: Vec<Vec<u32>> = Vec::new(); // by node, sorted tids
     let mut task_types: Vec<Option<&TaskType>> = Vec::new(); // by task id
-    let mut max_node = 0usize;
+    let mut max_node = 0u32;
     for ev in log.events() {
         match ev {
             TelemetryEvent::Stage {
@@ -220,18 +221,19 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
             _ => {}
         }
     }
-    let master_pid = max_node + 1;
+    let master_pid = u64::from(max_node) + 1;
     let type_of = |task: u32| task_types.get(task as usize).copied().flatten();
 
     let mut recs = JsonWriter::with_capacity(BYTES_PER_EVENT * log.len());
     recs.begin("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     // Metadata: processes and named tracks, cores before GPUs.
     for node in 0..=max_node {
-        recs.meta(node, None, "process_name", "node ", Some(node as u64));
-        for &tid in tracks.get(node).into_iter().flatten() {
+        let pid = node.into();
+        recs.meta(pid, None, "process_name", "node ", Some(pid));
+        for &tid in tracks.get(node as usize).into_iter().flatten() {
             match tid.checked_sub(gpu_tid(0)) {
-                Some(g) => recs.meta(node, Some(tid), "thread_name", "gpu ", Some(g.into())),
-                None => recs.meta(node, Some(tid), "thread_name", "core ", Some(tid.into())),
+                Some(g) => recs.meta(pid, Some(tid), "thread_name", "gpu ", Some(g.into())),
+                None => recs.meta(pid, Some(tid), "thread_name", "core ", Some(tid.into())),
             }
         }
     }
@@ -240,8 +242,8 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
 
     // Pass 2: spans and counters. Cluster-wide busy counters are running
     // totals of each node's latest gauge.
-    let mut node_busy = vec![(0usize, 0usize); max_node + 1]; // (cores, gpus)
-    let (mut busy_cores_total, mut busy_gpus_total) = (0usize, 0usize);
+    let mut node_busy = vec![(0u32, 0u32); max_node as usize + 1]; // (cores, gpus)
+    let (mut busy_cores_total, mut busy_gpus_total) = (0u64, 0u64);
     for ev in log.events() {
         match ev {
             TelemetryEvent::Stage {
@@ -260,7 +262,7 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                 let dur = t1.duration_since(*t0).as_nanos();
                 recs.name().lit(state.label()).complete(
                     "stage",
-                    (*node, tid),
+                    ((*node).into(), tid),
                     t0.as_nanos(),
                     dur,
                     &[("task", task.0.into())],
@@ -274,19 +276,19 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                     at,
                     d.sim_overhead.as_nanos(),
                     &[
-                        ("chosen", d.chosen as u64),
-                        ("queue_depth", d.queue_depth as u64),
+                        ("chosen", d.chosen.into()),
+                        ("queue_depth", d.queue_depth.into()),
                         ("candidates", d.candidates.len() as u64),
                     ],
                 );
-                let ready = [("ready", d.queue_depth as u64)];
+                let ready = [("ready", d.queue_depth.into())];
                 recs.counter("queue_depth", master_pid, at, &ready);
             }
             TelemetryEvent::TaskDispatched { at, task, node, .. } => {
-                recs.task_span("b", type_of(task.0), task.0, *node, at.as_nanos());
+                recs.task_span("b", type_of(task.0), task.0, (*node).into(), at.as_nanos());
             }
             TelemetryEvent::TaskCompleted { at, task, node } => {
-                recs.task_span("e", type_of(task.0), task.0, *node, at.as_nanos());
+                recs.task_span("e", type_of(task.0), task.0, (*node).into(), at.as_nanos());
             }
             TelemetryEvent::NodeGauge {
                 at,
@@ -295,20 +297,17 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                 busy_cores,
                 busy_gpus,
             } => {
-                let last = &mut node_busy[*node];
-                busy_cores_total = busy_cores_total - last.0 + busy_cores;
-                busy_gpus_total = busy_gpus_total - last.1 + busy_gpus;
+                let last = &mut node_busy[*node as usize];
+                busy_cores_total = busy_cores_total - u64::from(last.0) + u64::from(*busy_cores);
+                busy_gpus_total = busy_gpus_total - u64::from(last.1) + u64::from(*busy_gpus);
                 *last = (*busy_cores, *busy_gpus);
                 let at = at.as_nanos();
-                recs.counter("ram_bytes", *node, at, &[("bytes", *ram_used)]);
-                let busy = [
-                    ("cores", busy_cores_total as u64),
-                    ("gpus", busy_gpus_total as u64),
-                ];
+                recs.counter("ram_bytes", (*node).into(), at, &[("bytes", *ram_used)]);
+                let busy = [("cores", busy_cores_total), ("gpus", busy_gpus_total)];
                 recs.counter("cluster_busy", master_pid, at, &busy);
             }
             TelemetryEvent::FaultInjected { at, node, what } => {
-                let pid = node.unwrap_or(master_pid);
+                let pid = node.map_or(master_pid, u64::from);
                 recs.name()
                     .lit("fault: ")
                     .lit(what)
@@ -330,7 +329,7 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                 .lit(")")
                 .instant(
                     "fault",
-                    *node,
+                    (*node).into(),
                     at.as_nanos(),
                     &[("attempt", (*attempt).into())],
                 ),
@@ -354,17 +353,17 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                 "recovery",
                 master_pid,
                 at.as_nanos(),
-                &[("from_node", *from_node as u64)],
+                &[("from_node", (*from_node).into())],
             ),
             TelemetryEvent::NodeDown { at, node } => {
                 recs.name()
                     .lit("node down")
-                    .instant("fault", *node, at.as_nanos(), &[]);
+                    .instant("fault", (*node).into(), at.as_nanos(), &[]);
             }
             TelemetryEvent::NodeUp { at, node } => {
                 recs.name()
                     .lit("node up")
-                    .instant("fault", *node, at.as_nanos(), &[]);
+                    .instant("fault", (*node).into(), at.as_nanos(), &[]);
             }
             TelemetryEvent::BlocksInvalidated {
                 at,
@@ -373,7 +372,7 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                 lost_versions,
             } => recs.name().lit("blocks invalidated").instant(
                 "fault",
-                *node,
+                (*node).into(),
                 at.as_nanos(),
                 &[("count", *count), ("lost_versions", *lost_versions)],
             ),

@@ -18,26 +18,57 @@ use super::json::JsonWriter;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CandidateScore {
     /// Node index.
-    pub node: usize,
+    pub node: u32,
     /// Free execution slots at decision time.
-    pub free_slots: usize,
+    pub free_slots: u32,
     /// Bytes of the task's inputs cached on this node (0 for policies
     /// that do not score the cache).
     pub cached_bytes: u64,
 }
 
+/// A decision's scored candidates as its log holds them: their count.
+///
+/// The scores themselves sit in one arena per log, decision after
+/// decision in log order, so a decision's candidates start where the
+/// previous decision's end ([`super::TelemetryLog::decisions`] pairs
+/// them). Only [`super::EventBus::decide`] records a non-empty set; a
+/// handle built here ([`Candidates::default`]) counts none.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Candidates {
+    len: u32,
+}
+
+impl Candidates {
+    /// A handle counting `len` scores.
+    pub(crate) fn new(len: usize) -> Self {
+        Candidates {
+            len: u32::try_from(len).expect("a decision scores at most u32::MAX nodes"),
+        }
+    }
+
+    /// Number of scored candidates.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the decision scored no candidate.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+}
+
 /// One master scheduling decision: the candidate set considered, the
 /// chosen placement, and what the decision cost.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerDecision {
     /// Simulation instant of the decision.
     pub at: SimTime,
     /// The task being placed.
     pub task: TaskId,
     /// The chosen node.
-    pub chosen: usize,
+    pub chosen: u32,
     /// Ready-queue depth at decision time (including this task).
-    pub queue_depth: usize,
+    pub queue_depth: u32,
     /// Modelled master-side overhead of the decision, in simulation
     /// time.
     pub sim_overhead: SimDuration,
@@ -46,8 +77,9 @@ pub struct SchedulerDecision {
     /// excluded from the JSONL export so event streams stay
     /// byte-identical across runs.
     pub host_nanos: u64,
-    /// The scored candidate set, one entry per cluster node.
-    pub candidates: Vec<CandidateScore>,
+    /// The scored candidate set, one entry per cluster node, held in
+    /// the log's arena.
+    pub candidates: Candidates,
 }
 
 /// Which modelled link carried a data transfer.
@@ -96,7 +128,7 @@ pub enum TelemetryEvent {
         /// Task type.
         task_type: TaskType,
         /// Executing node.
-        node: usize,
+        node: u32,
         /// First host core held.
         core: u16,
         /// Number of host cores held.
@@ -109,7 +141,7 @@ pub enum TelemetryEvent {
         /// The task.
         task: TaskId,
         /// Executing node.
-        node: usize,
+        node: u32,
         /// Host core driving the stage.
         core: u16,
         /// GPU device, for kernel and CPU-GPU transfer stages.
@@ -126,7 +158,7 @@ pub enum TelemetryEvent {
         /// The task.
         task: TaskId,
         /// Node that issued the transfer.
-        node: usize,
+        node: u32,
         /// The link.
         link: LinkKind,
         /// Payload bytes.
@@ -141,7 +173,7 @@ pub enum TelemetryEvent {
         /// Lookup instant.
         at: SimTime,
         /// Node whose cache was consulted.
-        node: usize,
+        node: u32,
         /// The task reading its input.
         task: TaskId,
         /// The data version looked up.
@@ -154,7 +186,7 @@ pub enum TelemetryEvent {
         /// Insert instant.
         at: SimTime,
         /// Node whose cache evicted.
-        node: usize,
+        node: u32,
         /// Entries evicted by this insert.
         count: u64,
     },
@@ -165,13 +197,13 @@ pub enum TelemetryEvent {
         /// Sample instant.
         at: SimTime,
         /// The node.
-        node: usize,
+        node: u32,
         /// Working-set bytes resident on the node.
         ram_used: u64,
         /// Host cores currently held by tasks.
-        busy_cores: usize,
+        busy_cores: u32,
         /// GPU devices currently held by tasks.
-        busy_gpus: usize,
+        busy_gpus: u32,
     },
     /// A task released its resources with outputs on storage.
     TaskCompleted {
@@ -180,14 +212,14 @@ pub enum TelemetryEvent {
         /// The task.
         task: TaskId,
         /// Node that executed it.
-        node: usize,
+        node: u32,
     },
     /// A fault from the configured plan fired.
     FaultInjected {
         /// Injection instant.
         at: SimTime,
         /// Affected node (cluster-wide faults carry `None`).
-        node: Option<usize>,
+        node: Option<u32>,
         /// What was injected (`node-crash`, `node-rejoin`,
         /// `gpu-failure`).
         what: &'static str,
@@ -199,7 +231,7 @@ pub enum TelemetryEvent {
         /// The task.
         task: TaskId,
         /// Node the attempt ran on.
-        node: usize,
+        node: u32,
         /// The attempt that failed (first execution is attempt 0).
         attempt: u32,
         /// Dispatch instant of the lost attempt (its work in
@@ -227,14 +259,14 @@ pub enum TelemetryEvent {
         /// The task.
         task: TaskId,
         /// The node the previous attempt was lost on.
-        from_node: usize,
+        from_node: u32,
     },
     /// A node left the cluster (quarantined until rejoin, if any).
     NodeDown {
         /// Quarantine instant.
         at: SimTime,
         /// The node.
-        node: usize,
+        node: u32,
     },
     /// A quarantined node rejoined with cold caches and empty local
     /// storage.
@@ -242,7 +274,7 @@ pub enum TelemetryEvent {
         /// Rejoin instant.
         at: SimTime,
         /// The node.
-        node: usize,
+        node: u32,
     },
     /// Blocks resident on a crashed node were invalidated (their
     /// producers re-run via lineage).
@@ -250,7 +282,7 @@ pub enum TelemetryEvent {
         /// Invalidation instant.
         at: SimTime,
         /// The crashed node.
-        node: usize,
+        node: u32,
         /// Cache entries dropped.
         count: u64,
         /// Local-storage data versions lost (regenerated via lineage).
@@ -280,22 +312,35 @@ impl TelemetryEvent {
         "invalidate",
     ];
 
+    /// The [`TelemetryEvent::KINDS`] index of a decision.
+    pub(crate) const DECISION: usize = 1;
+    /// The [`TelemetryEvent::KINDS`] index of a dispatch.
+    pub(crate) const DISPATCH: usize = 2;
+    /// The [`TelemetryEvent::KINDS`] index of a stage.
+    pub(crate) const STAGE: usize = 3;
+    /// The [`TelemetryEvent::KINDS`] index of a transfer.
+    pub(crate) const TRANSFER: usize = 4;
+    /// The [`TelemetryEvent::KINDS`] index of a retry.
+    pub(crate) const RETRY: usize = 11;
+    /// The [`TelemetryEvent::KINDS`] index of a resubmission.
+    pub(crate) const RESUBMIT: usize = 12;
+
     /// Index of this event's kind tag in [`TelemetryEvent::KINDS`].
     pub(crate) fn kind_index(&self) -> usize {
         match self {
             TelemetryEvent::TaskReady { .. } => 0,
-            TelemetryEvent::Decision(_) => 1,
-            TelemetryEvent::TaskDispatched { .. } => 2,
-            TelemetryEvent::Stage { .. } => 3,
-            TelemetryEvent::Transfer { .. } => 4,
+            TelemetryEvent::Decision(_) => Self::DECISION,
+            TelemetryEvent::TaskDispatched { .. } => Self::DISPATCH,
+            TelemetryEvent::Stage { .. } => Self::STAGE,
+            TelemetryEvent::Transfer { .. } => Self::TRANSFER,
             TelemetryEvent::CacheAccess { .. } => 5,
             TelemetryEvent::CacheEvicted { .. } => 6,
             TelemetryEvent::NodeGauge { .. } => 7,
             TelemetryEvent::TaskCompleted { .. } => 8,
             TelemetryEvent::FaultInjected { .. } => 9,
             TelemetryEvent::TaskFailed { .. } => 10,
-            TelemetryEvent::TaskRetry { .. } => 11,
-            TelemetryEvent::TaskResubmitted { .. } => 12,
+            TelemetryEvent::TaskRetry { .. } => Self::RETRY,
+            TelemetryEvent::TaskResubmitted { .. } => Self::RESUBMIT,
             TelemetryEvent::NodeDown { .. } => 13,
             TelemetryEvent::NodeUp { .. } => 14,
             TelemetryEvent::BlocksInvalidated { .. } => 15,
@@ -310,15 +355,17 @@ impl TelemetryEvent {
     /// One deterministic JSON object (no trailing newline). Times are
     /// integer nanoseconds; the nondeterministic `host_nanos` of
     /// decisions is deliberately omitted so streams from identical runs
-    /// are byte-identical.
-    pub fn to_json(&self) -> String {
+    /// are byte-identical. A decision lists `candidates`, its scores
+    /// from the log's arena (see [`super::TelemetryLog::scored`]); every
+    /// other event ignores them.
+    pub fn to_json(&self, candidates: &[CandidateScore]) -> String {
         let mut w = JsonWriter::with_capacity(96);
-        self.write_json(&mut w);
+        self.write_json(candidates, &mut w);
         w.finish()
     }
 
     /// Appends [`TelemetryEvent::to_json`]'s object to `w`.
-    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+    pub(crate) fn write_json(&self, candidates: &[CandidateScore], w: &mut JsonWriter) {
         w.begin("{").key("ev").string(self.kind());
         match self {
             TelemetryEvent::TaskReady { at, task } => {
@@ -327,14 +374,14 @@ impl TelemetryEvent {
             TelemetryEvent::Decision(d) => {
                 w.field("t", d.at.as_nanos())
                     .field("task", d.task.0.into())
-                    .field("node", d.chosen as u64)
-                    .field("queue_depth", d.queue_depth as u64)
+                    .field("node", d.chosen.into())
+                    .field("queue_depth", d.queue_depth.into())
                     .field("overhead_ns", d.sim_overhead.as_nanos())
                     .key("candidates")
-                    .array(&d.candidates, |w, c| {
+                    .array(candidates, |w, c| {
                         w.begin("{")
-                            .field("node", c.node as u64)
-                            .field("free_slots", c.free_slots as u64)
+                            .field("node", c.node.into())
+                            .field("free_slots", c.free_slots.into())
                             .field("cached_bytes", c.cached_bytes)
                             .end("}");
                     });
@@ -352,7 +399,7 @@ impl TelemetryEvent {
                     .field("task", task.0.into())
                     .key("type")
                     .string(task_type)
-                    .field("node", *node as u64)
+                    .field("node", (*node).into())
                     .field("core", (*core).into())
                     .field("cores", (*cores).into())
                     .key("gpu")
@@ -368,7 +415,7 @@ impl TelemetryEvent {
                 t1,
             } => {
                 w.field("task", task.0.into())
-                    .field("node", *node as u64)
+                    .field("node", (*node).into())
                     .field("core", (*core).into())
                     .key("gpu")
                     .opt(gpu.map(u64::from))
@@ -386,7 +433,7 @@ impl TelemetryEvent {
                 t1,
             } => {
                 w.field("task", task.0.into())
-                    .field("node", *node as u64)
+                    .field("node", (*node).into())
                     .key("link")
                     .string(link.label())
                     .field("bytes", *bytes)
@@ -401,7 +448,7 @@ impl TelemetryEvent {
                 hit,
             } => {
                 w.field("t", at.as_nanos())
-                    .field("node", *node as u64)
+                    .field("node", (*node).into())
                     .field("task", task.0.into())
                     .field("data", key.id.0.into())
                     .field("version", key.version.into())
@@ -410,7 +457,7 @@ impl TelemetryEvent {
             }
             TelemetryEvent::CacheEvicted { at, node, count } => {
                 w.field("t", at.as_nanos())
-                    .field("node", *node as u64)
+                    .field("node", (*node).into())
                     .field("count", *count);
             }
             TelemetryEvent::NodeGauge {
@@ -421,20 +468,20 @@ impl TelemetryEvent {
                 busy_gpus,
             } => {
                 w.field("t", at.as_nanos())
-                    .field("node", *node as u64)
+                    .field("node", (*node).into())
                     .field("ram", *ram_used)
-                    .field("busy_cores", *busy_cores as u64)
-                    .field("busy_gpus", *busy_gpus as u64);
+                    .field("busy_cores", (*busy_cores).into())
+                    .field("busy_gpus", (*busy_gpus).into());
             }
             TelemetryEvent::TaskCompleted { at, task, node } => {
                 w.field("t", at.as_nanos())
                     .field("task", task.0.into())
-                    .field("node", *node as u64);
+                    .field("node", (*node).into());
             }
             TelemetryEvent::FaultInjected { at, node, what } => {
                 w.field("t", at.as_nanos())
                     .key("node")
-                    .opt(node.map(|n| n as u64))
+                    .opt(node.map(u64::from))
                     .key("what")
                     .string(what);
             }
@@ -448,7 +495,7 @@ impl TelemetryEvent {
             } => {
                 w.field("t", at.as_nanos())
                     .field("task", task.0.into())
-                    .field("node", *node as u64)
+                    .field("node", (*node).into())
                     .field("attempt", (*attempt).into())
                     .field("started", started.as_nanos())
                     .key("reason")
@@ -472,10 +519,10 @@ impl TelemetryEvent {
             } => {
                 w.field("t", at.as_nanos())
                     .field("task", task.0.into())
-                    .field("from_node", *from_node as u64);
+                    .field("from_node", (*from_node).into());
             }
             TelemetryEvent::NodeDown { at, node } | TelemetryEvent::NodeUp { at, node } => {
-                w.field("t", at.as_nanos()).field("node", *node as u64);
+                w.field("t", at.as_nanos()).field("node", (*node).into());
             }
             TelemetryEvent::BlocksInvalidated {
                 at,
@@ -484,7 +531,7 @@ impl TelemetryEvent {
                 lost_versions,
             } => {
                 w.field("t", at.as_nanos())
-                    .field("node", *node as u64)
+                    .field("node", (*node).into())
                     .field("count", *count)
                     .field("lost_versions", *lost_versions);
             }
@@ -503,7 +550,7 @@ mod tests {
             at: SimTime::from_nanos(5),
             task: TaskId(3),
         };
-        assert_eq!(ev.to_json(), "{\"ev\":\"ready\",\"t\":5,\"task\":3}");
+        assert_eq!(ev.to_json(&[]), "{\"ev\":\"ready\",\"t\":5,\"task\":3}");
     }
 
     #[test]
@@ -515,24 +562,46 @@ mod tests {
             queue_depth: 4,
             sim_overhead: SimDuration::from_micros(800),
             host_nanos: 123, // must not appear in the JSON
-            candidates: vec![
-                CandidateScore {
-                    node: 0,
-                    free_slots: 1,
-                    cached_bytes: 0,
-                },
-                CandidateScore {
-                    node: 1,
-                    free_slots: 0,
-                    cached_bytes: 7,
-                },
-            ],
+            candidates: Candidates::new(2),
         });
-        let json = ev.to_json();
+        let json = ev.to_json(&[
+            CandidateScore {
+                node: 0,
+                free_slots: 1,
+                cached_bytes: 0,
+            },
+            CandidateScore {
+                node: 1,
+                free_slots: 0,
+                cached_bytes: 7,
+            },
+        ]);
         assert!(json.contains("\"queue_depth\":4"));
         assert!(json.contains("\"overhead_ns\":800000"));
         assert!(json.contains("{\"node\":0,\"free_slots\":1,\"cached_bytes\":0}"));
         assert!(!json.contains("123"), "host time must stay out: {json}");
+    }
+
+    #[test]
+    fn an_event_is_48_bytes_and_a_score_16() {
+        assert!(std::mem::size_of::<TelemetryEvent>() <= 48);
+        assert_eq!(std::mem::size_of::<CandidateScore>(), 16);
+    }
+
+    #[test]
+    fn named_kind_indices_name_their_kinds() {
+        let k = TelemetryEvent::KINDS;
+        let named = [
+            (TelemetryEvent::DECISION, "decision"),
+            (TelemetryEvent::DISPATCH, "dispatch"),
+            (TelemetryEvent::STAGE, "stage"),
+            (TelemetryEvent::TRANSFER, "transfer"),
+            (TelemetryEvent::RETRY, "retry"),
+            (TelemetryEvent::RESUBMIT, "resubmit"),
+        ];
+        for (index, kind) in named {
+            assert_eq!(k[index], kind);
+        }
     }
 
     #[test]
@@ -546,8 +615,8 @@ mod tests {
             t0: SimTime::from_nanos(0),
             t1: SimTime::from_nanos(1),
         };
-        assert!(mk(None).to_json().contains("\"gpu\":null"));
-        assert!(mk(Some(2)).to_json().contains("\"gpu\":2"));
+        assert!(mk(None).to_json(&[]).contains("\"gpu\":null"));
+        assert!(mk(Some(2)).to_json(&[]).contains("\"gpu\":2"));
     }
 
     #[test]
@@ -583,7 +652,7 @@ mod tests {
             reason: "transient",
         };
         assert_eq!(
-            failed.to_json(),
+            failed.to_json(&[]),
             "{\"ev\":\"failed\",\"t\":20,\"task\":4,\"node\":1,\"attempt\":0,\"started\":5,\"reason\":\"transient\"}"
         );
         let fault = TelemetryEvent::FaultInjected {
@@ -591,21 +660,21 @@ mod tests {
             node: None,
             what: "node-crash",
         };
-        assert!(fault.to_json().contains("\"node\":null"));
+        assert!(fault.to_json(&[]).contains("\"node\":null"));
         let retry = TelemetryEvent::TaskRetry {
             at: SimTime::from_nanos(20),
             task: TaskId(4),
             attempt: 1,
             until: SimTime::from_nanos(30),
         };
-        assert!(retry.to_json().contains("\"until\":30"));
+        assert!(retry.to_json(&[]).contains("\"until\":30"));
         let inval = TelemetryEvent::BlocksInvalidated {
             at: SimTime::from_nanos(9),
             node: 2,
             count: 3,
             lost_versions: 1,
         };
-        assert!(inval.to_json().contains("\"lost_versions\":1"));
+        assert!(inval.to_json(&[]).contains("\"lost_versions\":1"));
     }
 
     #[test]

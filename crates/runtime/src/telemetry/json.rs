@@ -15,6 +15,18 @@
 
 use std::io::Write as _;
 
+/// `"00"` to `"99"`, back to back: the two digits of `k` start at `2k`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut k = 0;
+    while k < 100 {
+        table[2 * k] = b'0' + (k / 10) as u8;
+        table[2 * k + 1] = b'0' + (k % 10) as u8;
+        k += 1;
+    }
+    table
+};
+
 /// A JSON document under construction.
 ///
 /// Values are appended in document order. [`begin`](Self::begin) opens
@@ -45,17 +57,23 @@ impl JsonWriter {
         self
     }
 
-    /// Appends `n` in decimal.
+    /// Appends `n` in decimal, two digits per division.
     pub fn num(&mut self, mut n: u64) -> &mut Self {
         let mut digits = [0u8; 20];
         let mut i = digits.len();
-        loop {
+        while n >= 100 {
+            let pair = (n % 100) as usize * 2;
+            n /= 100;
+            i -= 2;
+            digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if n >= 10 {
+            let pair = n as usize * 2;
+            i -= 2;
+            digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
             i -= 1;
-            digits[i] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
+            digits[i] = b'0' + n as u8;
         }
         self.out.extend_from_slice(&digits[i..]);
         self
@@ -232,8 +250,13 @@ mod tests {
 
     #[test]
     fn numbers_render_like_display() {
-        for n in [0, 1, 9, 10, 1234567890, u64::MAX] {
+        for n in [0, 1, 9, 10, 99, 100, 101, 999, 1000, 1234567890, u64::MAX] {
             assert_eq!(text(|w| w.num(n)), n.to_string());
+        }
+        for k in 0..20 {
+            for n in [10u64.pow(k) - 1, 10u64.pow(k), 10u64.pow(k) + 7] {
+                assert_eq!(text(|w| w.num(n)), n.to_string());
+            }
         }
         for n in [0, -1, 42, i64::MIN, i64::MAX] {
             assert_eq!(text(|w| w.int(n)), n.to_string());

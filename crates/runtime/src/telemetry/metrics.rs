@@ -553,8 +553,8 @@ impl MetricsRegistry {
                 // set at decision time; `queue_depth` was sampled just
                 // before the removal, so it resynchronises the gauge
                 // even when recovery re-inserted tasks silently.
-                self.max_queue_depth = self.max_queue_depth.max(d.queue_depth as u64);
-                self.ready_tasks = (d.queue_depth as u64).saturating_sub(1);
+                self.max_queue_depth = self.max_queue_depth.max(d.queue_depth.into());
+                self.ready_tasks = u64::from(d.queue_depth).saturating_sub(1);
                 self.sched_overhead_ns = self
                     .sched_overhead_ns
                     .saturating_add(d.sim_overhead.as_nanos());
@@ -607,9 +607,9 @@ impl MetricsRegistry {
                 busy_gpus,
             } => {
                 self.advance_clock(at.as_nanos());
-                let slot = slot(&mut self.nodes, *node);
-                slot.busy_cores = *busy_cores as u64;
-                slot.busy_gpus = *busy_gpus as u64;
+                let slot = slot(&mut self.nodes, *node as usize);
+                slot.busy_cores = (*busy_cores).into();
+                slot.busy_gpus = (*busy_gpus).into();
                 slot.ram_used = *ram_used;
             }
             TelemetryEvent::TaskCompleted { at, task, .. } => {
@@ -655,12 +655,12 @@ impl MetricsRegistry {
             TelemetryEvent::NodeDown { at, node } => {
                 self.advance_clock(at.as_nanos());
                 self.node_downs_total += 1;
-                slot(&mut self.nodes, *node).down = true;
+                slot(&mut self.nodes, *node as usize).down = true;
             }
             TelemetryEvent::NodeUp { at, node } => {
                 self.advance_clock(at.as_nanos());
                 self.node_ups_total += 1;
-                slot(&mut self.nodes, *node).down = false;
+                slot(&mut self.nodes, *node as usize).down = false;
             }
             TelemetryEvent::BlocksInvalidated {
                 at,
@@ -1221,8 +1221,8 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn summary_json_matches_the_fmt_reference(events in support::Logs) {
-            assert_summary_matches(&TelemetryLog::from_events(events));
+        fn summary_json_matches_the_fmt_reference(log in support::Logs) {
+            assert_summary_matches(&log);
         }
     }
 
@@ -1418,7 +1418,7 @@ mod tests {
                 queue_depth: 2,
                 sim_overhead: SimDuration::from_nanos(500),
                 host_nanos: 0,
-                candidates: Vec::new(),
+                candidates: crate::telemetry::Candidates::default(),
             },
         ));
         assert_eq!(reg.ready_tasks, 1);

@@ -69,7 +69,7 @@ pub use diff::{
     BucketDelta, CriticalSegment, PathChange, PathDelta, ResourceProfile, RunDiff, RunProfile,
     TaskTypeProfile, TypeDelta,
 };
-pub use event::{CandidateScore, LinkKind, SchedulerDecision, TelemetryEvent};
+pub use event::{CandidateScore, Candidates, LinkKind, SchedulerDecision, TelemetryEvent};
 pub use flame::to_collapsed;
 pub use histogram::{Histogram, HistogramDigest};
 pub use json::JsonWriter;
@@ -97,6 +97,8 @@ pub struct EventBus {
     record: bool,
     live: Option<MetricsHub>,
     events: Vec<TelemetryEvent>,
+    candidates: Vec<CandidateScore>,
+    kinds: [usize; TelemetryEvent::KINDS.len()],
 }
 
 impl EventBus {
@@ -104,8 +106,7 @@ impl EventBus {
     pub fn new(record: bool) -> Self {
         EventBus {
             record,
-            live: None,
-            events: Vec::new(),
+            ..EventBus::default()
         }
     }
 
@@ -125,13 +126,41 @@ impl EventBus {
     }
 
     /// Emits one event: forwards to the live hub if attached, then
-    /// records it (dropped when no consumer is attached).
+    /// records it (dropped when no consumer is attached). A decision
+    /// pushed here is recorded with no candidates; see
+    /// [`EventBus::decide`].
     #[inline]
-    pub fn push(&mut self, ev: TelemetryEvent) {
+    pub fn push(&mut self, mut ev: TelemetryEvent) {
+        if let TelemetryEvent::Decision(d) = &mut ev {
+            d.candidates = Candidates::default();
+        }
+        self.emit(ev);
+    }
+
+    /// Emits a decision with its scored candidates: the scores are
+    /// appended to the log's candidate arena (when recording) and
+    /// `decision.candidates` is set to count them, so a decision
+    /// allocates nothing of its own.
+    pub fn decide(
+        &mut self,
+        mut decision: SchedulerDecision,
+        candidates: impl IntoIterator<Item = CandidateScore>,
+    ) {
+        let start = self.candidates.len();
+        if self.record {
+            self.candidates.extend(candidates);
+        }
+        decision.candidates = Candidates::new(self.candidates.len() - start);
+        self.emit(TelemetryEvent::Decision(decision));
+    }
+
+    #[inline]
+    fn emit(&mut self, ev: TelemetryEvent) {
         if let Some(hub) = &self.live {
             hub.observe(&ev);
         }
         if self.record {
+            self.kinds[ev.kind_index()] += 1;
             self.events.push(ev);
         }
     }
@@ -151,25 +180,38 @@ impl EventBus {
 
     /// Consumes the bus into an immutable log.
     pub fn into_log(self) -> TelemetryLog {
-        TelemetryLog::from_events(self.events)
+        TelemetryLog {
+            events: self.events,
+            candidates: self.candidates,
+            kinds: self.kinds,
+            timeline: OnceLock::new(),
+        }
     }
 }
 
 /// An immutable, replayable event stream from one run, with its
-/// attempt index.
+/// scored candidates, its per-kind counts and its attempt index.
 ///
-/// The index ([`TelemetryLog::timeline`]) is a function of the events,
-/// built on first use and kept: two logs are equal when their events
-/// are, whether or not either has built it.
+/// Every decision's candidate scores sit in one arena, decision after
+/// decision in log order; a decision's [`Candidates`] handle holds only
+/// their count, so [`TelemetryLog::scored`] and
+/// [`TelemetryLog::decisions`] pair each decision with its slice by
+/// walking the log. The counts per kind are kept as events are
+/// recorded. The index ([`TelemetryLog::timeline`]) is a function of
+/// the events, built on first use and kept: two logs are equal when
+/// their events and candidates are, whether or not either has built it.
 #[derive(Clone, Default)]
 pub struct TelemetryLog {
     events: Vec<TelemetryEvent>,
+    candidates: Vec<CandidateScore>,
+    /// Events per kind, in [`TelemetryEvent::KINDS`] order.
+    kinds: [usize; TelemetryEvent::KINDS.len()],
     timeline: OnceLock<TaskTimeline>,
 }
 
 impl PartialEq for TelemetryLog {
     fn eq(&self, other: &Self) -> bool {
-        self.events == other.events
+        self.events == other.events && self.candidates == other.candidates
     }
 }
 
@@ -177,22 +219,50 @@ impl fmt::Debug for TelemetryLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TelemetryLog")
             .field("events", &self.events)
+            .field("candidates", &self.candidates)
             .finish()
     }
 }
 
 impl TelemetryLog {
-    /// Wraps a pre-built event sequence.
-    pub fn from_events(events: Vec<TelemetryEvent>) -> Self {
+    /// Wraps a pre-built event sequence. The log's candidate arena is
+    /// empty, so every decision is kept with its count set to none
+    /// (record decisions with their scores through
+    /// [`EventBus::decide`]).
+    pub fn from_events(mut events: Vec<TelemetryEvent>) -> Self {
+        let mut kinds = [0; TelemetryEvent::KINDS.len()];
+        for ev in &mut events {
+            if let TelemetryEvent::Decision(d) = ev {
+                d.candidates = Candidates::default();
+            }
+            kinds[ev.kind_index()] += 1;
+        }
         TelemetryLog {
             events,
-            timeline: OnceLock::new(),
+            kinds,
+            ..TelemetryLog::default()
         }
     }
 
     /// The events, in emission order.
     pub fn events(&self) -> &[TelemetryEvent] {
         &self.events
+    }
+
+    /// The events in emission order, each with its scored candidates:
+    /// a decision's slice of the arena, and an empty slice for every
+    /// other event.
+    pub fn scored(&self) -> impl Iterator<Item = (&TelemetryEvent, &[CandidateScore])> {
+        let mut rest = self.candidates.as_slice();
+        self.events.iter().map(move |ev| {
+            let n = match ev {
+                TelemetryEvent::Decision(d) => d.candidates.len(),
+                _ => 0,
+            };
+            let (mine, after) = rest.split_at(n);
+            rest = after;
+            (ev, mine)
+        })
     }
 
     /// The log's attempt index, built on the first call and shared by
@@ -211,21 +281,28 @@ impl TelemetryLog {
         self.events.is_empty()
     }
 
+    /// Number of events of the kind at `kind` in
+    /// [`TelemetryEvent::KINDS`] (see its named indices).
+    pub(crate) fn count(&self, kind: usize) -> usize {
+        self.kinds[kind]
+    }
+
     /// The deterministic JSONL serialization of the stream: one
     /// [`TelemetryEvent::to_json`] object per line, in one buffer.
     pub fn to_jsonl(&self) -> String {
         let mut w = JsonWriter::with_capacity(JSONL_BYTES_PER_EVENT * self.len());
-        for ev in &self.events {
-            ev.write_json(&mut w);
+        for (ev, candidates) in self.scored() {
+            ev.write_json(candidates, &mut w);
             w.lit("\n");
         }
         w.finish()
     }
 
-    /// The scheduler decisions, in dispatch order.
-    pub fn decisions(&self) -> impl Iterator<Item = &SchedulerDecision> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::Decision(d) => Some(d),
+    /// The scheduler decisions, in dispatch order, each with its scored
+    /// candidates.
+    pub fn decisions(&self) -> impl Iterator<Item = (&SchedulerDecision, &[CandidateScore])> {
+        self.scored().filter_map(|(ev, candidates)| match ev {
+            TelemetryEvent::Decision(d) => Some((d, candidates)),
             _ => None,
         })
     }
@@ -236,9 +313,9 @@ impl TelemetryLog {
         let mut out = String::from(
             "time_s       task   node  queue  overhead_us  host_us  candidates (node:slots/cached)\n",
         );
-        for d in self.decisions() {
+        for (d, candidates) in self.decisions() {
             let mut cands = String::new();
-            for (i, c) in d.candidates.iter().enumerate() {
+            for (i, c) in candidates.iter().enumerate() {
                 if i > 0 {
                     cands.push(' ');
                 }
@@ -260,13 +337,9 @@ impl TelemetryLog {
     }
 
     /// Event counts per kind, `(kind, count)` in a fixed report order,
-    /// counted in one pass over the log.
+    /// as counted while the events were recorded.
     pub fn summary_counts(&self) -> Vec<(&'static str, usize)> {
-        let mut counts = [0usize; TelemetryEvent::KINDS.len()];
-        for e in &self.events {
-            counts[e.kind_index()] += 1;
-        }
-        TelemetryEvent::KINDS.into_iter().zip(counts).collect()
+        TelemetryEvent::KINDS.into_iter().zip(self.kinds).collect()
     }
 
     /// Event counts per kind, in a fixed report order.
@@ -380,6 +453,96 @@ mod tests {
         assert_eq!(log.clone(), log, "built on both sides");
         assert_ne!(TelemetryLog::from_events(vec![ready(0)]), log);
         assert_eq!(format!("{log:?}"), format!("{copy:?}"));
+    }
+
+    /// A log of one decision over two nodes whose second candidate
+    /// caches `cached` bytes.
+    fn one_decision(cached: u64) -> TelemetryLog {
+        let mut bus = EventBus::new(true);
+        bus.push(ready(0));
+        let decision = SchedulerDecision {
+            at: SimTime::ZERO,
+            task: TaskId(0),
+            chosen: 1,
+            queue_depth: 1,
+            sim_overhead: gpuflow_sim::SimDuration::from_nanos(5),
+            host_nanos: 7,
+            candidates: Candidates::default(),
+        };
+        let score = |node, cached_bytes| CandidateScore {
+            node,
+            free_slots: 1,
+            cached_bytes,
+        };
+        bus.decide(decision, [score(0, 0), score(1, cached)]);
+        bus.push(ready(1));
+        bus.into_log()
+    }
+
+    #[test]
+    fn logs_differing_in_one_candidate_are_unequal() {
+        let (a, b) = (one_decision(64), one_decision(65));
+        assert_eq!(a.events(), b.events(), "the events carry only the count");
+        assert_ne!(a, b);
+        assert_ne!(a.to_jsonl(), b.to_jsonl());
+        assert_ne!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(a, one_decision(64));
+    }
+
+    #[test]
+    fn decisions_pair_with_their_own_candidates() {
+        let mut bus = EventBus::new(true);
+        let decision = |task| SchedulerDecision {
+            at: SimTime::ZERO,
+            task: TaskId(task),
+            chosen: 0,
+            queue_depth: 1,
+            sim_overhead: gpuflow_sim::SimDuration::ZERO,
+            host_nanos: 0,
+            candidates: Candidates::default(),
+        };
+        let score = |node| CandidateScore {
+            node,
+            free_slots: 0,
+            cached_bytes: u64::from(node),
+        };
+        bus.decide(decision(0), [score(0), score(1)]);
+        bus.push(ready(0));
+        // Pushed without candidates: recorded with none.
+        bus.push(TelemetryEvent::Decision(decision(1)));
+        bus.decide(decision(2), [score(2)]);
+        let log = bus.into_log();
+        let paired: Vec<(u32, Vec<u32>)> = log
+            .decisions()
+            .map(|(d, c)| (d.task.0, c.iter().map(|s| s.node).collect()))
+            .collect();
+        assert_eq!(paired, vec![(0, vec![0, 1]), (1, vec![]), (2, vec![2])]);
+        let counts: Vec<usize> = log.decisions().map(|(d, _)| d.candidates.len()).collect();
+        assert_eq!(counts, vec![2, 0, 1]);
+        assert_eq!(log.scored().map(|(_, c)| c.len()).sum::<usize>(), 3);
+        let table = log.render_decisions();
+        let first = table.lines().nth(1).expect("a row per decision");
+        assert!(first.ends_with("0:0/0 1:0/1"), "{table}");
+    }
+
+    #[test]
+    fn a_log_of_copied_events_keeps_no_candidates() {
+        let copy = TelemetryLog::from_events(one_decision(64).events().to_vec());
+        let (d, candidates) = copy.decisions().next().expect("one decision");
+        assert!(d.candidates.is_empty() && candidates.is_empty());
+        assert_eq!(copy.to_jsonl().lines().count(), 3);
+    }
+
+    #[test]
+    fn counts_per_kind_follow_the_recorded_events() {
+        let log = one_decision(0);
+        let scanned = |kind: &str| log.events().iter().filter(|e| e.kind() == kind).count();
+        for (kind, n) in log.summary_counts() {
+            assert_eq!(n, scanned(kind), "{kind}");
+        }
+        assert_eq!(log.count(TelemetryEvent::DECISION), 1);
+        let copy = TelemetryLog::from_events(log.events().to_vec());
+        assert_eq!(copy.summary_counts(), log.summary_counts());
     }
 
     #[test]

@@ -226,7 +226,7 @@ pub(super) fn sweep(timeline: &TaskTimeline) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::task::TaskId;
-    use crate::telemetry::event::SchedulerDecision;
+    use crate::telemetry::event::{Candidates, SchedulerDecision};
     use crate::telemetry::TelemetryEvent;
     use gpuflow_sim::{SimDuration, SimTime};
 
@@ -250,7 +250,7 @@ mod tests {
             queue_depth: 1,
             sim_overhead: SimDuration::from_nanos(overhead),
             host_nanos: 5,
-            candidates: Vec::new(),
+            candidates: Candidates::default(),
         })
     }
 

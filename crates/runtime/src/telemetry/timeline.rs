@@ -152,9 +152,19 @@ pub struct TaskTimeline {
 }
 
 impl TaskTimeline {
-    /// Indexes `log` in one pass.
+    /// Indexes `log` in one pass, with its tables reserved from the
+    /// log's counts per kind.
     pub(crate) fn from_log(log: &TelemetryLog) -> Self {
-        let mut tl = TaskTimeline::default();
+        let mut tl = TaskTimeline {
+            attempts: Vec::with_capacity(log.count(TelemetryEvent::DISPATCH)),
+            intervals: Vec::with_capacity(
+                log.count(TelemetryEvent::STAGE) + log.count(TelemetryEvent::TRANSFER),
+            ),
+            retries: Vec::with_capacity(log.count(TelemetryEvent::RETRY)),
+            resubmits: Vec::with_capacity(log.count(TelemetryEvent::RESUBMIT)),
+            decisions: Vec::with_capacity(log.count(TelemetryEvent::DECISION)),
+            ..TaskTimeline::default()
+        };
         let mut type_index: BTreeMap<&str, u32> = BTreeMap::new();
         for ev in log.events() {
             match ev {
@@ -185,7 +195,7 @@ impl TaskTimeline {
                     let dispatch = Dispatch {
                         at: *at,
                         task_type,
-                        node: *node,
+                        node: *node as usize,
                         cores: *cores,
                         gpu: *gpu,
                     };
@@ -209,7 +219,8 @@ impl TaskTimeline {
                 TelemetryEvent::CacheAccess { hit: true, .. } => tl.cache_hits += 1,
                 TelemetryEvent::CacheAccess { hit: false, .. } => tl.cache_misses += 1,
                 TelemetryEvent::TaskCompleted { at, task, node } => {
-                    tl.end(*task, AttemptEnd::Completed(*at)).completion = Some((*at, *node));
+                    tl.end(*task, AttemptEnd::Completed(*at)).completion =
+                        Some((*at, *node as usize));
                 }
                 TelemetryEvent::TaskFailed {
                     at, task, attempt, ..

@@ -11,8 +11,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Display, Write as _};
 
 use gpuflow_runtime::{
-    to_chrome_trace, CandidateScore, DataId, DataVersion, LinkKind, SchedulerDecision, TaskId,
-    TaskType, TelemetryEvent, TelemetryLog, TraceState,
+    to_chrome_trace, CandidateScore, Candidates, DataId, DataVersion, EventBus, LinkKind,
+    SchedulerDecision, TaskId, TaskType, TelemetryEvent, TelemetryLog, TraceState,
 };
 use gpuflow_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -150,10 +150,10 @@ fn reference_chrome_trace(log: &TelemetryLog) -> String {
             TelemetryEvent::Stage {
                 node, core, gpu, ..
             } => {
-                max_node = max_node.max(*node);
-                tracks.insert((*node, *core as u32));
+                max_node = max_node.max(*node as usize);
+                tracks.insert((*node as usize, *core as u32));
                 if let Some(g) = gpu {
-                    tracks.insert((*node, gpu_tid(*g)));
+                    tracks.insert((*node as usize, gpu_tid(*g)));
                 }
             }
             TelemetryEvent::TaskDispatched {
@@ -162,21 +162,23 @@ fn reference_chrome_trace(log: &TelemetryLog) -> String {
                 node,
                 ..
             } => {
-                max_node = max_node.max(*node);
+                max_node = max_node.max(*node as usize);
                 let i = task.0 as usize;
                 if i >= task_types.len() {
                     task_types.resize(i + 1, None);
                 }
                 task_types[i] = Some(task_type);
             }
-            TelemetryEvent::NodeGauge { node, .. } => max_node = max_node.max(*node),
+            TelemetryEvent::NodeGauge { node, .. } => max_node = max_node.max(*node as usize),
             TelemetryEvent::FaultInjected {
                 node: Some(node), ..
             }
             | TelemetryEvent::TaskFailed { node, .. }
             | TelemetryEvent::NodeDown { node, .. }
             | TelemetryEvent::NodeUp { node, .. }
-            | TelemetryEvent::BlocksInvalidated { node, .. } => max_node = max_node.max(*node),
+            | TelemetryEvent::BlocksInvalidated { node, .. } => {
+                max_node = max_node.max(*node as usize)
+            }
             _ => {}
         }
     }
@@ -222,7 +224,7 @@ fn reference_chrome_trace(log: &TelemetryLog) -> String {
                 recs.complete(
                     state.label(),
                     "stage",
-                    (*node, tid),
+                    (*node as usize, tid),
                     t0.as_nanos(),
                     dur,
                     args,
@@ -247,10 +249,10 @@ fn reference_chrome_trace(log: &TelemetryLog) -> String {
                 recs.counter("queue_depth", master_pid, at, args);
             }
             TelemetryEvent::TaskDispatched { at, task, node, .. } => {
-                recs.task_span('b', type_of(task.0), task.0, *node, at.as_nanos());
+                recs.task_span('b', type_of(task.0), task.0, *node as usize, at.as_nanos());
             }
             TelemetryEvent::TaskCompleted { at, task, node } => {
-                recs.task_span('e', type_of(task.0), task.0, *node, at.as_nanos());
+                recs.task_span('e', type_of(task.0), task.0, *node as usize, at.as_nanos());
             }
             TelemetryEvent::NodeGauge {
                 at,
@@ -259,17 +261,22 @@ fn reference_chrome_trace(log: &TelemetryLog) -> String {
                 busy_cores,
                 busy_gpus,
             } => {
-                node_busy_cores.insert(*node, *busy_cores);
-                node_busy_gpus.insert(*node, *busy_gpus);
+                node_busy_cores.insert(*node as usize, *busy_cores as usize);
+                node_busy_gpus.insert(*node as usize, *busy_gpus as usize);
                 let at = at.as_nanos();
-                recs.counter("ram_bytes", *node, at, format_args!("\"bytes\":{ram_used}"));
+                recs.counter(
+                    "ram_bytes",
+                    *node as usize,
+                    at,
+                    format_args!("\"bytes\":{ram_used}"),
+                );
                 let cores: usize = node_busy_cores.values().sum();
                 let gpus: usize = node_busy_gpus.values().sum();
                 let args = format_args!("\"cores\":{cores},\"gpus\":{gpus}");
                 recs.counter("cluster_busy", master_pid, at, args);
             }
             TelemetryEvent::FaultInjected { at, node, what } => {
-                let pid = node.unwrap_or(master_pid);
+                let pid = node.map_or(master_pid, |n| n as usize);
                 recs.instant(
                     format_args!("fault: {what}"),
                     "fault",
@@ -288,7 +295,7 @@ fn reference_chrome_trace(log: &TelemetryLog) -> String {
             } => recs.instant(
                 format_args!("failed t{} ({reason})", task.0),
                 "fault",
-                *node,
+                *node as usize,
                 at.as_nanos(),
                 Some(format_args!("\"attempt\":{attempt}")),
             ),
@@ -317,10 +324,10 @@ fn reference_chrome_trace(log: &TelemetryLog) -> String {
                 Some(format_args!("\"from_node\":{from_node}")),
             ),
             TelemetryEvent::NodeDown { at, node } => {
-                recs.instant("node down", "fault", *node, at.as_nanos(), None);
+                recs.instant("node down", "fault", *node as usize, at.as_nanos(), None);
             }
             TelemetryEvent::NodeUp { at, node } => {
-                recs.instant("node up", "fault", *node, at.as_nanos(), None);
+                recs.instant("node up", "fault", *node as usize, at.as_nanos(), None);
             }
             TelemetryEvent::BlocksInvalidated {
                 at,
@@ -330,7 +337,7 @@ fn reference_chrome_trace(log: &TelemetryLog) -> String {
             } => recs.instant(
                 "blocks invalidated",
                 "fault",
-                *node,
+                *node as usize,
                 at.as_nanos(),
                 Some(format_args!(
                     "\"count\":{count},\"lost_versions\":{lost_versions}"
@@ -382,15 +389,20 @@ const LINKS: [LinkKind; 4] = [
 
 /// A log of up to 40 events drawn from every variant over four nodes,
 /// three GPUs and 12 task ids (dispatch and completion drawn
-/// independently, so some tasks complete without a dispatch).
+/// independently, so some tasks complete without a dispatch), recorded
+/// through an [`EventBus`] so decisions keep their candidates.
 struct Logs;
 
 impl Strategy for Logs {
-    type Value = Vec<TelemetryEvent>;
+    type Value = TelemetryLog;
 
-    fn sample(&self, rng: &mut StdRng) -> Vec<TelemetryEvent> {
+    fn sample(&self, rng: &mut StdRng) -> TelemetryLog {
         let len = rng.gen_range(0..40usize);
-        (0..len).map(|_| event(rng)).collect()
+        let mut bus = EventBus::new(true);
+        for _ in 0..len {
+            record(rng, &mut bus);
+        }
+        bus.into_log()
     }
 }
 
@@ -410,30 +422,34 @@ fn pick<T: Copy>(rng: &mut StdRng, items: &[T]) -> T {
     items[rng.gen_range(0..items.len())]
 }
 
-fn event(rng: &mut StdRng) -> TelemetryEvent {
+/// Records one event of a random variant on `bus`.
+fn record(rng: &mut StdRng, bus: &mut EventBus) {
     let at = instant(rng);
     let task = TaskId(rng.gen_range(0..12u32));
-    let node = rng.gen_range(0..4usize);
+    let node = rng.gen_range(0..4u32);
     let gpu = |rng: &mut StdRng| rng.gen::<bool>().then(|| rng.gen_range(0..3u32) as u16);
-    match rng.gen_range(0..16u32) {
+    let ev = match rng.gen_range(0..16u32) {
         0 => TelemetryEvent::TaskReady { at, task },
         1 => {
-            let n = rng.gen_range(0..4usize);
-            TelemetryEvent::Decision(SchedulerDecision {
+            let n = rng.gen_range(0..4u32);
+            let decision = SchedulerDecision {
                 at,
                 task,
                 chosen: node,
-                queue_depth: rng.gen_range(0..100_000usize),
+                queue_depth: rng.gen_range(0..100_000u32),
                 sim_overhead: SimDuration::from_nanos(rng.gen_range(0..2_000_000u64)),
                 host_nanos: rng.gen(),
-                candidates: (0..n)
-                    .map(|node| CandidateScore {
-                        node,
-                        free_slots: rng.gen_range(0..8usize),
-                        cached_bytes: rng.gen(),
-                    })
-                    .collect(),
-            })
+                candidates: Candidates::default(),
+            };
+            let candidates: Vec<CandidateScore> = (0..n)
+                .map(|node| CandidateScore {
+                    node,
+                    free_slots: rng.gen_range(0..8u32),
+                    cached_bytes: rng.gen(),
+                })
+                .collect();
+            bus.decide(decision, candidates);
+            return;
         }
         2 => TelemetryEvent::TaskDispatched {
             at,
@@ -483,8 +499,8 @@ fn event(rng: &mut StdRng) -> TelemetryEvent {
             at,
             node,
             ram_used: rng.gen(),
-            busy_cores: rng.gen_range(0..48usize),
-            busy_gpus: rng.gen_range(0..4usize),
+            busy_cores: rng.gen_range(0..48u32),
+            busy_gpus: rng.gen_range(0..4u32),
         },
         8 => TelemetryEvent::TaskCompleted { at, task, node },
         9 => TelemetryEvent::FaultInjected {
@@ -520,11 +536,11 @@ fn event(rng: &mut StdRng) -> TelemetryEvent {
             count: rng.gen(),
             lost_versions: rng.gen(),
         },
-    }
+    };
+    bus.push(ev);
 }
 
-fn assert_same_export(events: Vec<TelemetryEvent>) {
-    let log = TelemetryLog::from_events(events);
+fn assert_same_export(log: TelemetryLog) {
     let expected = reference_chrome_trace(&log);
     let actual = to_chrome_trace(&log);
     assert!(
@@ -536,14 +552,14 @@ fn assert_same_export(events: Vec<TelemetryEvent>) {
 
 proptest! {
     #[test]
-    fn export_matches_the_fmt_reference(events in Logs) {
-        assert_same_export(events);
+    fn export_matches_the_fmt_reference(log in Logs) {
+        assert_same_export(log);
     }
 }
 
 #[test]
 fn empty_log_matches_the_reference() {
-    assert_same_export(Vec::new());
+    assert_same_export(TelemetryLog::default());
 }
 
 /// Every variant at least once, with the extreme integers, the
@@ -551,26 +567,26 @@ fn empty_log_matches_the_reference() {
 /// one log.
 #[test]
 fn every_variant_and_extreme_matches_the_reference() {
-    let mut events = Vec::new();
+    let mut bus = EventBus::new(true);
     for (i, ty) in TASK_TYPES.iter().enumerate() {
         let task = TaskId(i as u32);
-        events.push(TelemetryEvent::TaskDispatched {
+        bus.push(TelemetryEvent::TaskDispatched {
             at: SimTime::from_nanos(999),
             task,
             task_type: TaskType::new(*ty),
-            node: i % 3,
+            node: i as u32 % 3,
             core: i as u16,
             cores: 1,
             gpu: Some(i as u16),
         });
-        events.push(TelemetryEvent::TaskCompleted {
+        bus.push(TelemetryEvent::TaskCompleted {
             at: SimTime::MAX,
             task,
-            node: i % 3,
+            node: i as u32 % 3,
         });
     }
     let every_ascii: String = (0u8..0x80).map(char::from).collect();
-    events.push(TelemetryEvent::TaskDispatched {
+    bus.push(TelemetryEvent::TaskDispatched {
         at: SimTime::ZERO,
         task: TaskId(40),
         task_type: TaskType::new(every_ascii),
@@ -579,19 +595,19 @@ fn every_variant_and_extreme_matches_the_reference() {
         cores: 1,
         gpu: None,
     });
-    events.push(TelemetryEvent::TaskCompleted {
+    bus.push(TelemetryEvent::TaskCompleted {
         at: SimTime::from_nanos(1),
         task: TaskId(u32::MAX),
         node: 5,
     });
-    events.push(TelemetryEvent::NodeGauge {
+    bus.push(TelemetryEvent::NodeGauge {
         at: SimTime::from_nanos(1_000),
         node: 5,
         ram_used: u64::MAX,
         busy_cores: 7,
         busy_gpus: 2,
     });
-    events.push(TelemetryEvent::BlocksInvalidated {
+    bus.push(TelemetryEvent::BlocksInvalidated {
         at: SimTime::MAX,
         node: 1,
         count: u64::MAX,
@@ -599,9 +615,10 @@ fn every_variant_and_extreme_matches_the_reference() {
     });
     let mut rng = proptest::test_runner::deterministic_rng();
     for _ in 0..200 {
-        events.push(event(&mut rng));
+        record(&mut rng, &mut bus);
     }
-    let kinds: BTreeSet<&str> = events.iter().map(TelemetryEvent::kind).collect();
+    let log = bus.into_log();
+    let kinds: BTreeSet<&str> = log.events().iter().map(TelemetryEvent::kind).collect();
     assert_eq!(kinds.len(), 16, "every variant drawn: {kinds:?}");
-    assert_same_export(events);
+    assert_same_export(log);
 }

@@ -15,8 +15,8 @@ use std::fmt::{self, Write as _};
 
 use gpuflow_chaos::mix64;
 use gpuflow_runtime::{
-    BucketDelta, PathChange, PathDelta, PhaseSpan, RunDiff, RunProfile, SpanForest, SpanPhase,
-    TaskId, TaskSpans, TelemetryEvent, TelemetryLog, TypeDelta,
+    BucketDelta, CandidateScore, PathChange, PathDelta, PhaseSpan, RunDiff, RunProfile, SpanForest,
+    SpanPhase, TaskId, TaskSpans, TelemetryEvent, TelemetryLog, TypeDelta,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -49,7 +49,7 @@ impl fmt::Display for OptUsize {
     }
 }
 
-fn reference_event_json(ev: &TelemetryEvent) -> String {
+fn reference_event_json(ev: &TelemetryEvent, candidates: &[CandidateScore]) -> String {
     let mut s = String::with_capacity(96);
     match ev {
         TelemetryEvent::TaskReady { at, task } => {
@@ -70,7 +70,7 @@ fn reference_event_json(ev: &TelemetryEvent) -> String {
                 d.queue_depth,
                 d.sim_overhead.as_nanos()
             );
-            for (i, c) in d.candidates.iter().enumerate() {
+            for (i, c) in candidates.iter().enumerate() {
                 let sep = if i == 0 { "" } else { "," };
                 let _ = write!(
                     s,
@@ -199,7 +199,7 @@ fn reference_event_json(ev: &TelemetryEvent) -> String {
                 s,
                 "{{\"ev\":\"fault\",\"t\":{},\"node\":{},\"what\":\"{}\"}}",
                 at.as_nanos(),
-                OptUsize(*node),
+                OptUsize(node.map(|n| n as usize)),
                 what
             );
         }
@@ -287,8 +287,8 @@ fn reference_event_json(ev: &TelemetryEvent) -> String {
 
 fn reference_jsonl(log: &TelemetryLog) -> String {
     let mut out = String::new();
-    for ev in log.events() {
-        out.push_str(&reference_event_json(ev));
+    for (ev, candidates) in log.scored() {
+        out.push_str(&reference_event_json(ev, candidates));
         out.push('\n');
     }
     out
@@ -582,8 +582,12 @@ fn assert_same(what: &str, actual: &str, expected: &str) {
 }
 
 fn assert_log_matches(log: &TelemetryLog) {
-    for ev in log.events() {
-        assert_same("event JSON", &ev.to_json(), &reference_event_json(ev));
+    for (ev, candidates) in log.scored() {
+        assert_same(
+            "event JSON",
+            &ev.to_json(candidates),
+            &reference_event_json(ev, candidates),
+        );
     }
     assert_same("JSONL", &log.to_jsonl(), &reference_jsonl(log));
     assert_same(
@@ -608,8 +612,8 @@ fn assert_forest_matches(forest: &SpanForest) {
 
 proptest! {
     #[test]
-    fn event_stream_matches_the_fmt_reference(events in Logs) {
-        assert_log_matches(&TelemetryLog::from_events(events));
+    fn event_stream_matches_the_fmt_reference(log in Logs) {
+        assert_log_matches(&log);
     }
 
     #[test]
@@ -626,7 +630,7 @@ proptest! {
 #[test]
 fn every_variant_and_extreme_matches_the_reference() {
     assert_log_matches(&TelemetryLog::default());
-    assert_log_matches(&TelemetryLog::from_events(support::every_variant()));
+    assert_log_matches(&support::every_variant());
     assert_forest_matches(&SpanForest::default());
 }
 

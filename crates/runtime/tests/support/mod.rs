@@ -16,9 +16,9 @@ use std::fmt::{self, Display, Write as _};
 use gpuflow_cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
 use gpuflow_runtime::jobs::build;
 use gpuflow_runtime::{
-    run, CandidateScore, DataId, DataVersion, FaultPlan, JobShape, JobSpec, LinkKind,
-    RecoveryPolicy, RunConfig, RunReport, SchedulerDecision, SchedulingPolicy, TaskId, TaskType,
-    TelemetryEvent, TraceState, Workflow,
+    run, CandidateScore, Candidates, DataId, DataVersion, EventBus, FaultPlan, JobShape, JobSpec,
+    LinkKind, RecoveryPolicy, RunConfig, RunReport, SchedulerDecision, SchedulingPolicy, TaskId,
+    TaskType, TelemetryEvent, TelemetryLog, TraceState, Workflow,
 };
 use gpuflow_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -75,15 +75,20 @@ const LINKS: [LinkKind; 4] = [
 
 /// A log of up to 40 events drawn from every variant over four nodes,
 /// three GPUs and 12 task ids (dispatch and completion drawn
-/// independently, so some tasks complete without a dispatch).
+/// independently, so some tasks complete without a dispatch), recorded
+/// through an [`EventBus`] so decisions keep their candidates.
 pub struct Logs;
 
 impl Strategy for Logs {
-    type Value = Vec<TelemetryEvent>;
+    type Value = TelemetryLog;
 
-    fn sample(&self, rng: &mut StdRng) -> Vec<TelemetryEvent> {
+    fn sample(&self, rng: &mut StdRng) -> TelemetryLog {
         let len = rng.gen_range(0..40usize);
-        (0..len).map(|_| event(rng)).collect()
+        let mut bus = EventBus::new(true);
+        for _ in 0..len {
+            record(rng, &mut bus);
+        }
+        bus.into_log()
     }
 }
 
@@ -113,31 +118,34 @@ pub fn extreme(rng: &mut StdRng) -> u64 {
     }
 }
 
-/// One event of a random variant.
-pub fn event(rng: &mut StdRng) -> TelemetryEvent {
+/// Records one event of a random variant on `bus`.
+pub fn record(rng: &mut StdRng, bus: &mut EventBus) {
     let at = instant(rng);
     let task = TaskId(rng.gen_range(0..12u32));
-    let node = rng.gen_range(0..4usize);
+    let node = rng.gen_range(0..4u32);
     let gpu = |rng: &mut StdRng| rng.gen::<bool>().then(|| rng.gen_range(0..3u32) as u16);
-    match rng.gen_range(0..16u32) {
+    let ev = match rng.gen_range(0..16u32) {
         0 => TelemetryEvent::TaskReady { at, task },
         1 => {
-            let n = rng.gen_range(0..4usize);
-            TelemetryEvent::Decision(SchedulerDecision {
+            let n = rng.gen_range(0..4u32);
+            let decision = SchedulerDecision {
                 at,
                 task,
                 chosen: node,
-                queue_depth: rng.gen_range(0..100_000usize),
+                queue_depth: rng.gen_range(0..100_000u32),
                 sim_overhead: SimDuration::from_nanos(rng.gen_range(0..2_000_000u64)),
                 host_nanos: rng.gen(),
-                candidates: (0..n)
-                    .map(|node| CandidateScore {
-                        node,
-                        free_slots: rng.gen_range(0..8usize),
-                        cached_bytes: rng.gen(),
-                    })
-                    .collect(),
-            })
+                candidates: Candidates::default(),
+            };
+            let candidates: Vec<CandidateScore> = (0..n)
+                .map(|node| CandidateScore {
+                    node,
+                    free_slots: rng.gen_range(0..8u32),
+                    cached_bytes: rng.gen(),
+                })
+                .collect();
+            bus.decide(decision, candidates);
+            return;
         }
         2 => TelemetryEvent::TaskDispatched {
             at,
@@ -187,8 +195,8 @@ pub fn event(rng: &mut StdRng) -> TelemetryEvent {
             at,
             node,
             ram_used: rng.gen(),
-            busy_cores: rng.gen_range(0..48usize),
-            busy_gpus: rng.gen_range(0..4usize),
+            busy_cores: rng.gen_range(0..48u32),
+            busy_gpus: rng.gen_range(0..4u32),
         },
         8 => TelemetryEvent::TaskCompleted { at, task, node },
         9 => TelemetryEvent::FaultInjected {
@@ -223,42 +231,43 @@ pub fn event(rng: &mut StdRng) -> TelemetryEvent {
             count: rng.gen(),
             lost_versions: rng.gen(),
         },
-    }
+    };
+    bus.push(ev);
 }
 
 /// Every variant with the extreme integers and the escape-needing task
 /// types, plus 200 random events, in one log.
-pub fn every_variant() -> Vec<TelemetryEvent> {
-    let mut events = Vec::new();
+pub fn every_variant() -> TelemetryLog {
+    let mut bus = EventBus::new(true);
     for (i, ty) in TASK_TYPES.iter().enumerate() {
-        events.push(TelemetryEvent::TaskDispatched {
+        bus.push(TelemetryEvent::TaskDispatched {
             at: SimTime::from_nanos(999),
             task: TaskId(i as u32),
             task_type: TaskType::new(*ty),
-            node: i % 3,
+            node: i as u32 % 3,
             core: u16::MAX,
             cores: 1,
             gpu: Some(i as u16),
         });
     }
     let every_ascii: String = (0u8..0x80).map(char::from).collect();
-    events.push(TelemetryEvent::TaskDispatched {
+    bus.push(TelemetryEvent::TaskDispatched {
         at: SimTime::MAX,
         task: TaskId(u32::MAX),
         task_type: TaskType::new(every_ascii),
-        node: usize::MAX,
+        node: u32::MAX,
         core: 0,
         cores: u16::MAX,
         gpu: Some(u16::MAX),
     });
-    events.push(TelemetryEvent::NodeGauge {
+    bus.push(TelemetryEvent::NodeGauge {
         at: SimTime::from_nanos(1_000),
         node: 5,
         ram_used: u64::MAX,
-        busy_cores: usize::MAX,
+        busy_cores: u32::MAX,
         busy_gpus: 2,
     });
-    events.push(TelemetryEvent::BlocksInvalidated {
+    bus.push(TelemetryEvent::BlocksInvalidated {
         at: SimTime::MAX,
         node: 1,
         count: u64::MAX,
@@ -266,9 +275,9 @@ pub fn every_variant() -> Vec<TelemetryEvent> {
     });
     let mut rng = proptest::test_runner::deterministic_rng();
     for _ in 0..200 {
-        events.push(event(&mut rng));
+        record(&mut rng, &mut bus);
     }
-    events
+    bus.into_log()
 }
 
 /// The jobs of the real runs: every template, three tenants, arrivals
