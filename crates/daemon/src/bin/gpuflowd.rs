@@ -16,9 +16,11 @@
 //!
 //! `--port 0` (the default) binds an ephemeral port; the daemon prints
 //! `gpuflowd listening on 127.0.0.1:PORT` so scripts can capture it.
-//! Every integer flag is parsed at its field's width (a port is a
-//! `u16`, quotas and windows are `u32`): a value out of range is a
-//! usage error. A connection whose request line is not complete
+//! The flags go through [`gpuflow_daemon::flags`], the grammar `gpuflow`
+//! and `repro` share: an unknown or repeated flag is a usage error (exit
+//! 2), and every integer flag is parsed at its field's width (a port is
+//! a `u16`, quotas and windows are `u32`), so a value out of range is
+//! one too. A connection whose request line is not complete
 //! within [`gpuflow_daemon::CLIENT_TIMEOUT`] of its accept gets `err
 //! timeout`, so an idle or trickling client cannot stall the others.
 //! `--log FILE` keeps the journal across restarts: a new or empty file
@@ -26,7 +28,9 @@
 //! [`DaemonCore::resume`] (gpuflowd refuses to start, printing both
 //! headers, when the file's header is not the one the flags write),
 //! and each decision then appends and syncs only its own lines before
-//! its reply is sent.
+//! its reply is sent. A decision the file does not take is answered
+//! `err journal: ...`, and gpuflowd exits 1 without serving another
+//! request.
 //! `--metrics-port` additionally serves `GET /metrics` + `/healthz`
 //! on a scrape endpoint that shuts down cleanly with the daemon.
 
@@ -35,41 +39,33 @@ use std::io::{ErrorKind, Write};
 use std::net::TcpListener;
 
 use gpuflow_daemon::core::DrainSummary;
+use gpuflow_daemon::flags::{parse_int, Args, Spec};
 use gpuflow_daemon::protocol::parse_command;
 use gpuflow_daemon::{read_request, Command, DaemonConfig, DaemonCore, ServeControl};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: gpuflowd [--port N] [--tenants name:weight,...] [--quota N] [--queue-cap N]\n\
-         \x20               [--window N] [--tenant-window N] [--tick-us N] [--interval-us N]\n\
-         \x20               [--seed 0xHEX] [--max-tasks N] [--log FILE] [--metrics-port N]"
-    );
-    std::process::exit(2);
-}
+/// The flags gpuflowd reads.
+const FLAGS: Spec = Spec(
+    "gpuflowd",
+    &[
+        "--port --tenants --quota --queue-cap --window --tenant-window",
+        "--tick-us --interval-us --seed --max-tasks --log --metrics-port",
+    ],
+    "",
+    0,
+);
 
-/// Parses a flag's integer (decimal, or hex after `0x`) at its field's
-/// width `T`: an unparsable or out-of-range value is a usage error.
-fn parse_num<T: TryFrom<u64>>(s: &str, flag: &str) -> T {
-    let v = if let Some(h) = s.strip_prefix("0x") {
-        u64::from_str_radix(h, 16).ok()
-    } else {
-        s.parse().ok()
-    };
-    v.and_then(|v| T::try_from(v).ok()).unwrap_or_else(|| {
-        let width = std::any::type_name::<T>();
-        eprintln!("gpuflowd: {flag} wants a {width} integer, got {s:?}");
-        std::process::exit(2);
-    })
-}
+const USAGE: &str =
+    "usage: gpuflowd [--port N] [--tenants name:weight,...] [--quota N] [--queue-cap N]\n\
+    \x20               [--window N] [--tenant-window N] [--tick-us N] [--interval-us N]\n\
+    \x20               [--seed 0xHEX] [--max-tasks N] [--log FILE] [--metrics-port N]";
 
-fn parse_tenants(s: &str) -> Vec<(String, u32)> {
+fn parse_tenants(s: &str) -> Result<Vec<(String, u32)>, String> {
     s.split(',')
         .map(|pair| {
-            let Some((name, weight)) = pair.split_once(':') else {
-                eprintln!("gpuflowd: --tenants wants name:weight pairs, got {pair:?}");
-                std::process::exit(2);
-            };
-            (name.to_string(), parse_num(weight, "--tenants weight"))
+            let (name, weight) = pair
+                .split_once(':')
+                .ok_or_else(|| format!("--tenants wants name:weight pairs, got {pair:?}"))?;
+            Ok((name.to_string(), parse_int(weight, "--tenants weight")?))
         })
         .collect()
 }
@@ -81,46 +77,28 @@ struct Options {
     metrics_port: Option<u16>,
 }
 
-fn parse_args() -> Options {
-    let mut opts = Options {
-        port: 0,
-        cfg: DaemonConfig::default(),
-        log: None,
-        metrics_port: None,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = || {
-            i += 1;
-            args.get(i).cloned().unwrap_or_else(|| {
-                eprintln!("gpuflowd: {flag} wants a value");
-                std::process::exit(2);
-            })
-        };
-        match flag {
-            "--port" => opts.port = parse_num(&value(), flag),
-            "--tenants" => opts.cfg.tenants = parse_tenants(&value()),
-            "--quota" => opts.cfg.quota = parse_num(&value(), flag),
-            "--queue-cap" => opts.cfg.queue_cap = parse_num(&value(), flag),
-            "--window" => opts.cfg.window = parse_num(&value(), flag),
-            "--tenant-window" => opts.cfg.tenant_window = parse_num(&value(), flag),
-            "--tick-us" => opts.cfg.tick_us = parse_num(&value(), flag),
-            "--interval-us" => opts.cfg.interval_us = parse_num(&value(), flag),
-            "--seed" => opts.cfg.seed = parse_num(&value(), flag),
-            "--max-tasks" => opts.cfg.max_tasks = parse_num(&value(), flag),
-            "--log" => opts.log = Some(value()),
-            "--metrics-port" => opts.metrics_port = Some(parse_num(&value(), flag)),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("gpuflowd: unknown flag {other:?}");
-                usage();
-            }
-        }
-        i += 1;
-    }
-    opts
+/// The options the command line sets; every integer at its field's width.
+fn options(a: &Args) -> Result<Options, String> {
+    let d = DaemonConfig::default();
+    Ok(Options {
+        port: a.int("--port")?.unwrap_or(0),
+        cfg: DaemonConfig {
+            tenants: match a.get("--tenants") {
+                Some(s) => parse_tenants(s)?,
+                None => d.tenants,
+            },
+            quota: a.int("--quota")?.unwrap_or(d.quota),
+            queue_cap: a.int("--queue-cap")?.unwrap_or(d.queue_cap),
+            window: a.int("--window")?.unwrap_or(d.window),
+            tenant_window: a.int("--tenant-window")?.unwrap_or(d.tenant_window),
+            tick_us: a.int("--tick-us")?.unwrap_or(d.tick_us),
+            interval_us: a.int("--interval-us")?.unwrap_or(d.interval_us),
+            seed: a.int("--seed")?.unwrap_or(d.seed),
+            max_tasks: a.int("--max-tasks")?.unwrap_or(d.max_tasks),
+        },
+        log: a.get("--log").map(String::from),
+        metrics_port: a.int("--metrics-port")?,
+    })
 }
 
 /// Executes one parsed command. Returns `(reply text, shutdown?)`.
@@ -196,6 +174,27 @@ fn append(file: &mut File, bytes: &[u8]) -> std::io::Result<()> {
     file.sync_data()
 }
 
+/// Appends the lines `core` journaled since line `from` through
+/// `append` before `reply` is sent, and returns the reply with whether
+/// the daemon may serve another request. A decision the journal did
+/// not take is answered `err journal: ...` and stops the daemon: a
+/// restart would not replay it, and a later line after the gap would
+/// make the journal unreplayable (job ids must be dense).
+fn commit(
+    core: &DaemonCore,
+    from: usize,
+    append: impl FnOnce(&[u8]) -> std::io::Result<()>,
+    reply: String,
+) -> (String, bool) {
+    if core.journal_len() == from {
+        return (reply, true);
+    }
+    match append(core.journal_tail(from).as_bytes()) {
+        Ok(()) => (reply, true),
+        Err(e) => (format!("err journal: {e}\n"), false),
+    }
+}
+
 /// Opens the journal at `path` for appending, with the core it holds:
 /// a new or empty file gets the header of a fresh core under `cfg`,
 /// and a non-empty one is resumed under `cfg` (and given a final
@@ -228,11 +227,13 @@ fn open_journal(path: &str, cfg: DaemonConfig) -> (DaemonCore, File) {
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = Args::parse(&FLAGS, std::env::args().skip(1))
+        .and_then(|a| options(&a))
+        .unwrap_or_else(|e| fail(2, &format!("{e}\n{USAGE}")));
     let (mut core, mut journal) = match &opts.log {
         Some(path) => {
             let (core, file) = open_journal(path, opts.cfg);
-            (core, Some((path.as_str(), file)))
+            (core, Some(file))
         }
         None => (
             DaemonCore::new(opts.cfg).unwrap_or_else(|e| fail(2, &e)),
@@ -293,17 +294,17 @@ fn main() {
             Err(_) => continue,
         };
         // The decision is on disk before its reply is sent.
-        if let Some((path, file)) = &mut journal {
-            if core.journal_len() != journaled {
-                if let Err(e) = append(file, core.journal_tail(journaled).as_bytes()) {
-                    eprintln!("gpuflowd: cannot append to {path}: {e}");
-                }
-            }
-        }
+        let (reply, serving) = match &mut journal {
+            Some(file) => commit(&core, journaled, |b| append(file, b), reply),
+            None => (reply, true),
+        };
         if let Err(e) = stream.write_all(reply.as_bytes()) {
             eprintln!("gpuflowd: reply not delivered: {e}");
         }
         drop(stream);
+        if !serving {
+            fail(1, reply.trim_end());
+        }
         if shutdown {
             break;
         }
@@ -312,5 +313,67 @@ fn main() {
     if let Some((ctl, handle)) = metrics_ctl {
         ctl.shutdown();
         let _ = handle.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Executes `line` on `core` and commits it to `journal`, or with
+    /// `None` to a journal on a full disk.
+    fn serve(core: &mut DaemonCore, journal: Option<&mut String>, line: &str) -> (String, bool) {
+        let from = core.journal_len();
+        let (reply, _) = execute(core, parse_command(line).expect("a valid request"));
+        let append = |bytes: &[u8]| {
+            let kept = journal.ok_or(std::io::Error::other("disk full"))?;
+            kept.push_str(std::str::from_utf8(bytes).expect("journal lines are UTF-8"));
+            Ok(())
+        };
+        commit(core, from, append, reply)
+    }
+
+    #[test]
+    fn a_decision_the_journal_does_not_take_is_refused() {
+        let mut core = DaemonCore::new(DaemonConfig::default()).expect("default config");
+        let mut kept = core.journal_text();
+        let submit = "submit tenant=acme shape=wide tasks=4";
+        let (reply, serving) = serve(&mut core, Some(&mut kept), submit);
+        assert!(reply.starts_with("ok job=1 "), "{reply:?}");
+        assert!(serving);
+        assert_eq!(kept, core.journal_text());
+
+        let (reply, serving) = serve(&mut core, None, "submit tenant=beta shape=tree tasks=9");
+        assert_eq!(reply, "err journal: disk full\n");
+        assert!(!serving, "the daemon must stop after a lost decision");
+
+        // A request that journals nothing never writes, so it is answered.
+        let (reply, serving) = serve(&mut core, None, "health");
+        assert!(reply.starts_with("ok gpuflowd alive"), "{reply:?}");
+        assert!(serving);
+    }
+
+    #[test]
+    fn options_read_hex_tenants_and_defaults() {
+        let parse = |argv: &[&str]| {
+            Args::parse(&FLAGS, argv.iter().map(|s| s.to_string())).and_then(|a| options(&a))
+        };
+        let o = parse(&[
+            "--seed",
+            "0xBEEF",
+            "--tenants",
+            "a:1,b:2",
+            "--metrics-port",
+            "0",
+        ]);
+        let o = o.unwrap();
+        assert_eq!(o.cfg.seed, 0xBEEF);
+        assert_eq!(o.cfg.tenants, [("a".to_string(), 1), ("b".to_string(), 2)]);
+        assert_eq!(o.metrics_port, Some(0));
+        assert_eq!(o.cfg.quota, DaemonConfig::default().quota);
+        assert_eq!(
+            parse(&["--tenants", "a"]).err().unwrap(),
+            "--tenants wants name:weight pairs, got \"a\""
+        );
     }
 }

@@ -24,7 +24,9 @@
 //! * [`http`] — the zero-dependency scrape endpoint (`/metrics`,
 //!   `/healthz`) with a clean-shutdown control, shared with
 //!   `gpuflow serve`;
-//! * [`client`] — the one-request TCP helper the CLI verbs use.
+//! * [`client`] — the one-request TCP helper the CLI verbs use;
+//! * [`flags`] — the command-line grammar `gpuflowd`, `gpuflow` and
+//!   `repro` all parse their flags with.
 //!
 //! Determinism contract: no decision reads a wall clock. Journal
 //! timestamps are virtual (`seq × tick`), epochs run entirely inside
@@ -39,6 +41,7 @@
 
 pub mod client;
 pub mod core;
+pub mod flags;
 pub mod http;
 pub mod log;
 pub mod protocol;

@@ -1,8 +1,9 @@
 //! The live daemon at its boundaries: an idle or trickling client
 //! cannot stall the accept loop, a request longer than the 4 KiB cap is
-//! refused whole, an integer flag too wide for its field is a usage
-//! error instead of a truncated value, and a restart resumes its
-//! journal, or refuses one written under other flags.
+//! refused whole, an integer flag too wide for its field, an unknown
+//! flag and a repeated one are usage errors instead of a truncated or
+//! ignored value, and a restart resumes its journal, or refuses one
+//! written under other flags.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -211,6 +212,27 @@ fn flags_too_wide_for_their_field_are_usage_errors() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
         assert!(stderr.contains(message), "{flag} {value}: {stderr}");
+    }
+}
+
+#[test]
+fn unknown_and_repeated_flags_are_usage_errors() {
+    for (flags, message) in [
+        (
+            &["--quota", "4", "--quota", "5"][..],
+            "gpuflowd: --quota given twice\n",
+        ),
+        (
+            &["--qouta", "4"],
+            "gpuflowd: unknown flag --qouta (gpuflowd takes: --port, --tenants, --quota, ",
+        ),
+        (&["--log"], "gpuflowd: --log needs a value\n"),
+    ] {
+        let out = run_to_exit(flags).unwrap_or_else(|| panic!("gpuflowd {flags:?} kept running"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.starts_with(message), "{flags:?}: {stderr}");
+        assert!(stderr.contains("usage: gpuflowd [--port N]"), "{stderr}");
     }
 }
 

@@ -64,6 +64,13 @@
 //! Host-timed `repro perf --check` stays outside `repro check`, so a
 //! failed check always means changed behaviour, never noise.
 //!
+//! The command word (`check`, `perf`, `replay --from-log`) comes first;
+//! any other line renders artifacts. Each command declares the flags it
+//! reads ([`gpuflow_daemon::flags`], the grammar `gpuflow` and
+//! `gpuflowd` share), so an unknown or repeated flag, a flag with no
+//! value, an unknown artifact or a bad number is a usage error before
+//! anything runs.
+//!
 //! Exit codes: `0` success, `1` a failed run or check, `2` a usage
 //! error.
 
@@ -71,6 +78,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use gpuflow_daemon::flags::{Args, Spec};
 use gpuflow_experiments::replay::ReplaySpec;
 use gpuflow_experiments::{
     ablation, factors, fault_sensitivity, fig1, fig10, fig11, fig12, fig6, fig7, fig8, fig9, gate,
@@ -81,68 +89,19 @@ use gpuflow_runtime::{RunDiff, RunProfile};
 /// Where the committed artifacts live, relative to the workspace root.
 const ARTIFACT_DIR: &str = "artifacts";
 
-/// Flags that take no value; every other flag takes one.
-const SWITCHES: [&str; 4] = ["--quick", "--chaos", "--full", "--check"];
-
-/// The flags `repro [all | NAME...]` takes.
-const RENDER_FLAGS: &str = "--out --threads --telemetry --quick --seed --jobs --tenants \
-                            --horizon --interval --chaos --rate --span-seed --otlp";
-
-/// The command line: positional words and flags.
-#[derive(Default)]
-struct Args {
-    words: Vec<String>,
-    values: Vec<(String, String)>,
-    switches: Vec<String>,
-}
-
-impl Args {
-    fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
-        let mut args = Args::default();
-        let mut argv = argv.into_iter();
-        while let Some(arg) = argv.next() {
-            if SWITCHES.contains(&arg.as_str()) {
-                args.switches.push(arg);
-            } else if arg.starts_with("--") {
-                let value = argv.next().ok_or_else(|| format!("{arg} needs a value"))?;
-                args.values.push((arg, value));
-            } else {
-                args.words.push(arg);
-            }
-        }
-        Ok(args)
-    }
-
-    fn switch(&self, flag: &str) -> bool {
-        self.switches.iter().any(|s| s == flag)
-    }
-
-    fn value(&self, flag: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .find(|(f, _)| f == flag)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn num<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
-        self.value(flag)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("{flag} takes a number, got '{v}'"))
-            })
-            .transpose()
-    }
-
-    /// Fails on a flag the command does not take (`allowed` lists them,
-    /// space-separated).
-    fn only(&self, allowed: &str) -> Result<(), String> {
-        let mut flags = self.values.iter().map(|(f, _)| f).chain(&self.switches);
-        match flags.find(|f| !allowed.split_whitespace().any(|a| a == f.as_str())) {
-            Some(flag) => Err(format!("unknown flag {flag} for this command")),
-            None => Ok(()),
-        }
-    }
-}
+/// The flags `repro [all | NAME...]` reads.
+const RENDER: Spec = Spec(
+    "repro",
+    &[
+        "--out --threads --telemetry",
+        "--seed --jobs --tenants --horizon --interval --rate --span-seed --otlp",
+    ],
+    "--quick --chaos",
+    usize::MAX,
+);
+const CHECK: Spec = Spec("check", &["--threads"], "", 0);
+const PERF: Spec = Spec("perf", &["--tasks --thresholds"], "--full --check", 0);
+const FROM_LOG: Spec = Spec("replay --from-log", &["--from-log"], "", 0);
 
 /// What the artifact renderers read: the sweep context and the replay
 /// and span scenario. Without flags (as in `repro check`) these are the
@@ -160,21 +119,21 @@ impl Opts {
     fn from_args(args: &Args) -> Result<Opts, String> {
         let d = ReplaySpec::default();
         Ok(Opts {
-            ctx: Context::default().with_threads(args.num("--threads")?.unwrap_or(0)),
+            ctx: Context::default().with_threads(args.int("--threads")?.unwrap_or(0)),
             quick: args.switch("--quick"),
             spec: ReplaySpec {
-                seed: args.num("--seed")?.unwrap_or(d.seed),
-                tenants: args.num("--tenants")?.unwrap_or(d.tenants),
-                jobs: args.num("--jobs")?.unwrap_or(d.jobs),
+                seed: args.int("--seed")?.unwrap_or(d.seed),
+                tenants: args.int("--tenants")?.unwrap_or(d.tenants),
+                jobs: args.int("--jobs")?.unwrap_or(d.jobs),
                 horizon_secs: args.num("--horizon")?.unwrap_or(d.horizon_secs),
                 chaos: args.switch("--chaos"),
                 interval_secs: args.num("--interval")?.unwrap_or(d.interval_secs),
             },
-            rate_ppm: args.num("--rate")?.unwrap_or(spans::DEFAULT_RATE_PPM),
+            rate_ppm: args.int("--rate")?.unwrap_or(spans::DEFAULT_RATE_PPM),
             span_seed: args
-                .num("--span-seed")?
+                .int("--span-seed")?
                 .unwrap_or(spans::DEFAULT_SAMPLER_SEED),
-            otlp: args.value("--otlp").map(String::from),
+            otlp: args.get("--otlp").map(String::from),
         })
     }
 
@@ -298,7 +257,7 @@ fn render_spans(o: &Opts) -> Result<String, String> {
 fn generate(args: &Args) -> Result<ExitCode, String> {
     let opts = Opts::from_args(args)?;
     let mut targets: Vec<(&str, Render)> = Vec::new();
-    let words: Vec<&str> = match args.words.as_slice() {
+    let words: Vec<&str> = match args.words() {
         [] => vec!["all"],
         words => words.iter().map(String::as_str).collect(),
     };
@@ -318,7 +277,7 @@ fn generate(args: &Args) -> Result<ExitCode, String> {
             }
         }
     }
-    let out_dir = args.value("--out").map(Path::new);
+    let out_dir = args.get("--out").map(Path::new);
     let render_all = || -> Result<(), String> {
         if let Some(dir) = out_dir {
             std::fs::create_dir_all(dir)
@@ -337,7 +296,7 @@ fn generate(args: &Args) -> Result<ExitCode, String> {
         if let (true, Some(dir)) = (all, out_dir) {
             write_baselines(&dir.join("baselines"), &gate::suite_profiles(&opts.ctx))?;
         }
-        if let Some(dir) = args.value("--telemetry") {
+        if let Some(dir) = args.get("--telemetry") {
             // lint: allow(D2, host progress timing printed to stderr only; never reaches an artifact)
             let t0 = Instant::now();
             let bundle = obs::run(&opts.ctx);
@@ -556,13 +515,13 @@ fn perf(args: &Args) -> Result<ExitCode, String> {
     } else {
         100_000
     };
-    let results = stress::run_suite(args.num("--tasks")?.unwrap_or(default));
+    let results = stress::run_suite(args.int("--tasks")?.unwrap_or(default));
     println!("{}", stress::render(&results));
     if !args.switch("--check") {
         return Ok(ExitCode::SUCCESS);
     }
     let path = args
-        .value("--thresholds")
+        .get("--thresholds")
         .unwrap_or("artifacts/baselines/perf_ns_per_task.txt");
     Ok(match stress::check(&results, Path::new(path)) {
         Ok(verdicts) => {
@@ -600,28 +559,18 @@ fn replay_from_log(path: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let rest = || argv.iter().skip(1).cloned();
     let run = || -> Result<ExitCode, String> {
-        let args = Args::parse(std::env::args().skip(1))?;
-        match (
-            args.words.first().map(String::as_str),
-            args.value("--from-log"),
-        ) {
-            (Some("check"), _) => {
-                args.only("--threads")?;
-                Ok(check(&Opts::from_args(&args)?))
+        match argv.first().map(String::as_str) {
+            Some("check") => Ok(check(&Opts::from_args(&Args::parse(&CHECK, rest())?)?)),
+            Some("perf") => perf(&Args::parse(&PERF, rest())?),
+            Some("replay") if argv.iter().any(|a| a == "--from-log") => {
+                let args = Args::parse(&FROM_LOG, rest())?;
+                let path = args.get("--from-log");
+                Ok(replay_from_log(path.expect("argv holds --from-log")))
             }
-            (Some("perf"), _) => {
-                args.only("--full --tasks --check --thresholds")?;
-                perf(&args)
-            }
-            (Some("replay"), Some(path)) => {
-                args.only("--from-log")?;
-                Ok(replay_from_log(path))
-            }
-            _ => {
-                args.only(RENDER_FLAGS)?;
-                generate(&args)
-            }
+            _ => generate(&Args::parse(&RENDER, argv.iter().cloned())?),
         }
     };
     run().unwrap_or_else(|msg| {

@@ -52,7 +52,8 @@ pub struct FaultSensitivity {
 }
 
 impl FaultSensitivity {
-    /// Renders the study as a text table.
+    /// Renders the study as a text table, with how many completed
+    /// scenarios converged under it.
     pub fn render(&self) -> String {
         let mut t = TextTable::new(
             "Fault sensitivity: makespan and convergence under injected faults",
@@ -83,7 +84,12 @@ impl FaultSensitivity {
                 },
             ]);
         }
-        t.render()
+        format!(
+            "{}{} of {} completed scenarios converged to the fault-free output\n",
+            t.render(),
+            self.converged(),
+            self.points.len()
+        )
     }
 
     /// Points that completed and reproduced the baseline fingerprint.
@@ -272,5 +278,11 @@ mod tests {
         assert!(text.contains("fault-free"));
         assert!(text.contains("crash+rejoin n0"));
         assert!(text.lines().count() >= study.points.len());
+        let tally = format!(
+            "\n{} of {} completed scenarios converged to the fault-free output\n",
+            study.converged(),
+            study.points.len()
+        );
+        assert!(text.ends_with(&tally), "{text}");
     }
 }

@@ -370,7 +370,10 @@ mod tests {
         };
         let a = run(&base).expect("replay runs");
         let b = run(&chaos).expect("chaos replay recovers");
-        assert!(b.makespan >= a.makespan, "faults cannot speed a run up");
+        assert!(
+            b.makespan >= a.makespan,
+            "this chaos plan slows this replay down"
+        );
         assert!(b.render().contains("-- fault plan --"));
     }
 

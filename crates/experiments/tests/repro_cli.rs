@@ -85,8 +85,9 @@ fn out_and_telemetry_write_their_files() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Unknown artifacts, removed check modes, flags a command does not take
-/// and bad numbers are usage errors: exit 2, nothing on stdout.
+/// Unknown artifacts, removed check modes, flags a command does not take,
+/// repeated flags, words a command does not take and bad numbers are
+/// usage errors: exit 2, nothing on stdout.
 #[test]
 fn usage_errors_exit_2_before_running() {
     for args in [
@@ -98,6 +99,9 @@ fn usage_errors_exit_2_before_running() {
         &["check", "--out", "x"],
         &["fig1", "--threads", "many"],
         &["fig1", "--out"],
+        &["table1", "--threads", "1", "--threads", "many"],
+        &["check", "fig1"],
+        &["replay", "--from-log", "x.log", "--seed", "3"],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "repro {args:?}");

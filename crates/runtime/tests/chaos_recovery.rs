@@ -129,6 +129,8 @@ proptest! {
         let a = run(&wf, &cfg).expect("recoverable plan completes");
         prop_assert!(a.check_invariants(&wf, &ClusterSpec::tiny()).is_ok());
         prop_assert_eq!(a.output_fingerprint, clean.output_fingerprint);
+        // Only at this crash time: a crash elsewhere can end a run early
+        // (`a_crash_can_end_a_run_before_the_fault_free_one`).
         prop_assert!(a.makespan() >= clean.makespan());
         let b = run(&wf, &cfg).expect("deterministic rerun");
         prop_assert_eq!(a.makespan().to_bits(), b.makespan().to_bits());
@@ -136,7 +138,8 @@ proptest! {
     }
 
     /// Straggler and link-degradation windows never change *what* is
-    /// computed, only when: same fingerprint, never faster.
+    /// computed, only when: same fingerprint, and for these plans, which
+    /// slow the whole run down, never faster.
     #[test]
     fn slowdowns_preserve_the_answer(
         factor in 1.0f64..8.0,
@@ -208,6 +211,42 @@ fn retry_after_crash_regenerates_lost_inputs() {
     assert!(a.recovery.transient_failures >= 1, "needs the late retry");
     assert!(a.recovery.blocks_invalidated > 0, "needs the lost blocks");
     assert_eq!(a.output_fingerprint, clean.output_fingerprint);
+}
+
+/// A crash can end a run before the fault-free one: node 0 crashing at
+/// 0.395 of the fault-free makespan of the in-place chains re-places
+/// their tasks into a shorter generation-order schedule. The answer is
+/// still the fault-free one; only the makespan's order is not kept, so
+/// the recoverable-plans property checks it at its own crash time only.
+/// Makespans in seconds, on the simulator's nanosecond grid.
+#[test]
+fn a_crash_can_end_a_run_before_the_fault_free_one() {
+    let wf = fma(3);
+    let clean = run(&wf, &base_cfg()).expect("fault-free run completes");
+    let m = clean.makespan();
+    let plan = FaultPlan::new(600)
+        .with_task_failures(None, 0.0859)
+        .with_node_crash(0, m * 0.395, Some(m * 0.1));
+    let policy = RecoveryPolicy {
+        max_retries: 16,
+        ..RecoveryPolicy::default()
+    };
+    let cfg = base_cfg()
+        .with_telemetry()
+        .with_faults(plan)
+        .with_recovery(policy);
+    let a = run(&wf, &cfg).expect("recoverable plan completes");
+    a.check_invariants(&wf, &ClusterSpec::tiny()).unwrap();
+    assert_eq!(a.output_fingerprint, clean.output_fingerprint);
+    for (which, got, pinned) in [
+        ("fault-free", m, 0.447097601),
+        ("faulted", a.makespan(), 0.446439385),
+    ] {
+        assert!(
+            (got - pinned).abs() < 1e-9,
+            "{which}: makespan {got:.9} drifted from pinned {pinned:.9}"
+        );
+    }
 }
 
 /// A crash late in in-place chains loses versions above 1, chain ends

@@ -22,15 +22,17 @@
 //!                [run options] [--json]   (or: --profile FILE)
 //! gpuflow advise --workload matmul --rows 32768 --cols 32768
 //! gpuflow dag    --workload kmeans --rows 4096 --cols 16 --grid 4 [--iterations 3]
-//! gpuflow chaos  [--threads N]
 //! gpuflow help
 //! ```
 //!
 //! `run` additionally accepts a deterministic fault-injection plan
 //! (`--faults SPEC`, grammar in `docs/fault_tolerance.md`) and recovery
-//! tuning (`--max-retries`, `--backoff`, `--resubmit`, `--fallback`);
-//! `chaos` sweeps failure rate x recovery policy for both paper
-//! workloads and reports makespan and output convergence.
+//! tuning (`--max-retries`, `--backoff`, `--resubmit`, `--fallback`).
+//! Each command declares the flags it reads next to it, in the grammar
+//! `repro` and `gpuflowd` share ([`gpuflow::daemon::flags`]): a flag the
+//! command does not read, a flag given twice, a flag without its value
+//! or a positional word it does not take is an error before anything
+//! runs.
 //!
 //! Workloads: `matmul`, `fma`, `kmeans`, `knn`, `cholesky`.
 
@@ -38,8 +40,9 @@ use std::process::ExitCode;
 
 use gpuflow::advisor::{Advisor, SearchSpace, Workload};
 use gpuflow::analysis::{DoctorReport, WhatIf};
-use gpuflow::cli::{daemon_request_from, run_config, workload_from, Args};
+use gpuflow::cli::{daemon_request_from, run_config, workload_from, RUN, WORKLOAD};
 use gpuflow::cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
+use gpuflow::daemon::flags::{Args, Spec};
 use gpuflow::daemon::protocol::{control, CONTROL};
 use gpuflow::runtime::{
     run, to_chrome_trace, to_collapsed, to_paraver_prv, trace_analysis, JsonWriter, MetricsHub,
@@ -50,17 +53,19 @@ use gpuflow::sim::SimDuration;
 
 fn build_workflow(args: &Args) -> Result<(Workload, Workflow), String> {
     let workload = workload_from(args)?;
-    let grid: u64 = args.required_num("grid")?;
+    let grid: u64 = args.required_int("--grid")?;
     let workflow = workload
         .build(grid)
         .map_err(|e| format!("cannot partition: {e}"))?;
     Ok((workload, workflow))
 }
 
+const RUN_CMD: Spec = Spec("run", &[WORKLOAD, RUN, "--prv --csv"], "", 0);
+
 fn cmd_run(args: &Args) -> Result<(), String> {
     let (workload, workflow) = build_workflow(args)?;
     let mut config = run_config(args)?;
-    if args.get("prv").is_some() || args.get("csv").is_some() {
+    if args.get("--prv").is_some() || args.get("--csv").is_some() {
         config = config.with_telemetry();
     }
     let cluster = &config.cluster;
@@ -109,12 +114,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         println!("output fingerprint: {:#018x}", report.output_fingerprint);
     }
     let trace = Trace::from_telemetry(&report.telemetry);
-    if let Some(path) = args.get("prv") {
+    if let Some(path) = args.get("--prv") {
         let prv = to_paraver_prv(&trace, cluster.nodes);
         std::fs::write(path, prv).map_err(|e| format!("writing {path}: {e}"))?;
         println!("paraver trace written to {path}");
     }
-    if let Some(path) = args.get("csv") {
+    if let Some(path) = args.get("--csv") {
         std::fs::write(path, trace.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
         println!("csv trace written to {path}");
     }
@@ -126,7 +131,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 /// `doctor`, and `diff` inputs all describe runs the same way.
 fn profile_from_args(args: &Args) -> Result<(Workload, RunProfile), String> {
     let (workload, workflow) = build_workflow(args)?;
-    let grid: u64 = args.required_num("grid")?;
+    let grid: u64 = args.required_int("--grid")?;
     let config = run_config(args)?.with_telemetry();
     let (processor, storage, policy) = (config.processor, config.storage, config.policy);
     let report = run(&workflow, &config).map_err(|e| e.to_string())?;
@@ -149,7 +154,7 @@ fn profile_from_args(args: &Args) -> Result<(Workload, RunProfile), String> {
 
 /// Prints `output`, or writes it to `--out FILE` when given.
 fn emit(args: &Args, what: &str, output: &str) -> Result<(), String> {
-    match args.get("out") {
+    match args.get("--out") {
         Some(path) => {
             std::fs::write(path, output).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("{what} written to {path}");
@@ -159,51 +164,68 @@ fn emit(args: &Args, what: &str, output: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The views `gpuflow obs` renders.
+const OBS_VIEWS: &str =
+    "export-chrome, decisions, overhead, profile, summary, metrics, jsonl, spans, flame";
+
+const OBS_FLAGS: &str = "--out --metrics-interval --sample-rate --span-seed";
+const OBS_CMD: Spec = Spec("obs", &[WORKLOAD, RUN, OBS_FLAGS], "--json --series", 1);
+
 /// `gpuflow obs <view>`: run a workload with full telemetry and render
 /// one view of the event stream.
-fn cmd_obs(sub: &str, args: &Args) -> Result<(), String> {
-    if sub == "profile" {
+fn cmd_obs(args: &Args) -> Result<(), String> {
+    let view = match args.words() {
+        [view] if OBS_VIEWS.split(", ").any(|v| v == view) => view.as_str(),
+        [view] => return Err(format!("unknown obs view '{view}' ({OBS_VIEWS})")),
+        _ => return Err(format!("obs needs a view: {OBS_VIEWS}")),
+    };
+    if view == "profile" {
         let (_, profile) = profile_from_args(args)?;
-        return emit(args, sub, &profile.render());
+        return emit(args, view, &profile.render());
     }
+    let sampler = span_sampler_from(args)?;
+    let interval = metrics_interval(args)?;
     let (workload, workflow) = build_workflow(args)?;
     let config = run_config(args)?.with_telemetry();
     let report = run(&workflow, &config).map_err(|e| e.to_string())?;
     let log = &report.telemetry;
-    let output = match sub {
+    let output = match view {
         "export-chrome" => to_chrome_trace(log),
         "decisions" => log.render_decisions(),
         "overhead" => OverheadReport::from_log(log, report.makespan()).render(),
         "jsonl" => log.to_jsonl(),
         "spans" => {
             let forest = SpanForest::from_telemetry(&workflow, log);
-            match span_sampler_from(args)? {
+            match sampler {
                 Some(sampler) => sampler.sample(&forest).0.to_otlp_json(),
                 None => forest.to_otlp_json(),
             }
         }
         "flame" => {
             let forest = SpanForest::from_telemetry(&workflow, log);
-            match span_sampler_from(args)? {
+            match sampler {
                 Some(sampler) => to_collapsed(&sampler.sample(&forest).0),
                 None => to_collapsed(&forest),
             }
         }
         "metrics" => {
-            let registry = MetricsRegistry::from_log(log, metrics_interval(args)?);
-            if args.flag("series") {
+            let registry = MetricsRegistry::from_log(log, interval);
+            if args.switch("--series") {
                 registry.render_series()
             } else {
                 registry.expose()
             }
         }
-        "summary" if args.flag("json") => {
+        "summary" if args.switch("--json") => {
             // Schema documented in docs/observability.md.
-            let registry = MetricsRegistry::from_log(log, metrics_interval(args)?);
+            let registry = MetricsRegistry::from_log(log, interval);
             let forest = SpanForest::from_telemetry(&workflow, log);
             let mut w = JsonWriter::default();
             w.begin("{").key("workload").string(&workload.label());
-            w.field("makespan_ns", SimDuration::from_secs_f64(report.makespan()).as_nanos());
+            w.field(
+                "makespan_ns",
+                SimDuration::from_secs_f64(report.makespan()).as_nanos(),
+            );
             w.key("telemetry").lit(&log.summary_json());
             w.key("metrics").lit(&registry.summary_json());
             w.key("spans").lit(&forest.summary_json());
@@ -217,31 +239,26 @@ fn cmd_obs(sub: &str, args: &Args) -> Result<(), String> {
             s.push_str(&log.summary());
             s
         }
-        other => {
-            return Err(format!(
-                "unknown obs view '{other}' (export-chrome, decisions, overhead, profile, summary, metrics, jsonl, spans, flame)"
-            ))
-        }
+        _ => unreachable!("'{view}' is one of OBS_VIEWS"),
     };
-    emit(args, sub, &output)
+    emit(args, view, &output)
 }
 
 /// The optional span sampler from `--sample-rate PPM` (parts per
 /// million of tasks head-sampled; critical-path and per-type tail
 /// spans are always kept) and `--span-seed N`.
 fn span_sampler_from(args: &Args) -> Result<Option<SpanSampler>, String> {
-    let rate: i64 = args.num("sample-rate", -1)?;
-    if rate < 0 {
+    let Some(rate) = args.int("--sample-rate")? else {
         return Ok(None);
-    }
-    let seed: u64 = args.num("span-seed", 0x5EED_u64)?;
-    Ok(Some(SpanSampler::new(seed, rate as u64)))
+    };
+    let seed = args.int("--span-seed")?.unwrap_or(0x5EED);
+    Ok(Some(SpanSampler::new(seed, rate)))
 }
 
 /// The metrics sampling interval from `--metrics-interval SECS`
 /// (default 10 ms of virtual time).
 fn metrics_interval(args: &Args) -> Result<SimDuration, String> {
-    let secs: f64 = args.num("metrics-interval", 0.01)?;
+    let secs: f64 = args.num("--metrics-interval")?.unwrap_or(0.01);
     if !secs.is_finite() || secs < 0.0 {
         return Err(format!(
             "--metrics-interval must be finite and non-negative, got {secs}"
@@ -250,12 +267,15 @@ fn metrics_interval(args: &Args) -> Result<SimDuration, String> {
     Ok(SimDuration::from_secs_f64(secs))
 }
 
+const SERVE_FLAGS: &str = "--metrics-port --metrics-interval --requests";
+const SERVE_CMD: Spec = Spec("serve", &[WORKLOAD, RUN, SERVE_FLAGS], "", 0);
+
 /// `gpuflow serve`: run a workload on a worker thread while a zero-dep
 /// HTTP endpoint serves live Prometheus snapshots of its metrics.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let (workload, workflow) = build_workflow(args)?;
-    let port: u16 = args.num("metrics-port", 0)?;
-    let max_requests: u64 = args.num("requests", 0)?;
+    let port: u16 = args.int("--metrics-port")?.unwrap_or(0);
+    let max_requests: u64 = args.int("--requests")?.unwrap_or(0);
     let hub = MetricsHub::new(metrics_interval(args)?);
     let config = run_config(args)?.with_live_metrics(hub.clone());
     let listener = std::net::TcpListener::bind(("127.0.0.1", port))
@@ -285,12 +305,28 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+const SUBMIT_CMD: Spec = Spec("submit", &["--port --tenant --tasks --shape --prio"], "", 0);
+const QUEUE_CMD: Spec = Spec("queue", &["--port"], "--json", 0);
+const CANCEL_CMD: Spec = Spec("cancel", &["--port --job"], "", 0);
+const CTL_CMD: Spec = Spec("ctl", &["--port"], "", 1);
+
+/// `gpuflow ctl ACTION`: the [`CONTROL`] verbs.
+fn cmd_ctl(args: &Args) -> Result<(), String> {
+    match args.words() {
+        [action] if control(action).is_some() => cmd_daemon(action, args),
+        _ => Err(format!(
+            "ctl needs an action: gpuflow ctl <{}> --port P",
+            CONTROL.map(|(verb, _)| verb).join("|")
+        )),
+    }
+}
+
 /// `gpuflow submit|queue|cancel|ctl` — client verbs for a running
 /// `gpuflowd`. Builds the protocol line, sends it over one TCP
 /// request, prints the reply; an `err ...` reply becomes a nonzero
 /// exit so scripts can branch on rejects.
 fn cmd_daemon(verb: &str, args: &Args) -> Result<(), String> {
-    let port: u16 = args.required_num("port")?;
+    let port: u16 = args.required_int("--port")?;
     let line = daemon_request_from(verb, args)?;
     let reply = gpuflow::daemon::client::request(port, &line)
         .map_err(|e| format!("gpuflowd on 127.0.0.1:{port}: {e}"))?;
@@ -309,12 +345,19 @@ fn read_profile(path: &str) -> Result<RunProfile, String> {
     RunProfile::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+const DIFF_CMD: Spec = Spec("diff", &["--out"], "--json", 2);
+
 /// `gpuflow diff <runA> <runB>`: compare two profile files.
-fn cmd_diff(a_path: &str, b_path: &str, args: &Args) -> Result<(), String> {
+fn cmd_diff(args: &Args) -> Result<(), String> {
+    let [a_path, b_path] = args.words() else {
+        return Err(String::from(
+            "diff needs two profile files: gpuflow diff A.profile B.profile [--json] [--out FILE]",
+        ));
+    };
     let a = read_profile(a_path)?;
     let b = read_profile(b_path)?;
     let diff = RunDiff::compare(&a, &b);
-    let output = if args.flag("json") {
+    let output = if args.switch("--json") {
         let mut s = diff.to_json();
         s.push('\n');
         s
@@ -324,18 +367,20 @@ fn cmd_diff(a_path: &str, b_path: &str, args: &Args) -> Result<(), String> {
     emit(args, "diff", &output)
 }
 
+const LINT_CMD: Spec = Spec("lint", &["--root --out"], "--json --sarif --explain", 0);
+
 /// `gpuflow lint`: the workspace determinism & integer-time static
 /// analysis pass (rule catalog in docs/static_analysis.md, or
 /// `--explain`). Exits nonzero when unsuppressed findings remain.
 fn cmd_lint(args: &Args) -> Result<(), String> {
-    if args.flag("explain") {
+    if args.switch("--explain") {
         let catalog: String = gpuflow_lint::RuleCode::ALL
             .iter()
             .map(|code| format!("{code} — {}\n  {}\n\n", code.summary(), code.explanation()))
             .collect();
         return emit(args, "rule catalog", &catalog);
     }
-    let root = match args.get("root") {
+    let root = match args.get("--root") {
         Some(dir) => std::path::PathBuf::from(dir),
         None => {
             let cwd = std::env::current_dir().map_err(|e| format!("cwd: {e}"))?;
@@ -345,9 +390,9 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
     };
     let report =
         gpuflow_lint::run(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
-    let output = if args.flag("sarif") {
+    let output = if args.switch("--sarif") {
         report.to_sarif()
-    } else if args.flag("json") {
+    } else if args.switch("--json") {
         report.to_json()
     } else {
         report.render()
@@ -368,7 +413,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
 /// specialized to the observed configuration's neighborhood).
 fn doctor_whatifs(args: &Args, baseline: f64) -> Result<Vec<WhatIf>, String> {
     let workload = workload_from(args)?;
-    let grid: u64 = args.required_num("grid")?;
+    let grid: u64 = args.required_int("--grid")?;
     let base = run_config(args)?;
     let (processor, storage, policy) = (base.processor, base.storage, base.policy);
     let mut out = Vec::new();
@@ -436,11 +481,13 @@ fn doctor_whatifs(args: &Args, baseline: f64) -> Result<Vec<WhatIf>, String> {
     Ok(out)
 }
 
+const DOCTOR_CMD: Spec = Spec("doctor", &[WORKLOAD, RUN, "--profile --out"], "--json", 0);
+
 /// `gpuflow doctor`: Jain-style bottleneck findings for one run, either
 /// re-simulated from run flags (with what-if predictions) or read from
 /// a profile file (`--profile FILE`, findings only).
 fn cmd_doctor(args: &Args) -> Result<(), String> {
-    let report = match args.get("profile") {
+    let report = match args.get("--profile") {
         Some(path) => DoctorReport::diagnose(&read_profile(path)?),
         None => {
             let (_, profile) = profile_from_args(args)?;
@@ -448,7 +495,7 @@ fn cmd_doctor(args: &Args) -> Result<(), String> {
             DoctorReport::diagnose(&profile).with_whatifs(whatifs)
         }
     };
-    let output = if args.flag("json") {
+    let output = if args.switch("--json") {
         let mut s = report.to_json();
         s.push('\n');
         s
@@ -457,6 +504,8 @@ fn cmd_doctor(args: &Args) -> Result<(), String> {
     };
     emit(args, "doctor report", &output)
 }
+
+const ADVISE_CMD: Spec = Spec("advise", &[WORKLOAD], "", 0);
 
 fn cmd_advise(args: &Args) -> Result<(), String> {
     let workload = workload_from(args)?;
@@ -476,6 +525,8 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+const DAG_CMD: Spec = Spec("dag", &[WORKLOAD, "--grid"], "", 0);
+
 fn cmd_dag(args: &Args) -> Result<(), String> {
     let (workload, workflow) = build_workflow(args)?;
     let shape = workflow.shape();
@@ -490,131 +541,125 @@ fn cmd_dag(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `gpuflow chaos`: the fault-injection sensitivity sweep (also the
-/// `chaos` target of the `repro` binary).
-fn cmd_chaos(args: &Args) -> Result<(), String> {
-    let threads: usize = args.num("threads", 0)?;
-    let ctx = gpuflow::experiments::Context::default().with_threads(threads);
-    let study = gpuflow::experiments::fault_sensitivity::run(&ctx);
-    print!("{}", study.render());
-    println!(
-        "{} of {} completed scenarios converged to the fault-free output",
-        study.converged(),
-        study.points.len()
-    );
+const HELP: &str = "gpuflow — distributed GPU-accelerated task-based workflows, simulated
+
+USAGE:
+  gpuflow run    --workload <w> --rows N --cols N --grid G [options]
+  gpuflow obs    <view> --workload <w> --rows N --cols N --grid G [options] [--out FILE]
+  gpuflow serve  --workload <w> --rows N --cols N --grid G [options]
+                 [--metrics-port P] [--metrics-interval SECS] [--requests N]
+                 live Prometheus /metrics endpoint while the run executes
+  gpuflow submit --port P --tenant NAME --tasks N [--shape wide|stencil|tree] [--prio N]
+  gpuflow queue  --port P [--json]        queue state of a running gpuflowd
+  gpuflow cancel --port P --job N
+  gpuflow ctl    <drain|health|report|metrics|alerts|log|shutdown> --port P
+                 client verbs for the gpuflowd scheduler daemon (see docs/daemon.md)
+  gpuflow diff   A.profile B.profile [--json] [--out FILE]
+  gpuflow lint   [--root DIR] [--json | --sarif] [--out FILE]  determinism & time lints
+  gpuflow lint   --explain                 the rule catalog with its rationale
+  gpuflow doctor --workload <w> --rows N --cols N --grid G [options] [--json]
+  gpuflow doctor --profile FILE [--json]   (findings only, no what-ifs)
+  gpuflow advise --workload <w> --rows N --cols N [--seed S] [kmeans and knn options]
+  gpuflow dag    --workload <w> --rows N --cols N --grid G [--seed S] [kmeans and knn options]
+  gpuflow help
+
+OBS VIEWS: export-chrome (Perfetto/chrome://tracing JSON) | decisions
+           (scheduler decision log) | overhead (makespan decomposition) |
+           profile (parseable run digest for diff/doctor) |
+           summary (event counts; --json for machine-readable) |
+           metrics (Prometheus text exposition; --series for the
+           virtual-time table, --metrics-interval SECS to sample) |
+           jsonl (raw event stream) |
+           spans (OTLP-shaped causal span JSON) |
+           flame (collapsed stacks, flamegraph.pl-compatible;
+           both take --sample-rate PPM and --span-seed N)
+
+WORKLOADS: matmul | fma | kmeans | knn | cholesky
+
+RUN OPTIONS (a flag at most once; a command refuses any flag it does not read):
+  --processor cpu|gpu      (default cpu)
+  --storage shared|local   (default shared)
+  --policy P               fifo|locality|critical-path (default fifo)
+  --threads N              CPU threads per task (default 1)
+  --clusters K --iterations I   (kmeans)
+  --queries Q --k K        (knn)
+  --seed S                 jitter/dataset seed
+  --prv FILE --csv FILE    trace exports (run)
+  --faults SPEC            deterministic fault plan, e.g.
+                           'seed:42;crash:node=1,at=0.2,rejoin=0.1;taskfail:p=0.05'
+  --max-retries N --backoff SECS --resubmit alt|same --fallback on|off
+
+Regenerate the paper's figures with the `repro` binary:
+  cargo run --release -p gpuflow-experiments --bin repro -- all";
+
+fn help(_: &Args) -> Result<(), String> {
+    println!("{HELP}");
     Ok(())
 }
 
-fn help() {
-    println!(
-        "gpuflow — distributed GPU-accelerated task-based workflows, simulated\n\
-         \n\
-         USAGE:\n\
-         \u{20} gpuflow run    --workload <w> --rows N --cols N --grid G [options]\n\
-         \u{20} gpuflow obs    <view> --workload <w> --rows N --cols N --grid G [options] [--out FILE]\n\
-         \u{20} gpuflow serve  --workload <w> --rows N --cols N --grid G [options]\n\
-         \u{20}                [--metrics-port P] [--metrics-interval SECS] [--requests N]\n\
-         \u{20}                live Prometheus /metrics endpoint while the run executes\n\
-         \u{20} gpuflow submit --port P --tenant NAME --tasks N [--shape wide|stencil|tree] [--prio N]\n\
-         \u{20} gpuflow queue  --port P [--json]        queue state of a running gpuflowd\n\
-         \u{20} gpuflow cancel --port P --job N\n\
-         \u{20} gpuflow ctl    <drain|health|report|metrics|alerts|log|shutdown> --port P\n\
-         \u{20}                client verbs for the gpuflowd scheduler daemon (see docs/daemon.md)\n\
-         \u{20} gpuflow diff   A.profile B.profile [--json] [--out FILE]\n\
-         \u{20} gpuflow lint   [--root DIR] [--json | --sarif] [--out FILE]  determinism & time lints\n\
-         \u{20} gpuflow lint   --explain                 the rule catalog with its rationale\n\
-         \u{20} gpuflow doctor --workload <w> --rows N --cols N --grid G [options] [--json]\n\
-         \u{20} gpuflow doctor --profile FILE [--json]   (findings only, no what-ifs)\n\
-         \u{20} gpuflow advise --workload <w> --rows N --cols N\n\
-         \u{20} gpuflow dag    --workload <w> --rows N --cols N --grid G\n\
-         \u{20} gpuflow chaos  [--threads N]   fault-injection sensitivity sweep\n\
-         \n\
-         OBS VIEWS: export-chrome (Perfetto/chrome://tracing JSON) | decisions\n\
-         \u{20}           (scheduler decision log) | overhead (makespan decomposition) |\n\
-         \u{20}           profile (parseable run digest for diff/doctor) |\n\
-         \u{20}           summary (event counts; --json for machine-readable) |\n\
-         \u{20}           metrics (Prometheus text exposition; --series for the\n\
-         \u{20}           virtual-time table, --metrics-interval SECS to sample) |\n\
-         \u{20}           jsonl (raw event stream) |\n\
-         \u{20}           spans (OTLP-shaped causal span JSON) |\n\
-         \u{20}           flame (collapsed stacks, flamegraph.pl-compatible;\n\
-         \u{20}           both take --sample-rate PPM and --span-seed N)\n\
-         \n\
-         WORKLOADS: matmul | fma | kmeans | knn | cholesky\n\
-         \n\
-         RUN OPTIONS:\n\
-         \u{20} --processor cpu|gpu      (default cpu)\n\
-         \u{20} --storage shared|local   (default shared)\n\
-         \u{20} --policy P               fifo|locality|critical-path (default fifo)\n\
-         \u{20} --threads N              CPU threads per task (default 1)\n\
-         \u{20} --clusters K --iterations I   (kmeans)\n\
-         \u{20} --queries Q --k K        (knn)\n\
-         \u{20} --seed S                 jitter/dataset seed\n\
-         \u{20} --prv FILE --csv FILE    trace exports\n\
-         \u{20} --faults SPEC            deterministic fault plan, e.g.\n\
-         \u{20}                          'seed:42;crash:node=1,at=0.2,rejoin=0.1;taskfail:p=0.05'\n\
-         \u{20} --max-retries N --backoff SECS --resubmit alt|same --fallback on|off\n\
-         \n\
-         Regenerate the paper's figures with the `repro` binary:\n\
-         \u{20} cargo run --release -p gpuflow-experiments --bin repro -- all"
-    );
-}
+/// What a command does with its command line.
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every command, with the flags and positional words it reads.
+const COMMANDS: [(&Spec, Command); 13] = [
+    (&RUN_CMD, cmd_run),
+    (&OBS_CMD, cmd_obs),
+    (&SERVE_CMD, cmd_serve),
+    (&SUBMIT_CMD, |a| cmd_daemon("submit", a)),
+    (&QUEUE_CMD, |a| cmd_daemon("queue", a)),
+    (&CANCEL_CMD, |a| cmd_daemon("cancel", a)),
+    (&CTL_CMD, cmd_ctl),
+    (&DIFF_CMD, cmd_diff),
+    (&LINT_CMD, cmd_lint),
+    (&DOCTOR_CMD, cmd_doctor),
+    (&ADVISE_CMD, cmd_advise),
+    (&DAG_CMD, cmd_dag),
+    (&Spec("help", &[], "", 0), help),
+];
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = argv.split_first() else {
-        help();
+    let mut argv = std::env::args().skip(1);
+    let Some(cmd) = argv.next() else {
+        println!("{HELP}");
         return ExitCode::FAILURE;
     };
-    let result = match cmd.as_str() {
-        "run" => Args::parse(rest).and_then(|a| cmd_run(&a)),
-        "obs" => match rest.split_first() {
-            Some((sub, rest)) if !sub.starts_with("--") => {
-                Args::parse_with(rest, &["json", "series"]).and_then(|a| cmd_obs(sub, &a))
-            }
-            _ => Err(String::from(
-                "obs needs a view: export-chrome, decisions, overhead, profile, summary, metrics, jsonl, spans, flame",
-            )),
-        },
-        "serve" => Args::parse(rest).and_then(|a| cmd_serve(&a)),
-        "submit" | "cancel" => Args::parse(rest).and_then(|a| cmd_daemon(cmd, &a)),
-        "queue" => Args::parse_with(rest, &["json"]).and_then(|a| cmd_daemon(cmd, &a)),
-        "ctl" => match rest.split_first() {
-            Some((action, rest)) if control(action).is_some() => {
-                Args::parse(rest).and_then(|a| cmd_daemon(action, &a))
-            }
-            _ => Err(format!(
-                "ctl needs an action: gpuflow ctl <{}> --port P",
-                CONTROL.map(|(verb, _)| verb).join("|")
-            )),
-        },
-        "diff" => match rest {
-            [a, b, flags @ ..] if !a.starts_with("--") && !b.starts_with("--") => {
-                Args::parse_with(flags, &["json"]).and_then(|ar| cmd_diff(a, b, &ar))
-            }
-            _ => Err(String::from(
-                "diff needs two profile files: gpuflow diff A.profile B.profile [--json] [--out FILE]",
-            )),
-        },
-        "lint" => Args::parse_with(rest, &["json", "sarif", "explain"]).and_then(|a| cmd_lint(&a)),
-        "doctor" => Args::parse_with(rest, &["json"]).and_then(|a| cmd_doctor(&a)),
-        "advise" => Args::parse(rest).and_then(|a| cmd_advise(&a)),
-        "dag" => Args::parse(rest).and_then(|a| cmd_dag(&a)),
-        "chaos" => Args::parse(rest).and_then(|a| cmd_chaos(&a)),
-        "help" | "--help" | "-h" => {
-            help();
-            Ok(())
+    let name = match cmd.as_str() {
+        "--help" | "-h" => "help",
+        name => name,
+    };
+    let result = match COMMANDS.iter().find(|(spec, _)| spec.0 == name) {
+        Some((spec, command)) => Args::parse(spec, argv).and_then(|a| command(&a)),
+        None => {
+            let names: Vec<&str> = COMMANDS.iter().map(|(spec, _)| spec.0).collect();
+            Err(format!("unknown command '{cmd}' ({})", names.join(", ")))
         }
-        other => Err(format!(
-            "unknown command '{other}' (run, obs, serve, submit, queue, cancel, ctl, diff, lint, \
-             doctor, advise, dag, chaos, help)"
-        )),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The help names every flag of every command, so a flag added to a
+    /// command without its help line fails here.
+    #[test]
+    fn help_names_every_flag() {
+        for (spec, _) in COMMANDS {
+            let name = spec.0;
+            for flag in spec.flags() {
+                assert!(HELP.contains(flag), "help lacks {name} {flag}");
+            }
+            assert!(
+                HELP.contains(&format!("\n  gpuflow {name}")),
+                "help lacks {name}"
+            );
         }
     }
 }

@@ -1,112 +1,45 @@
-//! Argument parsing for the `gpuflow` CLI binary — kept in the library
-//! so the flag grammar is unit-testable.
-
-use std::collections::HashMap;
+//! The flags of the `gpuflow` CLI binary that several commands share,
+//! and what they build, kept in the library so they are unit-testable.
+//! The grammar itself is [`gpuflow_daemon::flags`].
 
 use gpuflow_advisor::Workload;
 use gpuflow_cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
+use gpuflow_daemon::flags::Args;
 use gpuflow_daemon::protocol::{control, Command, CONTROL};
 use gpuflow_data::DatasetSpec;
 use gpuflow_runtime::{FaultPlan, JobShape, RecoveryPolicy, RunConfig, SchedulingPolicy};
 
-/// Parsed `--key value` flags.
-#[derive(Debug, Clone)]
-pub struct Args {
-    flags: HashMap<String, String>,
-}
+/// The flags [`workload_from`] reads.
+pub const WORKLOAD: &str = "--workload --rows --cols --seed --clusters --iterations --queries --k";
 
-impl Args {
-    /// Parses a flat `--key value` argument list.
-    ///
-    /// # Errors
-    /// Rejects positional arguments and dangling flags.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
-        Args::parse_with(argv, &[])
-    }
-
-    /// Parses a `--key value` argument list in which the flags named in
-    /// `bool_flags` take no value (e.g. `--json`).
-    ///
-    /// # Errors
-    /// Rejects positional arguments and dangling value flags.
-    pub fn parse_with(argv: &[String], bool_flags: &[&str]) -> Result<Self, String> {
-        let mut flags = HashMap::new();
-        let mut it = argv.iter();
-        while let Some(a) = it.next() {
-            let Some(key) = a.strip_prefix("--") else {
-                return Err(format!("unexpected argument '{a}' (flags are --key value)"));
-            };
-            if bool_flags.contains(&key) {
-                flags.insert(key.to_string(), String::from("true"));
-                continue;
-            }
-            let value = it
-                .next()
-                .ok_or_else(|| format!("flag --{key} needs a value"))?;
-            flags.insert(key.to_string(), value.clone());
-        }
-        Ok(Args { flags })
-    }
-
-    /// Raw value of a flag.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(String::as_str)
-    }
-
-    /// Whether a boolean flag (declared via [`Args::parse_with`]) was
-    /// present.
-    pub fn flag(&self, key: &str) -> bool {
-        self.flags.contains_key(key)
-    }
-
-    /// Numeric flag with a default.
-    ///
-    /// # Errors
-    /// Reports unparsable values.
-    pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: cannot parse '{v}'")),
-        }
-    }
-
-    /// Mandatory numeric flag.
-    ///
-    /// # Errors
-    /// Reports missing or unparsable values.
-    pub fn required_num<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
-        let v = self
-            .get(key)
-            .ok_or_else(|| format!("--{key} is required"))?;
-        v.parse()
-            .map_err(|_| format!("--{key}: cannot parse '{v}'"))
-    }
-}
+/// The flags of a simulated run besides the workload's: the workflow's
+/// `--grid` and what [`run_config`] reads, `--seed` being one of
+/// [`WORKLOAD`]'s. A command that reads these reads those too.
+pub const RUN: &str = "--grid --processor --storage --policy --threads --faults --max-retries \
+                       --backoff --resubmit --fallback";
 
 /// Builds the workload described by `--workload` and its parameters.
 ///
 /// # Errors
 /// Reports unknown workloads and missing dimensions.
 pub fn workload_from(args: &Args) -> Result<Workload, String> {
-    let rows: u64 = args.required_num("rows")?;
-    let cols: u64 = args.required_num("cols")?;
-    let seed: u64 = args.num("seed", 0xD151B)?;
+    let rows = args.required_int("--rows")?;
+    let cols = args.required_int("--cols")?;
+    let seed = args.int("--seed")?.unwrap_or(0xD151B);
     let dataset = DatasetSpec::uniform("cli", rows, cols, seed);
-    match args.get("workload").unwrap_or("kmeans") {
+    match args.get("--workload").unwrap_or("kmeans") {
         "matmul" => Ok(Workload::Matmul { dataset }),
         "fma" => Ok(Workload::MatmulFma { dataset }),
         "cholesky" => Ok(Workload::Cholesky { dataset }),
         "kmeans" => Ok(Workload::Kmeans {
             dataset,
-            clusters: args.num("clusters", 10)?,
-            iterations: args.num("iterations", 3)?,
+            clusters: args.int("--clusters")?.unwrap_or(10),
+            iterations: args.int("--iterations")?.unwrap_or(3),
         }),
         "knn" => Ok(Workload::Knn {
             dataset,
-            queries: args.num("queries", 256)?,
-            k: args.num("k", 10)?,
+            queries: args.int("--queries")?.unwrap_or(256),
+            k: args.int("--k")?.unwrap_or(10),
         }),
         other => Err(format!(
             "unknown workload '{other}' (matmul, fma, kmeans, knn, cholesky)"
@@ -119,7 +52,7 @@ pub fn workload_from(args: &Args) -> Result<Workload, String> {
 /// # Errors
 /// Reports unknown values.
 fn processor_from(args: &Args) -> Result<ProcessorKind, String> {
-    match args.get("processor").unwrap_or("cpu") {
+    match args.get("--processor").unwrap_or("cpu") {
         "cpu" => Ok(ProcessorKind::Cpu),
         "gpu" => Ok(ProcessorKind::Gpu),
         other => Err(format!("unknown processor '{other}' (cpu, gpu)")),
@@ -131,7 +64,7 @@ fn processor_from(args: &Args) -> Result<ProcessorKind, String> {
 /// # Errors
 /// Reports unknown values.
 fn storage_from(args: &Args) -> Result<StorageArchitecture, String> {
-    match args.get("storage").unwrap_or("shared") {
+    match args.get("--storage").unwrap_or("shared") {
         "shared" => Ok(StorageArchitecture::SharedDisk),
         "local" => Ok(StorageArchitecture::LocalDisk),
         other => Err(format!("unknown storage '{other}' (shared, local)")),
@@ -143,7 +76,7 @@ fn storage_from(args: &Args) -> Result<StorageArchitecture, String> {
 /// # Errors
 /// Reports unknown values.
 fn policy_from(args: &Args) -> Result<SchedulingPolicy, String> {
-    match args.get("policy").unwrap_or("fifo") {
+    match args.get("--policy").unwrap_or("fifo") {
         "fifo" | "generation-order" => Ok(SchedulingPolicy::GenerationOrder),
         "locality" | "data-locality" => Ok(SchedulingPolicy::DataLocality),
         "critical-path" | "cp" => Ok(SchedulingPolicy::CriticalPath),
@@ -160,7 +93,7 @@ fn policy_from(args: &Args) -> Result<SchedulingPolicy, String> {
 /// # Errors
 /// Reports malformed specifications.
 fn faults_from(args: &Args) -> Result<Option<FaultPlan>, String> {
-    match args.get("faults") {
+    match args.get("--faults") {
         None => Ok(None),
         Some(spec) => FaultPlan::parse(spec)
             .map(Some)
@@ -175,21 +108,21 @@ fn faults_from(args: &Args) -> Result<Option<FaultPlan>, String> {
 /// Reports unparsable values.
 fn recovery_from(args: &Args) -> Result<RecoveryPolicy, String> {
     let default = RecoveryPolicy::default();
-    let resubmit_alternate = match args.get("resubmit") {
+    let resubmit_alternate = match args.get("--resubmit") {
         None => default.resubmit_alternate,
         Some("alt") => true,
         Some("same") => false,
         Some(other) => return Err(format!("--resubmit: '{other}' (alt, same)")),
     };
-    let gpu_to_cpu_fallback = match args.get("fallback") {
+    let gpu_to_cpu_fallback = match args.get("--fallback") {
         None => default.gpu_to_cpu_fallback,
         Some("on") => true,
         Some("off") => false,
         Some(other) => return Err(format!("--fallback: '{other}' (on, off)")),
     };
     Ok(RecoveryPolicy {
-        max_retries: args.num("max-retries", default.max_retries)?,
-        backoff_base_secs: args.num("backoff", default.backoff_base_secs)?,
+        max_retries: args.int("--max-retries")?.unwrap_or(default.max_retries),
+        backoff_base_secs: args.num("--backoff")?.unwrap_or(default.backoff_base_secs),
         resubmit_alternate,
         gpu_to_cpu_fallback,
     })
@@ -202,7 +135,7 @@ fn recovery_from(args: &Args) -> Result<RecoveryPolicy, String> {
 /// # Errors
 /// Reports unknown or unparsable values and `--threads 0`.
 pub fn run_config(args: &Args) -> Result<RunConfig, String> {
-    let threads: usize = args.num("threads", 1)?;
+    let threads = args.int("--threads")?.unwrap_or(1);
     if threads == 0 {
         return Err(String::from("--threads: a task needs at least one thread"));
     }
@@ -213,7 +146,7 @@ pub fn run_config(args: &Args) -> Result<RunConfig, String> {
         .with_recovery(recovery_from(args)?);
     // `--seed` seeds the jitter as well as the dataset (`workload_from`);
     // without it the run keeps the default jitter seed.
-    let seed = args.num("seed", config.seed)?;
+    let seed = args.int("--seed")?.unwrap_or(config.seed);
     config = config.with_seed(seed);
     if let Some(plan) = faults_from(args)? {
         config = config.with_faults(plan);
@@ -233,22 +166,22 @@ pub fn daemon_request_from(verb: &str, args: &Args) -> Result<String, String> {
     let command = match verb {
         "submit" => {
             let tenant = args
-                .get("tenant")
+                .get("--tenant")
                 .ok_or("--tenant is required (a tenant name the daemon was started with)")?;
-            let shape = args.get("shape").unwrap_or("wide");
+            let shape = args.get("--shape").unwrap_or("wide");
             Command::Submit {
                 tenant: tenant.to_string(),
                 shape: JobShape::parse(shape)
                     .ok_or_else(|| format!("unknown shape '{shape}' (wide, stencil, tree)"))?,
-                tasks: args.required_num("tasks")?,
-                prio: args.num("prio", 0)?,
+                tasks: args.required_int("--tasks")?,
+                prio: args.int("--prio")?.unwrap_or(0),
             }
         }
         "queue" => Command::Queue {
-            json: args.flag("json"),
+            json: args.switch("--json"),
         },
         "cancel" => Command::Cancel {
-            job: args.required_num("job")?,
+            job: args.required_int("--job")?,
         },
         action => control(action).ok_or_else(|| {
             let actions = CONTROL.map(|(verb, _)| verb).join(", ");
@@ -262,47 +195,61 @@ pub fn daemon_request_from(verb: &str, args: &Args) -> Result<String, String> {
 mod tests {
     use super::*;
 
+    use gpuflow_daemon::flags::Spec;
+
+    /// Every flag this module reads, plus the `--out` and `--json` of
+    /// the commands that share them.
+    const ALL: Spec = Spec(
+        "test",
+        &[WORKLOAD, RUN, "--out --tenant --shape --tasks --prio --job"],
+        "--json --series",
+        0,
+    );
+
+    fn parse(list: &[&str]) -> Result<Args, String> {
+        Args::parse(&ALL, list.iter().map(|s| s.to_string()))
+    }
+
     fn args(list: &[&str]) -> Args {
-        let v: Vec<String> = list.iter().map(|s| s.to_string()).collect();
-        Args::parse(&v).unwrap()
+        parse(list).unwrap()
     }
 
     #[test]
     fn parses_flag_pairs() {
         let a = args(&["--rows", "100", "--cols", "8"]);
-        assert_eq!(a.get("rows"), Some("100"));
-        assert_eq!(a.required_num::<u64>("cols").unwrap(), 8);
-        assert_eq!(a.num::<u64>("grid", 4).unwrap(), 4);
+        assert_eq!(a.get("--rows"), Some("100"));
+        assert_eq!(a.required_int::<u64>("--cols").unwrap(), 8);
+        assert_eq!(a.int::<u64>("--grid").unwrap(), None);
     }
 
     #[test]
     fn bool_flags_need_no_value() {
-        let v: Vec<String> = ["--json", "--out", "x.txt"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let a = Args::parse_with(&v, &["json"]).unwrap();
-        assert!(a.flag("json"));
-        assert!(!a.flag("update"));
-        assert_eq!(a.get("out"), Some("x.txt"));
-        // Without the declaration, --json swallows `--out` as its value
+        let a = args(&["--json", "--out", "x.txt"]);
+        assert!(a.switch("--json"));
+        assert!(!a.switch("--series"));
+        assert_eq!(a.get("--out"), Some("x.txt"));
+        // Declared as a value flag, --json swallows `--out` as its value
         // and the orphaned `x.txt` is rejected as positional.
-        assert!(Args::parse(&v).is_err());
+        let valued = Spec("valued", &["--json --out"], "", 0);
+        let argv = ["--json", "--out", "x.txt"].map(String::from);
+        assert!(Args::parse(&valued, argv).is_err());
     }
 
     #[test]
     fn rejects_positional_and_dangling() {
-        let bad = vec!["positional".to_string()];
-        assert!(Args::parse(&bad).is_err());
-        let dangling = vec!["--rows".to_string()];
-        assert!(Args::parse(&dangling).is_err());
+        let err = parse(&["positional"]).unwrap_err();
+        assert!(err.starts_with("unexpected argument 'positional'"), "{err}");
+        assert_eq!(parse(&["--rows"]).unwrap_err(), "--rows needs a value");
     }
 
     #[test]
     fn reports_unparsable_numbers() {
         let a = args(&["--rows", "many"]);
-        let err = a.required_num::<u64>("rows").unwrap_err();
-        assert!(err.contains("cannot parse"));
+        let err = a.required_int::<u64>("--rows").unwrap_err();
+        assert_eq!(err, "--rows wants a u64 integer, got \"many\"");
+        let a = args(&["--backoff", "soon"]);
+        let err = run_config(&a).unwrap_err();
+        assert_eq!(err, "--backoff wants a number, got \"soon\"");
     }
 
     #[test]
@@ -481,8 +428,7 @@ mod tests {
         );
         let a = args(&["--job", "3"]);
         assert_eq!(daemon_request_from("cancel", &a).unwrap(), "cancel job=3");
-        let v: Vec<String> = vec!["--json".into()];
-        let a = Args::parse_with(&v, &["json"]).unwrap();
+        let a = args(&["--json"]);
         assert_eq!(daemon_request_from("queue", &a).unwrap(), "queue json");
         assert_eq!(daemon_request_from("queue", &args(&[])).unwrap(), "queue");
         for (action, _) in CONTROL {

@@ -12,7 +12,8 @@
 use std::fmt::{self, Write as _};
 use std::process::Command;
 
-use gpuflow::cli::{run_config, workload_from, Args};
+use gpuflow::cli::{run_config, workload_from, RUN, WORKLOAD};
+use gpuflow::daemon::flags::{Args, Spec};
 use gpuflow::runtime::{run, MetricsRegistry, SpanForest};
 use gpuflow::sim::SimDuration;
 
@@ -36,13 +37,15 @@ impl fmt::Display for JsonStr<'_> {
     }
 }
 
+/// The run flags `gpuflow obs summary` shares with this reference.
+const RUN_CMD: Spec = Spec("run", &[WORKLOAD, RUN], "", 0);
+
 /// The reference envelope of the run `flags` describe.
 fn reference_summary(flags: &[&str]) -> String {
-    let argv: Vec<String> = flags.iter().map(|s| s.to_string()).collect();
-    let args = Args::parse(&argv).expect("flags parse");
+    let args = Args::parse(&RUN_CMD, flags.iter().map(|s| s.to_string())).expect("flags parse");
     let workload = workload_from(&args).expect("workload");
     let workflow = workload
-        .build(args.required_num("grid").expect("grid"))
+        .build(args.required_int("--grid").expect("grid"))
         .expect("workflow builds");
     let config = run_config(&args).expect("run config").with_telemetry();
     let report = run(&workflow, &config).expect("run completes");
