@@ -91,6 +91,16 @@ pub struct TaskFailureRate {
     pub probability: f64,
 }
 
+/// The fault kinds of the [`FaultPlan::parse`] grammar, each with the
+/// keys its clauses take (`seed:N` takes a bare integer).
+const CLAUSE_KEYS: [(&str, &[&str]); 5] = [
+    ("crash", &["node", "at", "rejoin"]),
+    ("gpufail", &["node", "at"]),
+    ("straggle", &["node", "at", "until", "factor"]),
+    ("linkdeg", &["at", "until", "factor"]),
+    ("taskfail", &["type", "p"]),
+];
+
 /// A complete, deterministic fault plan for one run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
@@ -309,85 +319,97 @@ impl FaultPlan {
     /// seed:42                        transient-failure hash seed
     /// ```
     ///
+    /// Each kind takes only the keys listed above, each at most once,
+    /// and a plan has at most one `seed:` clause, so nothing a spec says
+    /// is dropped.
+    ///
     /// # Errors
-    /// Reports the first malformed clause.
+    /// Reports the first malformed clause: an unknown kind, a key its
+    /// kind does not take or gives twice (naming the keys it takes), a
+    /// missing key, an unparsable value or a second `seed:` clause.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::default();
+        let mut seeded = false;
         for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
             let (kind, rest) = clause
                 .split_once(':')
                 .ok_or_else(|| format!("clause '{clause}' needs the form kind:key=value,..."))?;
             if kind == "seed" {
+                if std::mem::replace(&mut seeded, true) {
+                    return Err(format!(
+                        "clause '{clause}' sets the seed again (seed:N comes once)"
+                    ));
+                }
                 plan.seed = rest
                     .trim()
                     .parse()
                     .map_err(|_| format!("seed '{rest}' is not an integer"))?;
                 continue;
             }
-            let mut node = None;
-            let mut at = None;
-            let mut until = None;
-            let mut factor = None;
-            let mut rejoin = None;
-            let mut p = None;
-            let mut ty = None;
+            let Some(&(_, keys)) = CLAUSE_KEYS.iter().find(|(k, _)| *k == kind) else {
+                return Err(format!(
+                    "unknown fault kind '{kind}' (crash, gpufail, straggle, linkdeg, taskfail, seed)"
+                ));
+            };
+            let mut values: Vec<Option<&str>> = vec![None; keys.len()];
             for pair in rest.split(',').map(str::trim).filter(|p| !p.is_empty()) {
                 let (k, v) = pair
                     .split_once('=')
                     .ok_or_else(|| format!("'{pair}' in clause '{clause}' is not key=value"))?;
-                let num = || {
-                    v.parse::<f64>()
-                        .map_err(|_| format!("'{v}' is not a number in clause '{clause}'"))
-                };
-                match k {
-                    "node" => {
-                        node = Some(v.parse::<usize>().map_err(|_| {
-                            format!("'{v}' is not a node index in clause '{clause}'")
-                        })?)
+                let refusal = match keys.iter().position(|key| *key == k) {
+                    Some(i) if values[i].is_none() => {
+                        values[i] = Some(v);
+                        continue;
                     }
-                    "at" => at = Some(num()?),
-                    "until" => until = Some(num()?),
-                    "factor" => factor = Some(num()?),
-                    "rejoin" => rejoin = Some(num()?),
-                    "p" => p = Some(num()?),
-                    "type" => ty = Some(v.to_string()),
-                    other => return Err(format!("unknown key '{other}' in clause '{clause}'")),
-                }
+                    Some(_) => format!("gives {k} twice"),
+                    None => format!("has no key '{k}'"),
+                };
+                let takes = keys.join(", ");
+                return Err(format!(
+                    "clause '{clause}' {refusal} ({kind} takes {takes})"
+                ));
             }
-            let need = |o: Option<f64>, k: &str| {
-                o.ok_or_else(|| format!("clause '{clause}' needs {k}=..."))
+            let value = |k: &str| {
+                keys.iter()
+                    .position(|key| *key == k)
+                    .and_then(|i| values[i])
             };
-            let need_node = || node.ok_or_else(|| format!("clause '{clause}' needs node=..."));
+            let need = |k: &str| value(k).ok_or_else(|| format!("clause '{clause}' needs {k}=..."));
+            let num = |v: &str| {
+                v.parse::<f64>()
+                    .map_err(|_| format!("'{v}' is not a number in clause '{clause}'"))
+            };
+            let secs = |k: &str| need(k).and_then(num);
+            let node = || {
+                let v = need("node")?;
+                v.parse::<usize>()
+                    .map_err(|_| format!("'{v}' is not a node index in clause '{clause}'"))
+            };
             match kind {
                 "crash" => plan.node_crashes.push(NodeCrash {
-                    node: need_node()?,
-                    at_secs: need(at, "at")?,
-                    rejoin_after_secs: rejoin,
+                    node: node()?,
+                    at_secs: secs("at")?,
+                    rejoin_after_secs: value("rejoin").map(num).transpose()?,
                 }),
                 "gpufail" => plan.gpu_failures.push(GpuFailure {
-                    node: need_node()?,
-                    at_secs: need(at, "at")?,
+                    node: node()?,
+                    at_secs: secs("at")?,
                 }),
                 "straggle" => plan.stragglers.push(Straggler {
-                    node: need_node()?,
-                    at_secs: need(at, "at")?,
-                    until_secs: need(until, "until")?,
-                    factor: need(factor, "factor")?,
+                    node: node()?,
+                    at_secs: secs("at")?,
+                    until_secs: secs("until")?,
+                    factor: secs("factor")?,
                 }),
                 "linkdeg" => plan.link_degradations.push(LinkDegradation {
-                    at_secs: need(at, "at")?,
-                    until_secs: need(until, "until")?,
-                    factor: need(factor, "factor")?,
+                    at_secs: secs("at")?,
+                    until_secs: secs("until")?,
+                    factor: secs("factor")?,
                 }),
-                "taskfail" => plan.task_failures.push(TaskFailureRate {
-                    task_type: ty,
-                    probability: need(p, "p")?,
+                _ => plan.task_failures.push(TaskFailureRate {
+                    task_type: value("type").map(str::to_string),
+                    probability: secs("p")?,
                 }),
-                other => {
-                    return Err(format!(
-                        "unknown fault kind '{other}' (crash, gpufail, straggle, linkdeg, taskfail, seed)"
-                    ))
-                }
             }
         }
         Ok(plan)
@@ -645,6 +667,36 @@ mod tests {
             "crash:node=0,at=0.1,when=2",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "'{bad}' should not parse");
+        }
+    }
+
+    /// A key the clause's kind does not take, a repeated key and a
+    /// second seed would leave a plan other than the one written if
+    /// dropped; each is refused, naming the clause and the keys its
+    /// kind takes.
+    #[test]
+    fn parse_refuses_what_it_would_drop() {
+        for (spec, error) in [
+            (
+                "linkdeg:node=2,at=0,until=1,factor=2",
+                "clause 'linkdeg:node=2,at=0,until=1,factor=2' has no key 'node' \
+                 (linkdeg takes at, until, factor)",
+            ),
+            (
+                "taskfail:p=0.1,node=3",
+                "clause 'taskfail:p=0.1,node=3' has no key 'node' (taskfail takes type, p)",
+            ),
+            (
+                "crash:node=1,node=2,at=0.1",
+                "clause 'crash:node=1,node=2,at=0.1' gives node twice \
+                 (crash takes node, at, rejoin)",
+            ),
+            (
+                "seed:5;seed:7",
+                "clause 'seed:7' sets the seed again (seed:N comes once)",
+            ),
+        ] {
+            assert_eq!(FaultPlan::parse(spec), Err(error.to_string()), "{spec}");
         }
     }
 

@@ -32,6 +32,12 @@ impl Spec {
         let groups = self.1.iter().copied().chain([self.2]);
         groups.flat_map(str::split_whitespace)
     }
+
+    /// "NAME takes: FLAG, ...", as errors name what a command reads.
+    fn takes(&self) -> String {
+        let flags: Vec<_> = self.flags().collect();
+        format!("{} takes: {}", self.0, flags.join(", "))
+    }
 }
 
 /// A command line parsed under its command's [`Spec`].
@@ -65,8 +71,7 @@ impl Args {
                 continue;
             }
             let Some(flag) = spec.flags().find(|f| *f == arg) else {
-                let known = spec.flags().collect::<Vec<_>>().join(", ");
-                return Err(format!("unknown flag {arg} ({name} takes: {known})"));
+                return Err(format!("unknown flag {arg} ({})", spec.takes()));
             };
             if flags.iter().any(|(f, _)| *f == flag) {
                 return Err(format!("{flag} given twice"));
@@ -92,9 +97,32 @@ impl Args {
         value.as_deref()
     }
 
-    /// Whether the switch `flag` was given.
+    /// Whether the switch `flag` was given (or the value flag `flag`,
+    /// with any value).
     pub fn switch(&self, flag: &str) -> bool {
         self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// Refuses a flag given that `mode` does not read, naming the ones
+    /// it does. A command whose modes read different flags parses its
+    /// line under a spec of them all, picks the mode from it, and checks
+    /// the line under the mode's own spec before it runs anything.
+    ///
+    /// # Errors
+    /// Names the first flag given that `mode` does not declare.
+    pub fn only(&self, mode: &Spec) -> Result<(), String> {
+        match self
+            .flags
+            .iter()
+            .find(|(f, _)| !mode.flags().any(|m| m == *f))
+        {
+            Some((flag, _)) => Err(format!(
+                "{flag} does not go with {} ({})",
+                mode.0,
+                mode.takes()
+            )),
+            None => Ok(()),
+        }
     }
 
     /// The value of `flag` as an integer of `T`'s width ([`parse_int`]),
@@ -192,6 +220,20 @@ mod tests {
         let a = parse(&["--secs", "--json"]).unwrap();
         assert_eq!(a.get("--secs"), Some("--json"));
         assert!(!a.switch("--json"));
+    }
+
+    #[test]
+    fn a_mode_refuses_the_flags_of_the_others() {
+        const MODE: Spec = Spec("cmd view", &["--rows"], "", 1);
+        let a = parse(&["view", "--rows", "4"]).unwrap();
+        assert_eq!(a.only(&MODE), Ok(()));
+        let a = parse(&["view", "--rows", "4", "--json", "--port", "1"]).unwrap();
+        assert_eq!(
+            a.only(&MODE),
+            Err(String::from(
+                "--json does not go with cmd view (cmd view takes: --rows)"
+            ))
+        );
     }
 
     #[test]

@@ -69,7 +69,9 @@
 //! reads ([`gpuflow_daemon::flags`], the grammar `gpuflow` and
 //! `gpuflowd` share), so an unknown or repeated flag, a flag with no
 //! value, an unknown artifact or a bad number is a usage error before
-//! anything runs.
+//! anything runs. So is a flag none of the named artifacts reads: the
+//! replay flags go with `replay` and `spans`, `--rate`, `--span-seed`
+//! and `--otlp` with `spans`, and `--quick` with `fig11`.
 //!
 //! Exit codes: `0` success, `1` a failed run or check, `2` a usage
 //! error.
@@ -99,6 +101,16 @@ const RENDER: Spec = Spec(
     "--quick --chaos",
     usize::MAX,
 );
+/// The flags of [`RENDER`] that only some artifacts read, with the
+/// artifacts that read them; every artifact reads the others.
+const READ_BY: [(&str, &[&str]); 3] = [
+    (
+        "--seed --jobs --tenants --horizon --interval --chaos",
+        &["replay", "spans"],
+    ),
+    ("--rate --span-seed --otlp", &["spans"]),
+    ("--quick", &["fig11"]),
+];
 const CHECK: Spec = Spec("check", &["--threads"], "", 0);
 const PERF: Spec = Spec("perf", &["--tasks --thresholds"], "--full --check", 0);
 const FROM_LOG: Spec = Spec("replay --from-log", &["--from-log"], "", 0);
@@ -253,7 +265,8 @@ fn render_spans(o: &Opts) -> Result<String, String> {
 
 /// `repro [all | NAME...]`: renders each target, prints it, and writes
 /// it to `--out DIR` when given; `all --out DIR` also writes the
-/// perf-gate baselines to `DIR/baselines`.
+/// perf-gate baselines to `DIR/baselines`. A flag that no target reads
+/// ([`READ_BY`]) is a usage error.
 fn generate(args: &Args) -> Result<ExitCode, String> {
     let opts = Opts::from_args(args)?;
     let mut targets: Vec<(&str, Render)> = Vec::new();
@@ -275,6 +288,12 @@ fn generate(args: &Args) -> Result<ExitCode, String> {
             if !targets.iter().any(|(name, _)| *name == target.0) {
                 targets.push(target);
             }
+        }
+    }
+    for (flags, readers) in READ_BY {
+        let read = targets.iter().any(|(name, _)| readers.contains(name));
+        if let Some(flag) = flags.split_whitespace().find(|f| !read && args.switch(f)) {
+            return Err(format!("{flag} goes only with {}", readers.join(" or ")));
         }
     }
     let out_dir = args.get("--out").map(Path::new);

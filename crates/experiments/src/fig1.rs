@@ -9,7 +9,8 @@
 
 use gpuflow_algorithms::KmeansConfig;
 use gpuflow_analysis::signed_speedup;
-use gpuflow_cluster::ProcessorKind;
+use gpuflow_cluster::StorageArchitecture::SharedDisk;
+use gpuflow_runtime::SchedulingPolicy::GenerationOrder;
 
 use crate::measure::Context;
 use crate::table::TextTable;
@@ -46,45 +47,23 @@ pub fn run(ctx: &Context) -> Fig1 {
     let wf = KmeansConfig::new(gpuflow_data::paper::kmeans_10gb(), 256, 10, 1)
         .expect("paper configuration is valid")
         .build_workflow();
-    let cpu = ctx
-        .run_default(&wf, ProcessorKind::Cpu)
-        .report()
-        .expect("CPU run fits")
-        .clone();
-    let gpu = ctx
-        .run_default(&wf, ProcessorKind::Gpu)
-        .report()
-        .expect("GPU run fits")
-        .clone();
-
-    let cpu_ps = *cpu
-        .metrics
-        .task_type("partial_sum")
-        .expect("partial_sum ran");
-    let gpu_ps = *gpu
-        .metrics
-        .task_type("partial_sum")
-        .expect("partial_sum ran");
-
+    let ((cpu_ps, cpu_makespan), (gpu_ps, gpu_makespan)) = ctx
+        .pair(&wf, SharedDisk, GenerationOrder)
+        .both(|r| {
+            let ps = *r.metrics.task_type("partial_sum").expect("partial_sum ran");
+            (ps, r.makespan())
+        })
+        .expect("both runs fit");
+    let row = |stage, cpu: f64, gpu: f64| StageRow {
+        stage,
+        cpu,
+        gpu,
+        speedup: signed_speedup(cpu, gpu),
+    };
     let stages = vec![
-        StageRow {
-            stage: "parallel fraction",
-            cpu: cpu_ps.parallel,
-            gpu: gpu_ps.parallel,
-            speedup: signed_speedup(cpu_ps.parallel, gpu_ps.parallel),
-        },
-        StageRow {
-            stage: "task user code",
-            cpu: cpu_ps.user_code,
-            gpu: gpu_ps.user_code,
-            speedup: signed_speedup(cpu_ps.user_code, gpu_ps.user_code),
-        },
-        StageRow {
-            stage: "parallel tasks",
-            cpu: cpu.makespan(),
-            gpu: gpu.makespan(),
-            speedup: signed_speedup(cpu.makespan(), gpu.makespan()),
-        },
+        row("parallel fraction", cpu_ps.parallel, gpu_ps.parallel),
+        row("task user code", cpu_ps.user_code, gpu_ps.user_code),
+        row("parallel tasks", cpu_makespan, gpu_makespan),
     ];
     Fig1 { stages }
 }

@@ -9,11 +9,11 @@
 //! times rise for coarse grains (lost task parallelism) and drop at the
 //! single-task maximum block size; Matmul's 8192 MiB point is a GPU OOM.
 
-use gpuflow_algorithms::{KmeansConfig, MatmulConfig};
-use gpuflow_cluster::{ProcessorKind, StorageArchitecture};
+use gpuflow_cluster::StorageArchitecture;
 use gpuflow_runtime::SchedulingPolicy;
 
-use crate::measure::{Context, Outcome};
+use crate::fig7::{kmeans_points, matmul_points, Point};
+use crate::measure::Context;
 use crate::table::TextTable;
 
 /// K-means iterations for Fig. 10b (iterations are what make the
@@ -75,31 +75,21 @@ pub struct Fig10 {
     pub cells: Vec<Fig10Cell>,
 }
 
-fn sweep(
-    ctx: &Context,
-    label: &str,
-    workflows: &[(u64, String, gpuflow_runtime::Workflow)],
-) -> Fig10 {
-    let jobs: Vec<(Combo, &(u64, String, gpuflow_runtime::Workflow))> = COMBOS
+fn sweep(ctx: &Context, label: &str, points: &[Point]) -> Fig10 {
+    let jobs: Vec<(Combo, &Point)> = COMBOS
         .iter()
-        .flat_map(|&combo| workflows.iter().map(move |w| (combo, w)))
+        .flat_map(|&combo| points.iter().map(move |p| (combo, p)))
         .collect();
     let cells = ctx.par_map(&jobs, |_, &(combo, (grid, block_label, wf))| {
-        let cpu_out = ctx.run(wf, ProcessorKind::Cpu, combo.storage, combo.policy);
-        let gpu_out = ctx.run(wf, ProcessorKind::Gpu, combo.storage, combo.policy);
-        let note = match (&cpu_out, &gpu_out) {
-            (Outcome::CpuOom, Outcome::GpuOom) => Some("CPU+GPU OOM"),
-            (Outcome::CpuOom, _) => Some("CPU OOM"),
-            (_, Outcome::GpuOom) => Some("GPU OOM"),
-            _ => None,
-        };
+        let pair = ctx.pair(wf, combo.storage, combo.policy);
+        let (cpu, gpu) = pair.map(|r| r.metrics.parallel_task_time);
         Fig10Cell {
             grid: *grid,
             block_label: block_label.clone(),
             combo,
-            cpu: cpu_out.map(|r| r.metrics.parallel_task_time),
-            gpu: gpu_out.map(|r| r.metrics.parallel_task_time),
-            note,
+            cpu,
+            gpu,
+            note: pair.note(),
         }
     });
     Fig10 {
@@ -110,30 +100,15 @@ fn sweep(
 
 /// Runs the Matmul panel (Fig. 10a) over `grids`.
 pub fn run_matmul_with(ctx: &Context, grids: &[u64]) -> Fig10 {
-    let ds = gpuflow_data::paper::matmul_8gb();
-    let workflows: Vec<_> = grids
-        .iter()
-        .map(|&g| {
-            let cfg = MatmulConfig::new(ds.clone(), g).expect("valid grid");
-            let label = format!("{:.0} ({}x{})", cfg.spec.block_mib(), g, g);
-            (g, label, cfg.build_workflow())
-        })
-        .collect();
-    sweep(ctx, "Matmul 8GB", &workflows)
+    let points = matmul_points(&gpuflow_data::paper::matmul_8gb(), grids);
+    sweep(ctx, "Matmul 8GB", &points)
 }
 
 /// Runs the K-means panel (Fig. 10b) over `grids`.
 pub fn run_kmeans_with(ctx: &Context, grids: &[u64]) -> Fig10 {
     let ds = gpuflow_data::paper::kmeans_10gb();
-    let workflows: Vec<_> = grids
-        .iter()
-        .map(|&g| {
-            let cfg = KmeansConfig::new(ds.clone(), g, 10, KMEANS_ITERATIONS).expect("valid grid");
-            let label = format!("{:.0} ({}x1)", cfg.spec.block_mb(), g);
-            (g, label, cfg.build_workflow())
-        })
-        .collect();
-    sweep(ctx, "K-means 10GB, 10 clusters", &workflows)
+    let points = kmeans_points(&ds, grids, 10, KMEANS_ITERATIONS);
+    sweep(ctx, "K-means 10GB, 10 clusters", &points)
 }
 
 /// Runs Fig. 10a with the paper's grids.

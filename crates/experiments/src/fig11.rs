@@ -94,10 +94,8 @@ fn collect(
     storage: StorageArchitecture,
     policy: SchedulingPolicy,
 ) -> Option<Vec<f64>> {
-    let report = ctx
-        .run(&sample.workflow, processor, storage, policy)
-        .report()?
-        .clone();
+    let outcome = ctx.run(&sample.workflow, processor, storage, policy);
+    let report = outcome.report()?;
     let shape = sample.workflow.shape();
     // Parallel fraction as *measured* on the executing processor: the
     // share of user-code time spent in the parallel part. On GPU runs the

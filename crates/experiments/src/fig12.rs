@@ -7,10 +7,10 @@
 
 use gpuflow_algorithms::FmaConfig;
 use gpuflow_analysis::signed_speedup;
-use gpuflow_cluster::ProcessorKind;
-use gpuflow_runtime::UserCodeStats;
+use gpuflow_cluster::StorageArchitecture::SharedDisk;
+use gpuflow_runtime::{SchedulingPolicy::GenerationOrder, UserCodeStats};
 
-use crate::measure::{Context, Outcome};
+use crate::measure::Context;
 use crate::table::TextTable;
 
 /// Grid sweep: same block sizes as Fig. 8, plus the 1×1 point the FMA
@@ -48,33 +48,16 @@ pub struct Fig12 {
 /// Runs the FMA sweep on the Matmul 8 GB dataset over `grids`.
 pub fn run_with(ctx: &Context, grids: &[u64]) -> Fig12 {
     let ds = gpuflow_data::paper::matmul_8gb();
-    let rows = grids
-        .iter()
-        .map(|&g| {
-            let cfg = FmaConfig::new(ds.clone(), g).expect("valid grid");
-            let wf = cfg.build_workflow();
-            let cpu_out = ctx.run_default(&wf, ProcessorKind::Cpu);
-            let gpu_out = ctx.run_default(&wf, ProcessorKind::Gpu);
-            let note = match (&cpu_out, &gpu_out) {
-                (Outcome::CpuOom, _) => Some("CPU OOM"),
-                (_, Outcome::GpuOom) => Some("GPU OOM"),
-                _ => None,
-            };
-            let stats = match (&cpu_out, &gpu_out) {
-                (Outcome::Ok(c), Outcome::Ok(gp)) => Some((
-                    *c.metrics.task_type("fma_func").expect("ran"),
-                    *gp.metrics.task_type("fma_func").expect("ran"),
-                )),
-                _ => None,
-            };
-            Fig12Row {
-                block_mib: cfg.spec.block_mib(),
-                grid: g,
-                stats,
-                note,
-            }
-        })
-        .collect();
+    let rows = ctx.par_map(grids, |_, &g| {
+        let cfg = FmaConfig::new(ds.clone(), g).expect("valid grid");
+        let pair = ctx.pair(&cfg.build_workflow(), SharedDisk, GenerationOrder);
+        Fig12Row {
+            block_mib: cfg.spec.block_mib(),
+            grid: g,
+            stats: pair.both(|r| *r.metrics.task_type("fma_func").expect("ran")),
+            note: pair.note(),
+        }
+    });
     Fig12 { rows }
 }
 

@@ -8,11 +8,11 @@
 
 use gpuflow_algorithms::{KmeansConfig, MatmulConfig};
 use gpuflow_analysis::signed_speedup;
-use gpuflow_cluster::ProcessorKind;
+use gpuflow_cluster::StorageArchitecture::SharedDisk;
 use gpuflow_data::DatasetSpec;
-use gpuflow_runtime::RunReport;
+use gpuflow_runtime::{RunReport, SchedulingPolicy::GenerationOrder, Workflow};
 
-use crate::measure::{Context, Outcome};
+use crate::measure::Context;
 use crate::table::TextTable;
 
 /// The paper's Matmul grid sweep (§4.4.5).
@@ -23,7 +23,7 @@ pub const KMEANS_GRIDS: [u64; 9] = [256, 128, 64, 32, 16, 8, 4, 2, 1];
 pub const KMEANS_ITERATIONS: u32 = 3;
 
 /// Stage times of one run (seconds, per-task means except `ptask`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimes {
     /// Mean parallel-fraction time per task.
     pub pfrac: f64,
@@ -95,18 +95,42 @@ pub struct Fig7Sweep {
     pub rows: Vec<Fig7Row>,
 }
 
+/// One point of a block-size sweep: the grid extent, its block label
+/// as on the paper's x-axes, and its workflow.
+pub(crate) type Point = (u64, String, Workflow);
+
+/// The Matmul points of `grids` on `dataset`, labelled "MiB (GxG)"
+/// (Figs. 7a and 10a).
+pub(crate) fn matmul_points(dataset: &DatasetSpec, grids: &[u64]) -> Vec<Point> {
+    let point = |g| {
+        let cfg = MatmulConfig::new(dataset.clone(), g).expect("valid paper grid");
+        let label = format!("{:.0} ({g}x{g})", cfg.spec.block_mib());
+        (g, label, cfg.build_workflow())
+    };
+    grids.iter().map(|&g| point(g)).collect()
+}
+
+/// The K-means points of `grids` on `dataset`, labelled "MB (kx1)"
+/// (Figs. 7b and 10b).
+pub(crate) fn kmeans_points(
+    dataset: &DatasetSpec,
+    grids: &[u64],
+    clusters: u64,
+    iterations: u32,
+) -> Vec<Point> {
+    let point = |g| {
+        let cfg =
+            KmeansConfig::new(dataset.clone(), g, clusters, iterations).expect("valid paper grid");
+        let label = format!("{:.0} ({g}x1)", cfg.spec.block_mb());
+        (g, label, cfg.build_workflow())
+    };
+    grids.iter().map(|&g| point(g)).collect()
+}
+
 /// Runs the Matmul sweep of Fig. 7a over `grids`.
 pub fn run_matmul(ctx: &Context, dataset: &DatasetSpec, grids: &[u64]) -> Fig7Sweep {
-    let rows = ctx.par_map(grids, |_, &g| {
-        let cfg = MatmulConfig::new(dataset.clone(), g).expect("valid paper grid");
-        let wf = cfg.build_workflow();
-        let label = format!("{:.0} ({}x{})", cfg.spec.block_mib(), g, g);
-        sweep_point(ctx, &wf, g, label)
-    });
-    Fig7Sweep {
-        label: format!("Matmul {}", dataset.name),
-        rows,
-    }
+    let label = format!("Matmul {}", dataset.name);
+    sweep(ctx, label, &matmul_points(dataset, grids))
 }
 
 /// Runs the K-means sweep of Fig. 7b over `grids`.
@@ -117,46 +141,28 @@ pub fn run_kmeans(
     clusters: u64,
     iterations: u32,
 ) -> Fig7Sweep {
-    let rows = ctx.par_map(grids, |_, &g| {
-        let cfg =
-            KmeansConfig::new(dataset.clone(), g, clusters, iterations).expect("valid paper grid");
-        let wf = cfg.build_workflow();
-        let label = format!("{:.0} ({}x1)", cfg.spec.block_mb(), g);
-        sweep_point(ctx, &wf, g, label)
-    });
-    Fig7Sweep {
-        label: format!("K-means {}", dataset.name),
-        rows,
-    }
+    let label = format!("K-means {}", dataset.name);
+    sweep(
+        ctx,
+        label,
+        &kmeans_points(dataset, grids, clusters, iterations),
+    )
 }
 
-fn sweep_point(ctx: &Context, wf: &gpuflow_runtime::Workflow, grid: u64, label: String) -> Fig7Row {
-    let cpu_out = ctx.run_default(wf, ProcessorKind::Cpu);
-    let gpu_out = ctx.run_default(wf, ProcessorKind::Gpu);
-    let cpu = match &cpu_out {
-        Outcome::Ok(r) => StageTimes::from_report(r),
-        // A CPU OOM (Fig. 9a's right edge) leaves empty stage times.
-        _ => StageTimes {
-            pfrac: 0.0,
-            serial_comm: 0.0,
-            deser_ser: 0.0,
-            ptask: 0.0,
-            makespan: 0.0,
-        },
-    };
-    let note = match (&cpu_out, &gpu_out) {
-        (Outcome::CpuOom, Outcome::GpuOom) => Some("CPU+GPU OOM"),
-        (Outcome::CpuOom, _) => Some("CPU OOM"),
-        (_, Outcome::GpuOom) => Some("GPU OOM"),
-        _ => None,
-    };
-    Fig7Row {
-        grid,
-        block_label: label,
-        cpu,
-        gpu: gpu_out.map(StageTimes::from_report),
-        note,
-    }
+fn sweep(ctx: &Context, label: String, points: &[Point]) -> Fig7Sweep {
+    let rows = ctx.par_map(points, |_, (grid, block_label, wf)| {
+        let pair = ctx.pair(wf, SharedDisk, GenerationOrder);
+        let (cpu, gpu) = pair.map(StageTimes::from_report);
+        Fig7Row {
+            grid: *grid,
+            block_label: block_label.clone(),
+            // A CPU OOM (Fig. 9a's right edge) leaves empty stage times.
+            cpu: cpu.unwrap_or_default(),
+            gpu,
+            note: pair.note(),
+        }
+    });
+    Fig7Sweep { label, rows }
 }
 
 impl Fig7Sweep {

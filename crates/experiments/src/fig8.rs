@@ -7,9 +7,9 @@
 
 use gpuflow_algorithms::MatmulConfig;
 use gpuflow_analysis::signed_speedup;
-use gpuflow_cluster::ProcessorKind;
+use gpuflow_cluster::StorageArchitecture::SharedDisk;
 use gpuflow_data::DatasetSpec;
-use gpuflow_runtime::UserCodeStats;
+use gpuflow_runtime::{SchedulingPolicy::GenerationOrder, UserCodeStats};
 
 use crate::measure::Context;
 use crate::table::TextTable;
@@ -52,32 +52,20 @@ pub struct Fig8 {
 
 /// Runs the Figure 8 experiment on `dataset` over `grids`.
 pub fn run_with(ctx: &Context, dataset: &DatasetSpec, grids: &[u64]) -> Fig8 {
-    let rows = grids
-        .iter()
-        .map(|&g| {
-            let cfg = MatmulConfig::new(dataset.clone(), g).expect("valid grid");
-            let wf = cfg.build_workflow();
-            let cpu = ctx
-                .run_default(&wf, ProcessorKind::Cpu)
-                .report()
-                .expect("CPU fits")
-                .clone();
-            let gpu = ctx
-                .run_default(&wf, ProcessorKind::Gpu)
-                .report()
+    let rows = ctx.par_map(grids, |_, &g| {
+        let cfg = MatmulConfig::new(dataset.clone(), g).expect("valid grid");
+        let pair = ctx.pair(&cfg.build_workflow(), SharedDisk, GenerationOrder);
+        let stats = |t: &str| {
+            pair.both(|r| *r.metrics.task_type(t).expect("task type ran"))
                 .expect("grids in Fig. 8 fit the device")
-                .clone();
-            let stats = |r: &gpuflow_runtime::RunReport, t: &str| {
-                *r.metrics.task_type(t).expect("task type ran")
-            };
-            Fig8Row {
-                block_mib: cfg.spec.block_mib(),
-                grid: g,
-                matmul: (stats(&cpu, "matmul_func"), stats(&gpu, "matmul_func")),
-                add: (stats(&cpu, "add_func"), stats(&gpu, "add_func")),
-            }
-        })
-        .collect();
+        };
+        Fig8Row {
+            block_mib: cfg.spec.block_mib(),
+            grid: g,
+            matmul: stats("matmul_func"),
+            add: stats("add_func"),
+        }
+    });
     Fig8 { rows }
 }
 

@@ -11,10 +11,10 @@
 
 use gpuflow_algorithms::{KmeansConfig, MatmulConfig};
 use gpuflow_analysis::signed_speedup;
-use gpuflow_cluster::ProcessorKind;
-use gpuflow_runtime::UserCodeStats;
+use gpuflow_cluster::StorageArchitecture::SharedDisk;
+use gpuflow_runtime::{RunReport, SchedulingPolicy::GenerationOrder, UserCodeStats, Workflow};
 
-use crate::measure::{Context, Outcome};
+use crate::measure::Context;
 use crate::table::TextTable;
 
 /// Cluster counts studied in Fig. 9a.
@@ -59,31 +59,23 @@ pub struct Fig9a {
 /// Runs Fig. 9a over the given cluster counts and grids.
 pub fn run_9a_with(ctx: &Context, clusters: &[u64], grids: &[u64]) -> Fig9a {
     let ds = gpuflow_data::paper::kmeans_10gb();
-    let mut cells = Vec::new();
-    for &k in clusters {
-        for &g in grids {
-            let cfg = KmeansConfig::new(ds.clone(), g, k, 1).expect("valid grid");
-            let wf = cfg.build_workflow();
-            let block_mb = cfg.spec.block_mb();
-            let cpu_out = ctx.run_default(&wf, ProcessorKind::Cpu);
-            let gpu_out = ctx.run_default(&wf, ProcessorKind::Gpu);
-            let note = match (&cpu_out, &gpu_out) {
-                (Outcome::CpuOom, Outcome::GpuOom) => Some("CPU+GPU OOM"),
-                (Outcome::CpuOom, _) => Some("CPU OOM"),
-                (_, Outcome::GpuOom) => Some("GPU OOM"),
-                _ => None,
-            };
-            let stats = |o: &Outcome| o.map(|r| *r.metrics.task_type("partial_sum").expect("ran"));
-            cells.push(Fig9aCell {
-                clusters: k,
-                grid: g,
-                block_mb,
-                cpu: stats(&cpu_out),
-                gpu: stats(&gpu_out),
-                note,
-            });
+    let points: Vec<(u64, u64)> = clusters
+        .iter()
+        .flat_map(|&k| grids.iter().map(move |&g| (k, g)))
+        .collect();
+    let cells = ctx.par_map(&points, |_, &(k, g)| {
+        let cfg = KmeansConfig::new(ds.clone(), g, k, 1).expect("valid grid");
+        let pair = ctx.pair(&cfg.build_workflow(), SharedDisk, GenerationOrder);
+        let (cpu, gpu) = pair.map(|r| *r.metrics.task_type("partial_sum").expect("ran"));
+        Fig9aCell {
+            clusters: k,
+            grid: g,
+            block_mb: cfg.spec.block_mb(),
+            cpu,
+            gpu,
+            note: pair.note(),
         }
-    }
+    });
     Fig9a { cells }
 }
 
@@ -148,49 +140,41 @@ pub struct Fig9b {
 
 /// Runs Fig. 9b: Matmul 2 GB and K-means 1 GB, 0 % vs 50 % skew.
 pub fn run_9b(ctx: &Context) -> Fig9b {
-    let mut rows = Vec::new();
-    // Matmul 2 GB at a 4x4 grid (128 MiB blocks).
-    let mm = |skew: f64| {
-        let wf = MatmulConfig::new(gpuflow_data::paper::matmul_2gb_skewed(skew), 4)
-            .expect("valid grid")
-            .build_workflow();
-        let user = |p| {
-            ctx.run_default(&wf, p)
-                .map(|r| r.metrics.mean_user_code())
-                .expect("fits")
-        };
-        (user(ProcessorKind::Cpu), user(ProcessorKind::Gpu))
+    let row = |algorithm, build: &dyn Fn(f64) -> Workflow, user: fn(&RunReport) -> f64| {
+        let [(cpu_uniform, gpu_uniform), (cpu_skewed, gpu_skewed)] = [0.0, 0.5].map(|skew| {
+            let pair = ctx.pair(&build(skew), SharedDisk, GenerationOrder);
+            pair.both(user).expect("fits")
+        });
+        Fig9bRow {
+            algorithm,
+            cpu_uniform,
+            cpu_skewed,
+            gpu_uniform,
+            gpu_skewed,
+        }
     };
-    let (cu, gu) = mm(0.0);
-    let (cs, gs) = mm(0.5);
-    rows.push(Fig9bRow {
-        algorithm: "Matmul 2GB",
-        cpu_uniform: cu,
-        cpu_skewed: cs,
-        gpu_uniform: gu,
-        gpu_skewed: gs,
-    });
-    // K-means 1 GB at a 16x1 grid, 10 clusters.
-    let km = |skew: f64| {
-        let wf = KmeansConfig::new(gpuflow_data::paper::kmeans_1gb_skewed(skew), 16, 10, 1)
-            .expect("valid grid")
-            .build_workflow();
-        let user = |p| {
-            ctx.run_default(&wf, p)
-                .map(|r| r.metrics.task_type("partial_sum").expect("ran").user_code)
-                .expect("fits")
-        };
-        (user(ProcessorKind::Cpu), user(ProcessorKind::Gpu))
-    };
-    let (cu, gu) = km(0.0);
-    let (cs, gs) = km(0.5);
-    rows.push(Fig9bRow {
-        algorithm: "K-means 1GB",
-        cpu_uniform: cu,
-        cpu_skewed: cs,
-        gpu_uniform: gu,
-        gpu_skewed: gs,
-    });
+    let rows = vec![
+        // Matmul 2 GB at a 4x4 grid (128 MiB blocks).
+        row(
+            "Matmul 2GB",
+            &|skew| {
+                MatmulConfig::new(gpuflow_data::paper::matmul_2gb_skewed(skew), 4)
+                    .expect("valid grid")
+                    .build_workflow()
+            },
+            |r| r.metrics.mean_user_code(),
+        ),
+        // K-means 1 GB at a 16x1 grid, 10 clusters.
+        row(
+            "K-means 1GB",
+            &|skew| {
+                KmeansConfig::new(gpuflow_data::paper::kmeans_1gb_skewed(skew), 16, 10, 1)
+                    .expect("valid grid")
+                    .build_workflow()
+            },
+            |r| r.metrics.task_type("partial_sum").expect("ran").user_code,
+        ),
+    ];
     Fig9b { rows }
 }
 

@@ -13,10 +13,10 @@
 
 use gpuflow_algorithms::{knn_partial_cost, KmeansConfig, KnnConfig, MatmulConfig};
 use gpuflow_analysis::signed_speedup;
-use gpuflow_cluster::{ClusterSpec, ProcessorKind};
-use gpuflow_runtime::{CostProfile, Workflow};
+use gpuflow_cluster::{ClusterSpec, StorageArchitecture::SharedDisk};
+use gpuflow_runtime::{CostProfile, SchedulingPolicy::GenerationOrder};
 
-use crate::measure::Context;
+use crate::measure::{Context, Pair};
 use crate::table::TextTable;
 
 /// One workload's position on the parallel-fraction spectrum.
@@ -37,85 +37,62 @@ pub struct Generalizability {
     pub points: Vec<SpectrumPoint>,
 }
 
-fn measure(
-    ctx: &Context,
-    wf: &Workflow,
-    task_type: &'static str,
-    cost: CostProfile,
-) -> SpectrumPoint {
-    let user = |p: ProcessorKind| {
-        ctx.run_default(wf, p)
-            .report()
-            .expect("workload fits")
-            .metrics
-            .task_type(task_type)
-            .expect("task ran")
-            .user_code
-    };
+/// The spectrum point of `task_type`, whose nominal cost is `cost`,
+/// from the CPU and GPU runs of a workflow that runs it.
+fn point(pair: &Pair, task_type: &'static str, cost: CostProfile) -> SpectrumPoint {
+    let (cpu, gpu) = pair
+        .both(|r| r.metrics.task_type(task_type).expect("task ran").user_code)
+        .expect("workload fits");
     let cpu_model = ClusterSpec::minotauro().node.cpu;
     SpectrumPoint {
         task_type,
         parallel_fraction: cost.parallel_fraction(&cpu_model),
-        user_speedup: signed_speedup(user(ProcessorKind::Cpu), user(ProcessorKind::Gpu)),
+        user_speedup: signed_speedup(cpu, gpu),
     }
 }
 
 /// Runs the spectrum study.
 pub fn run(ctx: &Context) -> Generalizability {
     use gpuflow_algorithms::calibration;
-    let mut points = Vec::new();
+    let pair = |wf| ctx.pair(&wf, SharedDisk, GenerationOrder);
 
-    // add_func from the Matmul 8 GB / 8x8 workflow (fully parallel but
-    // memory-bound: the degenerate end of the spectrum).
+    // The Matmul 8 GB / 8x8 workflow, run once for both of its task
+    // types: add_func (fully parallel but memory-bound: the degenerate
+    // end of the spectrum) and matmul_func (fully parallel and
+    // compute-dense).
     let mm = MatmulConfig::new(gpuflow_data::paper::matmul_8gb(), 8).expect("valid grid");
     let order = mm.spec.block.rows;
-    let mm_wf = mm.build_workflow();
-    points.push(measure(
-        ctx,
-        &mm_wf,
-        "add_func",
-        calibration::add_func_cost(order, order),
-    ));
-
-    // Low-K K-means: serial-fraction-dominated.
+    let mm = pair(mm.build_workflow());
     let km10 = KmeansConfig::new(gpuflow_data::paper::kmeans_10gb(), 64, 10, 1).expect("valid");
     let m = km10.spec.block.rows;
-    let km10_wf = km10.build_workflow();
-    points.push(measure(
-        ctx,
-        &km10_wf,
-        "partial_sum",
-        calibration::partial_sum_cost(m, 100, 10),
-    ));
-
-    // KNN: the intermediate point.
     let knn = KnnConfig::new(gpuflow_data::paper::kmeans_10gb(), 64, 512, 10).expect("valid");
-    let knn_wf = knn.build_workflow();
-    points.push(measure(
-        ctx,
-        &knn_wf,
-        "knn_partial",
-        knn_partial_cost(m, 100, 512, 10),
-    ));
-
-    // High-K K-means: the parallel fraction swings toward 1.
     let km1000 = KmeansConfig::new(gpuflow_data::paper::kmeans_10gb(), 64, 1000, 1).expect("valid");
-    let km1000_wf = km1000.build_workflow();
-    points.push(measure(
-        ctx,
-        &km1000_wf,
-        "partial_sum",
-        calibration::partial_sum_cost(m, 100, 1000),
-    ));
-
-    // matmul_func: fully parallel and compute-dense.
-    points.push(measure(
-        ctx,
-        &mm_wf,
-        "matmul_func",
-        calibration::matmul_func_cost(order, order, order),
-    ));
-
+    let mut points = vec![
+        point(&mm, "add_func", calibration::add_func_cost(order, order)),
+        // Low-K K-means: serial-fraction-dominated.
+        point(
+            &pair(km10.build_workflow()),
+            "partial_sum",
+            calibration::partial_sum_cost(m, 100, 10),
+        ),
+        // KNN: the intermediate point.
+        point(
+            &pair(knn.build_workflow()),
+            "knn_partial",
+            knn_partial_cost(m, 100, 512, 10),
+        ),
+        // High-K K-means: the parallel fraction swings toward 1.
+        point(
+            &pair(km1000.build_workflow()),
+            "partial_sum",
+            calibration::partial_sum_cost(m, 100, 1000),
+        ),
+        point(
+            &mm,
+            "matmul_func",
+            calibration::matmul_func_cost(order, order, order),
+        ),
+    ];
     points.sort_by(|a, b| {
         a.parallel_fraction
             .partial_cmp(&b.parallel_fraction)

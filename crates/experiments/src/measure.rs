@@ -1,6 +1,5 @@
 //! Shared measurement plumbing for the figure reproductions.
 
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gpuflow_cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
@@ -85,6 +84,20 @@ pub enum Outcome {
 }
 
 impl Outcome {
+    /// The one mapping of a run into a report or an OOM wall.
+    ///
+    /// # Panics
+    /// On any other run failure: a figure's configurations either fit
+    /// or hit a memory wall, so anything else is a defect.
+    pub fn of(result: Result<RunReport, RunError>) -> Outcome {
+        match result {
+            Ok(report) => Outcome::Ok(Box::new(report)),
+            Err(RunError::GpuOom { .. }) => Outcome::GpuOom,
+            Err(RunError::HostOom { .. }) => Outcome::CpuOom,
+            Err(other) => panic!("unexpected run failure: {other}"),
+        }
+    }
+
     /// The report, if the run completed.
     pub fn report(&self) -> Option<&RunReport> {
         match self {
@@ -97,24 +110,38 @@ impl Outcome {
     pub fn map<T>(&self, f: impl FnOnce(&RunReport) -> T) -> Option<T> {
         self.report().map(f)
     }
-
-    /// Chart annotation: a number or an OOM label.
-    pub fn label(&self, f: impl FnOnce(&RunReport) -> f64) -> String {
-        match self {
-            Outcome::Ok(r) => format!("{:.2}", f(r)),
-            Outcome::GpuOom => "GPU OOM".into(),
-            Outcome::CpuOom => "CPU OOM".into(),
-        }
-    }
 }
 
-impl fmt::Display for Outcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Outcome::Ok(r) => write!(f, "{:.3}s", r.makespan()),
-            Outcome::GpuOom => write!(f, "GPU OOM"),
-            Outcome::CpuOom => write!(f, "CPU OOM"),
+/// The CPU and GPU outcomes of one configuration point: the comparison
+/// behind every speedup and OOM wall of the paper's figures.
+#[derive(Debug)]
+pub struct Pair {
+    /// The run with parallel fractions on CPU cores.
+    pub cpu: Outcome,
+    /// The run with parallel fractions on GPU devices.
+    pub gpu: Outcome,
+}
+
+impl Pair {
+    /// The chart annotation of the side(s) that ran out of memory.
+    pub fn note(&self) -> Option<&'static str> {
+        match (&self.cpu, &self.gpu) {
+            (Outcome::CpuOom, Outcome::GpuOom) => Some("CPU+GPU OOM"),
+            (Outcome::CpuOom, _) => Some("CPU OOM"),
+            (_, Outcome::GpuOom) => Some("GPU OOM"),
+            _ => None,
         }
+    }
+
+    /// `f` of the CPU and of the GPU report, each `None` on OOM.
+    pub fn map<T>(&self, f: impl Fn(&RunReport) -> T) -> (Option<T>, Option<T>) {
+        (self.cpu.map(&f), self.gpu.map(&f))
+    }
+
+    /// `f` of the CPU and of the GPU report, when both runs completed.
+    pub fn both<T>(&self, f: impl Fn(&RunReport) -> T) -> Option<(T, T)> {
+        let (cpu, gpu) = (self.cpu.report()?, self.gpu.report()?);
+        Some((f(cpu), f(gpu)))
     }
 }
 
@@ -178,22 +205,22 @@ impl Context {
             .with_storage(storage)
             .with_policy(policy)
             .with_seed(self.base_seed);
-        match gpuflow_runtime::run(workflow, &cfg) {
-            Ok(report) => Outcome::Ok(Box::new(report)),
-            Err(RunError::GpuOom { .. }) => Outcome::GpuOom,
-            Err(RunError::HostOom { .. }) => Outcome::CpuOom,
-            Err(other) => panic!("unexpected run failure: {other}"),
-        }
+        Outcome::of(gpuflow_runtime::run(workflow, &cfg))
     }
 
-    /// Runs with the paper's defaults: shared disk, generation order.
-    pub fn run_default(&self, workflow: &Workflow, processor: ProcessorKind) -> Outcome {
-        self.run(
-            workflow,
-            processor,
-            StorageArchitecture::SharedDisk,
-            SchedulingPolicy::GenerationOrder,
-        )
+    /// Runs `workflow` on CPUs and on GPUs under one storage
+    /// architecture and scheduling policy: one point of a figure.
+    pub fn pair(
+        &self,
+        workflow: &Workflow,
+        storage: StorageArchitecture,
+        policy: SchedulingPolicy,
+    ) -> Pair {
+        let side = |processor| self.run(workflow, processor, storage, policy);
+        Pair {
+            cpu: side(ProcessorKind::Cpu),
+            gpu: side(ProcessorKind::Gpu),
+        }
     }
 }
 
@@ -209,16 +236,76 @@ mod tests {
             .build_workflow()
     }
 
+    fn oom(gpu: bool) -> RunError {
+        let (task_type, required, capacity) = (String::from("t"), 2, 1);
+        if gpu {
+            RunError::GpuOom {
+                task_type,
+                required,
+                capacity,
+            }
+        } else {
+            RunError::HostOom {
+                task_type,
+                required,
+                capacity,
+            }
+        }
+    }
+
     #[test]
-    fn outcome_reports_and_labels() {
+    fn outcome_of_keeps_the_report_or_names_the_wall() {
         let ctx = Context {
             cluster: ClusterSpec::tiny(),
             ..Default::default()
         };
-        let out = ctx.run_default(&tiny_workflow(), ProcessorKind::Cpu);
-        assert!(out.report().is_some());
-        assert!(out.label(|r| r.makespan()).parse::<f64>().is_ok());
-        assert_eq!(Outcome::GpuOom.label(|_| 0.0), "GPU OOM");
+        let pair = ctx.pair(
+            &tiny_workflow(),
+            StorageArchitecture::SharedDisk,
+            SchedulingPolicy::GenerationOrder,
+        );
+        let (cpu, gpu) = pair.both(|r| r.makespan()).expect("both sides fit");
+        assert!(cpu > 0.0 && gpu > 0.0);
+        assert_eq!(pair.map(|r| r.makespan()), (Some(cpu), Some(gpu)));
+        assert!(matches!(Outcome::of(Err(oom(true))), Outcome::GpuOom));
+        assert!(matches!(Outcome::of(Err(oom(false))), Outcome::CpuOom));
         assert!(Outcome::CpuOom.report().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "unexpected run failure")]
+    fn outcome_of_refuses_any_other_failure() {
+        Outcome::of(Err(RunError::Deadlock {
+            completed: 0,
+            total: 1,
+        }));
+    }
+
+    /// The one OOM label of every figure, over the four outcome pairs.
+    #[test]
+    fn pair_note_names_the_sides_out_of_memory() {
+        let ctx = Context {
+            cluster: ClusterSpec::tiny(),
+            ..Default::default()
+        };
+        let ok = || {
+            ctx.run(
+                &tiny_workflow(),
+                ProcessorKind::Cpu,
+                StorageArchitecture::SharedDisk,
+                SchedulingPolicy::GenerationOrder,
+            )
+        };
+        let cases = [
+            (ok(), ok(), None),
+            (Outcome::CpuOom, ok(), Some("CPU OOM")),
+            (ok(), Outcome::GpuOom, Some("GPU OOM")),
+            (Outcome::CpuOom, Outcome::GpuOom, Some("CPU+GPU OOM")),
+        ];
+        for (cpu, gpu, note) in cases {
+            let pair = Pair { cpu, gpu };
+            assert_eq!(pair.note(), note);
+            assert_eq!(pair.both(|_| ()).is_some(), note.is_none());
+        }
     }
 }

@@ -8,7 +8,8 @@
 //! the device OOM walls in Figs. 7/9.
 
 use gpuflow_algorithms::KmeansConfig;
-use gpuflow_cluster::ProcessorKind;
+use gpuflow_cluster::StorageArchitecture::SharedDisk;
+use gpuflow_runtime::SchedulingPolicy::GenerationOrder;
 
 use crate::measure::{Context, Outcome};
 use crate::table::TextTable;
@@ -41,22 +42,16 @@ pub fn run(ctx: &Context) -> MemoryStudy {
 /// Runs the sweep over the given grids.
 pub fn run_with(ctx: &Context, grids: &[u64]) -> MemoryStudy {
     let ds = gpuflow_data::paper::kmeans_100gb();
-    let rows = grids
-        .iter()
-        .map(|&g| {
-            let cfg = KmeansConfig::new(ds.clone(), g, 10, 1).expect("valid grid");
-            let block_mb = cfg.spec.block_mb();
-            let wf = cfg.build_workflow();
-            let cpu = ctx.run_default(&wf, ProcessorKind::Cpu);
-            let gpu = ctx.run_default(&wf, ProcessorKind::Gpu);
-            MemoryRow {
-                grid: g,
-                block_mb,
-                cpu_peak_ram: cpu.map(|r| r.metrics.peak_node_ram),
-                gpu_feasible: !matches!(gpu, Outcome::GpuOom),
-            }
-        })
-        .collect();
+    let rows = ctx.par_map(grids, |_, &g| {
+        let cfg = KmeansConfig::new(ds.clone(), g, 10, 1).expect("valid grid");
+        let pair = ctx.pair(&cfg.build_workflow(), SharedDisk, GenerationOrder);
+        MemoryRow {
+            grid: g,
+            block_mb: cfg.spec.block_mb(),
+            cpu_peak_ram: pair.cpu.map(|r| r.metrics.peak_node_ram),
+            gpu_feasible: !matches!(pair.gpu, Outcome::GpuOom),
+        }
+    });
     MemoryStudy { rows }
 }
 

@@ -16,10 +16,10 @@
 
 use gpuflow_algorithms::{KmeansConfig, MatmulConfig};
 use gpuflow_analysis::signed_speedup;
-use gpuflow_cluster::{ClusterSpec, ProcessorKind};
-use gpuflow_runtime::{RunConfig, RunError, Workflow};
+use gpuflow_cluster::{ClusterSpec, ProcessorKind, StorageArchitecture::SharedDisk};
+use gpuflow_runtime::{RunConfig, SchedulingPolicy::GenerationOrder};
 
-use crate::measure::Context;
+use crate::measure::{Context, Outcome};
 use crate::table::TextTable;
 
 /// One sweep point: the varied value and the measured outcomes.
@@ -64,18 +64,6 @@ impl Sweep {
     }
 }
 
-fn run_metric(
-    wf: &Workflow,
-    cfg: &RunConfig,
-    metric: impl Fn(&gpuflow_runtime::RunReport) -> f64,
-) -> Option<f64> {
-    match gpuflow_runtime::run(wf, cfg) {
-        Ok(r) => Some(metric(&r)),
-        Err(RunError::GpuOom { .. }) | Err(RunError::HostOom { .. }) => None,
-        Err(e) => panic!("unexpected failure: {e}"),
-    }
-}
-
 /// PCIe/NVLink bus throughput vs `add_func` user-code speedup: the
 /// memory-bound task the paper shows losing on GPUs (Fig. 8) becomes
 /// competitive once transfers stop dominating.
@@ -88,16 +76,17 @@ pub fn bus_bandwidth_vs_add_func() -> Sweep {
         .map(|bw| {
             let mut cluster = ClusterSpec::minotauro();
             cluster.node.pcie.bandwidth_bps = bw;
-            let user = |p: ProcessorKind| {
-                let cfg = RunConfig::new(cluster.clone(), p);
-                run_metric(&wf, &cfg, |r| {
-                    r.metrics.task_type("add_func").expect("ran").user_code
-                })
+            // Like every sweep here, under the run configuration's seed.
+            let base_seed = RunConfig::new(cluster.clone(), ProcessorKind::Cpu).seed;
+            let ctx = Context {
+                cluster,
+                base_seed,
+                threads: 1,
             };
-            let metric = match (user(ProcessorKind::Cpu), user(ProcessorKind::Gpu)) {
-                (Some(c), Some(g)) => Some(signed_speedup(c, g)),
-                _ => None,
-            };
+            let metric = ctx
+                .pair(&wf, SharedDisk, GenerationOrder)
+                .both(|r| r.metrics.task_type("add_func").expect("ran").user_code)
+                .map(|(c, g)| signed_speedup(c, g));
             SweepPoint {
                 value: format!("{:.0} GB/s", bw / 1e9),
                 metric,
@@ -127,7 +116,10 @@ pub fn gpu_memory_vs_oom_wall() -> Sweep {
                 let cfg = MatmulConfig::new(ds.clone(), grid).expect("valid grid");
                 let wf = cfg.build_workflow();
                 let run_cfg = RunConfig::new(cluster.clone(), ProcessorKind::Gpu);
-                if run_metric(&wf, &run_cfg, |r| r.makespan()).is_some() {
+                if Outcome::of(gpuflow_runtime::run(&wf, &run_cfg))
+                    .report()
+                    .is_some()
+                {
                     largest_block_mib = Some(cfg.spec.block_mib());
                 }
             }
@@ -152,7 +144,9 @@ pub fn gpus_per_node_vs_parallel_tasks() -> Sweep {
         .build_workflow();
     let cpu_makespan = {
         let cfg = RunConfig::new(ClusterSpec::minotauro(), ProcessorKind::Cpu);
-        run_metric(&wf, &cfg, |r| r.makespan()).expect("CPU fits")
+        Outcome::of(gpuflow_runtime::run(&wf, &cfg))
+            .map(|r| r.makespan())
+            .expect("CPU fits")
     };
     let points = [2usize, 4, 8, 16]
         .into_iter()
@@ -160,8 +154,8 @@ pub fn gpus_per_node_vs_parallel_tasks() -> Sweep {
             let mut cluster = ClusterSpec::minotauro();
             cluster.node.gpus = gpus;
             let cfg = RunConfig::new(cluster, ProcessorKind::Gpu);
-            let metric =
-                run_metric(&wf, &cfg, |r| r.makespan()).map(|g| signed_speedup(cpu_makespan, g));
+            let metric = Outcome::of(gpuflow_runtime::run(&wf, &cfg))
+                .map(|r| signed_speedup(cpu_makespan, r.makespan()));
             SweepPoint {
                 value: format!("{gpus}/node"),
                 metric,
@@ -189,7 +183,8 @@ pub fn shared_disk_bandwidth_vs_deser() -> Sweep {
             // Keep NICs from capping the sweep at the top end.
             cluster.network.nic_bps = bw;
             let cfg = RunConfig::new(cluster, ProcessorKind::Cpu);
-            let metric = run_metric(&wf, &cfg, |r| r.metrics.deser_per_core);
+            let metric =
+                Outcome::of(gpuflow_runtime::run(&wf, &cfg)).map(|r| r.metrics.deser_per_core);
             SweepPoint {
                 value: format!("{:.0} GB/s", bw / 1e9),
                 metric,
@@ -215,7 +210,7 @@ pub fn cpu_threads_vs_makespan(grid: u64) -> Sweep {
         .map(|threads| {
             let cfg = RunConfig::new(ClusterSpec::minotauro(), ProcessorKind::Cpu)
                 .with_cpu_threads(threads);
-            let metric = run_metric(&wf, &cfg, |r| r.makespan());
+            let metric = Outcome::of(gpuflow_runtime::run(&wf, &cfg)).map(|r| r.makespan());
             SweepPoint {
                 value: format!("{threads} threads"),
                 metric,

@@ -7,7 +7,8 @@
 //!   values under every scheduling policy (any scheduler change that
 //!   alters a placement or a tie-break shows up here);
 //! * **thread-count independence** — sweeps produce byte-identical
-//!   artifacts at any `--threads` setting;
+//!   artifacts at any `--threads` setting (the figures whose points
+//!   run through `Context::par_map`, and the sensitivity sweeps);
 //! * **telemetry transparency** — the event bus is a pure observer:
 //!   disabled, artifacts are byte-identical to the seed; enabled, the
 //!   JSONL stream is byte-identical at every thread count;
@@ -23,7 +24,8 @@
 use gpuflow_algorithms::{KmeansConfig, MatmulConfig};
 use gpuflow_cluster::{ProcessorKind, StorageArchitecture};
 use gpuflow_experiments::{
-    fig11, measure::par_map, obs, replay, sensitivity, spans, stress, Context,
+    fig10, fig11, fig12, fig7, fig8, fig9, measure::par_map, memory, obs, replay, sensitivity,
+    spans, stress, Context,
 };
 use gpuflow_runtime::{
     FaultPlan, MetricsHub, MetricsRegistry, RunConfig, SchedulingPolicy, SpanForest, SpanSampler,
@@ -128,13 +130,29 @@ fn par_map_preserves_item_order() {
     }
 }
 
-/// The Fig. 11 artifact is byte-identical whether the sweep runs on one
-/// worker or many — the `--threads` knob must never change results.
+/// Every figure whose points run on the context's threads renders the
+/// same bytes on one worker or many — the `--threads` knob must never
+/// change results.
 #[test]
-fn fig11_render_is_identical_across_thread_counts() {
-    let single = fig11::run_quick(&Context::default().with_threads(1)).render();
-    let multi = fig11::run_quick(&Context::default().with_threads(4)).render();
-    assert_eq!(single, multi);
+fn figure_renders_are_identical_across_thread_counts() {
+    type Render = fn(&Context) -> String;
+    let renders: [(&str, Render); 7] = [
+        ("fig7a", |c| {
+            let data = gpuflow_data::paper::matmul_8gb();
+            fig7::run_matmul(c, &data, &fig7::MATMUL_GRIDS).render()
+        }),
+        ("fig8", |c| fig8::run(c).render()),
+        ("fig9a", |c| fig9::run_9a(c).render()),
+        ("fig10a", |c| fig10::run_matmul(c).render()),
+        ("fig11 --quick", |c| fig11::run_quick(c).render()),
+        ("fig12", |c| fig12::run(c).render()),
+        ("memory", |c| memory::run(c).render()),
+    ];
+    for (name, render) in renders {
+        let single = render(&Context::default().with_threads(1));
+        let multi = render(&Context::default().with_threads(4));
+        assert_eq!(single, multi, "{name}");
+    }
 }
 
 /// The sensitivity sweeps run on the context's threads and render the

@@ -86,8 +86,8 @@ fn out_and_telemetry_write_their_files() {
 }
 
 /// Unknown artifacts, removed check modes, flags a command does not take,
-/// repeated flags, words a command does not take and bad numbers are
-/// usage errors: exit 2, nothing on stdout.
+/// flags no named artifact reads, repeated flags, words a command does
+/// not take and bad numbers are usage errors: exit 2, nothing on stdout.
 #[test]
 fn usage_errors_exit_2_before_running() {
     for args in [
@@ -102,6 +102,11 @@ fn usage_errors_exit_2_before_running() {
         &["table1", "--threads", "1", "--threads", "many"],
         &["check", "fig1"],
         &["replay", "--from-log", "x.log", "--seed", "3"],
+        // A flag none of the named artifacts reads.
+        &["table1", "--jobs", "5", "--chaos"],
+        &["fig1", "fig7a", "--quick"],
+        &["replay", "--rate", "5"],
+        &["fig11", "--otlp", "x.json"],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "repro {args:?}");

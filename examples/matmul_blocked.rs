@@ -11,9 +11,11 @@
 //! ```
 
 use gpuflow::algorithms::{reference_blocked_matmul, MatmulConfig};
-use gpuflow::cluster::ProcessorKind;
+use gpuflow::analysis::signed_speedup;
+use gpuflow::cluster::StorageArchitecture;
 use gpuflow::data::{DatasetSpec, DsArray, GridDim};
 use gpuflow::experiments::Context;
+use gpuflow::runtime::SchedulingPolicy;
 
 fn main() {
     // Functional sanity check with real numbers at test scale.
@@ -38,17 +40,15 @@ fn main() {
         let (mm, add) = cfg.task_counts();
         let wf = cfg.build_workflow();
         let label = format!("{:.0}MiB ({}x{})", cfg.spec.block_mib(), grid, grid);
-        let cpu = ctx
-            .run_default(&wf, ProcessorKind::Cpu)
-            .report()
-            .map(|r| r.makespan());
-        let gpu = ctx
-            .run_default(&wf, ProcessorKind::Gpu)
-            .report()
-            .map(|r| r.makespan());
-        let speedup = match (cpu, gpu) {
-            (Some(c), Some(g)) => format!("{:+.2}x", gpuflow::analysis::signed_speedup(c, g)),
-            _ => "GPU OOM".into(),
+        let pair = ctx.pair(
+            &wf,
+            StorageArchitecture::SharedDisk,
+            SchedulingPolicy::GenerationOrder,
+        );
+        let (cpu, gpu) = pair.map(|r| r.makespan());
+        let speedup = match pair.both(|r| r.makespan()) {
+            Some((c, g)) => format!("{:+.2}x", signed_speedup(c, g)),
+            None => pair.note().unwrap_or_default().to_string(),
         };
         println!(
             "{label:>18} {:>10} {:>11.1}s {:>12} {:>10}",

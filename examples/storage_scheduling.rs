@@ -29,11 +29,8 @@ fn main() {
     let mut results = Vec::new();
     for storage in StorageArchitecture::ALL {
         for policy in SchedulingPolicy::ALL {
-            let report = ctx
-                .run(&wf, ProcessorKind::Cpu, storage, policy)
-                .report()
-                .expect("fits")
-                .clone();
+            let outcome = ctx.run(&wf, ProcessorKind::Cpu, storage, policy);
+            let report = outcome.report().expect("fits");
             println!(
                 "{:>12} {:>17} {:>9.2}s {:>12} {:>11.2}s",
                 storage.label(),

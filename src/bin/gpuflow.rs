@@ -8,7 +8,7 @@
 //!                [--threads N] [--prv out.prv] [--csv out.csv]
 //! gpuflow obs    <export-chrome|decisions|overhead|profile|summary|metrics|jsonl|spans|flame>
 //!                --workload matmul --rows 16384 --cols 16384 --grid 16
-//!                [run options] [--out FILE] [--json] [--series]
+//!                [run options] [--out FILE] [the view's own flags]
 //! gpuflow serve  --workload matmul --rows 16384 --cols 16384 --grid 16
 //!                [run options] [--metrics-port P] [--metrics-interval SECS] [--requests N]
 //! gpuflow submit --port P --tenant NAME --tasks N [--shape S] [--prio N]
@@ -32,7 +32,9 @@
 //! `repro` and `gpuflowd` share ([`gpuflow::daemon::flags`]): a flag the
 //! command does not read, a flag given twice, a flag without its value
 //! or a positional word it does not take is an error before anything
-//! runs.
+//! runs. A command with modes (each `obs` view, `doctor --profile`,
+//! `lint --explain`, `lint --sarif`) also refuses, before it runs, a
+//! flag only its other modes read ([`Args::only`]).
 //!
 //! Workloads: `matmul`, `fma`, `kmeans`, `knn`, `cholesky`.
 
@@ -164,21 +166,64 @@ fn emit(args: &Args, what: &str, output: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The views `gpuflow obs` renders.
-const OBS_VIEWS: &str =
-    "export-chrome, decisions, overhead, profile, summary, metrics, jsonl, spans, flame";
-
 const OBS_FLAGS: &str = "--out --metrics-interval --sample-rate --span-seed";
 const OBS_CMD: Spec = Spec("obs", &[WORKLOAD, RUN, OBS_FLAGS], "--json --series", 1);
+
+/// The views `gpuflow obs` renders, each with the flags it reads.
+const OBS_VIEWS: [Spec; 9] = [
+    Spec("obs export-chrome", &[WORKLOAD, RUN, "--out"], "", 1),
+    Spec("obs decisions", &[WORKLOAD, RUN, "--out"], "", 1),
+    Spec("obs overhead", &[WORKLOAD, RUN, "--out"], "", 1),
+    Spec("obs profile", &[WORKLOAD, RUN, "--out"], "", 1),
+    Spec(
+        "obs summary",
+        &[WORKLOAD, RUN, "--out --metrics-interval"],
+        "--json",
+        1,
+    ),
+    Spec(
+        "obs metrics",
+        &[WORKLOAD, RUN, "--out --metrics-interval"],
+        "--series",
+        1,
+    ),
+    Spec("obs jsonl", &[WORKLOAD, RUN, "--out"], "", 1),
+    Spec(
+        "obs spans",
+        &[WORKLOAD, RUN, "--out --sample-rate --span-seed"],
+        "",
+        1,
+    ),
+    Spec(
+        "obs flame",
+        &[WORKLOAD, RUN, "--out --sample-rate --span-seed"],
+        "",
+        1,
+    ),
+];
+
+/// The view an `obs` spec renders.
+fn view_name(spec: &Spec) -> &'static str {
+    spec.0.trim_start_matches("obs ")
+}
 
 /// `gpuflow obs <view>`: run a workload with full telemetry and render
 /// one view of the event stream.
 fn cmd_obs(args: &Args) -> Result<(), String> {
-    let view = match args.words() {
-        [view] if OBS_VIEWS.split(", ").any(|v| v == view) => view.as_str(),
-        [view] => return Err(format!("unknown obs view '{view}' ({OBS_VIEWS})")),
-        _ => return Err(format!("obs needs a view: {OBS_VIEWS}")),
+    let views = || OBS_VIEWS.each_ref().map(view_name).join(", ");
+    let spec = match args.words() {
+        [word] => OBS_VIEWS
+            .iter()
+            .find(|spec| view_name(spec) == word)
+            .ok_or_else(|| format!("unknown obs view '{word}' ({})", views()))?,
+        _ => return Err(format!("obs needs a view: {}", views())),
     };
+    args.only(spec)?;
+    let view = view_name(spec);
+    // The text summary folds no metrics registry to sample.
+    if view == "summary" && !args.switch("--json") && args.switch("--metrics-interval") {
+        return Err("--metrics-interval goes only with summary --json".into());
+    }
     if view == "profile" {
         let (_, profile) = profile_from_args(args)?;
         return emit(args, view, &profile.render());
@@ -246,9 +291,13 @@ fn cmd_obs(args: &Args) -> Result<(), String> {
 
 /// The optional span sampler from `--sample-rate PPM` (parts per
 /// million of tasks head-sampled; critical-path and per-type tail
-/// spans are always kept) and `--span-seed N`.
+/// spans are always kept) and `--span-seed N`, which seeds nothing
+/// without a rate.
 fn span_sampler_from(args: &Args) -> Result<Option<SpanSampler>, String> {
     let Some(rate) = args.int("--sample-rate")? else {
+        if args.switch("--span-seed") {
+            return Err(String::from("--span-seed goes only with --sample-rate"));
+        }
         return Ok(None);
     };
     let seed = args.int("--span-seed")?.unwrap_or(0x5EED);
@@ -368,17 +417,23 @@ fn cmd_diff(args: &Args) -> Result<(), String> {
 }
 
 const LINT_CMD: Spec = Spec("lint", &["--root --out"], "--json --sarif --explain", 0);
+const LINT_EXPLAIN: Spec = Spec("lint --explain", &["--out"], "--explain", 0);
+const LINT_SARIF: Spec = Spec("lint --sarif", &["--root --out"], "--sarif", 0);
 
 /// `gpuflow lint`: the workspace determinism & integer-time static
 /// analysis pass (rule catalog in docs/static_analysis.md, or
 /// `--explain`). Exits nonzero when unsuppressed findings remain.
 fn cmd_lint(args: &Args) -> Result<(), String> {
     if args.switch("--explain") {
+        args.only(&LINT_EXPLAIN)?;
         let catalog: String = gpuflow_lint::RuleCode::ALL
             .iter()
             .map(|code| format!("{code} — {}\n  {}\n\n", code.summary(), code.explanation()))
             .collect();
         return emit(args, "rule catalog", &catalog);
+    }
+    if args.switch("--sarif") {
+        args.only(&LINT_SARIF)?;
     }
     let root = match args.get("--root") {
         Some(dir) => std::path::PathBuf::from(dir),
@@ -482,13 +537,17 @@ fn doctor_whatifs(args: &Args, baseline: f64) -> Result<Vec<WhatIf>, String> {
 }
 
 const DOCTOR_CMD: Spec = Spec("doctor", &[WORKLOAD, RUN, "--profile --out"], "--json", 0);
+const DOCTOR_PROFILE: Spec = Spec("doctor --profile", &["--profile --out"], "--json", 0);
 
 /// `gpuflow doctor`: Jain-style bottleneck findings for one run, either
 /// re-simulated from run flags (with what-if predictions) or read from
 /// a profile file (`--profile FILE`, findings only).
 fn cmd_doctor(args: &Args) -> Result<(), String> {
     let report = match args.get("--profile") {
-        Some(path) => DoctorReport::diagnose(&read_profile(path)?),
+        Some(path) => {
+            args.only(&DOCTOR_PROFILE)?;
+            DoctorReport::diagnose(&read_profile(path)?)
+        }
         None => {
             let (_, profile) = profile_from_args(args)?;
             let whatifs = doctor_whatifs(args, profile.makespan_ns as f64 / 1e9)?;
@@ -566,17 +625,19 @@ USAGE:
 OBS VIEWS: export-chrome (Perfetto/chrome://tracing JSON) | decisions
            (scheduler decision log) | overhead (makespan decomposition) |
            profile (parseable run digest for diff/doctor) |
-           summary (event counts; --json for machine-readable) |
+           summary (event counts; --json for machine-readable,
+           with --metrics-interval SECS to sample) |
            metrics (Prometheus text exposition; --series for the
            virtual-time table, --metrics-interval SECS to sample) |
            jsonl (raw event stream) |
            spans (OTLP-shaped causal span JSON) |
            flame (collapsed stacks, flamegraph.pl-compatible;
-           both take --sample-rate PPM and --span-seed N)
+           both take --sample-rate PPM [--span-seed N])
 
 WORKLOADS: matmul | fma | kmeans | knn | cholesky
 
-RUN OPTIONS (a flag at most once; a command refuses any flag it does not read):
+RUN OPTIONS (a flag at most once; a command, and each obs view or
+doctor/lint mode, refuses any flag it does not read):
   --processor cpu|gpu      (default cpu)
   --storage shared|local   (default shared)
   --policy P               fifo|locality|critical-path (default fifo)
@@ -646,6 +707,22 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each mode reads only flags its command declares, so the command's
+    /// parse never refuses a flag of the mode it picks.
+    #[test]
+    fn modes_read_only_their_commands_flags() {
+        let modes = OBS_VIEWS.iter().map(|view| (&OBS_CMD, view)).chain([
+            (&DOCTOR_CMD, &DOCTOR_PROFILE),
+            (&LINT_CMD, &LINT_EXPLAIN),
+            (&LINT_CMD, &LINT_SARIF),
+        ]);
+        for (command, mode) in modes {
+            for flag in mode.flags() {
+                assert!(command.flags().any(|f| f == flag), "{} {flag}", mode.0);
+            }
+        }
+    }
 
     /// The help names every flag of every command, so a flag added to a
     /// command without its help line fails here.

@@ -1,9 +1,10 @@
 //! The `gpuflow` binary refuses a command line that its command does not
 //! read before anything runs: a misspelled factor flag, a flag given
 //! twice, a flag without its value, a word the command does not take,
-//! an integer too wide for its field and a misspelled `obs` view each
-//! exit 1 with nothing on stdout and an error naming the fault, where
-//! each used to run at a default or fail only after the run.
+//! an integer too wide for its field, a misspelled `obs` view and a flag
+//! of another mode of the command each exit 1 with nothing on stdout
+//! and an error naming the fault, where each used to run at a default,
+//! run without the flag, or fail only after the run.
 
 use std::process::{Command, Output};
 
@@ -64,12 +65,54 @@ fn usage_errors_exit_1_before_running() {
             "--port wants a u16 integer, got \"65536\"",
         ),
         (
-            "obs metrics --workload matmul --rows 64 --cols 64 --grid 2 --sample-rate -1",
+            "obs spans --workload matmul --rows 64 --cols 64 --grid 2 --sample-rate -1",
             "--sample-rate wants a u64 integer, got \"-1\"",
         ),
         (
             "lint extra",
             "unexpected argument 'extra' (lint takes 0 word(s))",
+        ),
+        // A flag of one mode is refused by the others: a profile is
+        // diagnosed as recorded, decisions are neither sampled nor a
+        // series, the rule catalog is not a scan, and a scan has one
+        // output format.
+        (
+            "doctor --profile a.profile --processor gpu",
+            "--processor does not go with doctor --profile \
+             (doctor --profile takes: --profile, --out, --json)",
+        ),
+        (
+            "obs decisions --workload matmul --rows 64 --cols 64 --grid 2 --series --sample-rate 5",
+            "--series does not go with obs decisions (obs decisions takes: --workload, --rows, \
+             --cols, --seed, --clusters, --iterations, --queries, --k, --grid, --processor, \
+             --storage, --policy, --threads, --faults, --max-retries, --backoff, --resubmit, \
+             --fallback, --out)",
+        ),
+        (
+            "obs spans --workload matmul --rows 64 --cols 64 --grid 2 --json",
+            "--json does not go with obs spans (obs spans takes: --workload, --rows, --cols, \
+             --seed, --clusters, --iterations, --queries, --k, --grid, --processor, --storage, \
+             --policy, --threads, --faults, --max-retries, --backoff, --resubmit, --fallback, \
+             --out, --sample-rate, --span-seed)",
+        ),
+        (
+            "lint --explain --sarif",
+            "--sarif does not go with lint --explain (lint --explain takes: --out, --explain)",
+        ),
+        (
+            "lint --json --sarif",
+            "--json does not go with lint --sarif (lint --sarif takes: --root, --out, --sarif)",
+        ),
+        // A flag that sets up another flag's work does nothing alone: a
+        // sampler seed without a sampler, a sampling interval for the
+        // text summary, which samples nothing.
+        (
+            "obs flame --workload matmul --rows 64 --cols 64 --grid 2 --span-seed 7",
+            "--span-seed goes only with --sample-rate",
+        ),
+        (
+            "obs summary --workload matmul --rows 64 --cols 64 --grid 2 --metrics-interval 0.5",
+            "--metrics-interval goes only with summary --json",
         ),
     ] {
         let out = gpuflow(args);

@@ -5,26 +5,35 @@ use gpuflow::algorithms::{KmeansConfig, MatmulConfig};
 use gpuflow::analysis::signed_speedup;
 use gpuflow::cluster::{ProcessorKind, StorageArchitecture};
 use gpuflow::experiments::{fig11, Context};
-use gpuflow::runtime::SchedulingPolicy;
+use gpuflow::runtime::{RunReport, SchedulingPolicy, Workflow};
 
 fn ctx() -> Context {
     Context::default()
+}
+
+/// The signed GPU speedup of `metric` on `wf`, with the paper's
+/// defaults: shared disk, generation order.
+fn speedup(ctx: &Context, wf: &Workflow, metric: impl Fn(&RunReport) -> f64) -> f64 {
+    let (cpu, gpu) = ctx
+        .pair(
+            wf,
+            StorageArchitecture::SharedDisk,
+            SchedulingPolicy::GenerationOrder,
+        )
+        .both(metric)
+        .expect("fits");
+    signed_speedup(cpu, gpu)
+}
+
+fn user_code(task_type: &str) -> impl Fn(&RunReport) -> f64 + '_ {
+    move |r| r.metrics.task_type(task_type).expect("ran").user_code
 }
 
 fn kmeans_user_speedup(ctx: &Context, grid: u64, clusters: u64) -> f64 {
     let wf = KmeansConfig::new(gpuflow::data::paper::kmeans_10gb(), grid, clusters, 1)
         .unwrap()
         .build_workflow();
-    let stat = |p| {
-        ctx.run_default(&wf, p)
-            .report()
-            .expect("fits")
-            .metrics
-            .task_type("partial_sum")
-            .expect("ran")
-            .user_code
-    };
-    signed_speedup(stat(ProcessorKind::Cpu), stat(ProcessorKind::Gpu))
+    speedup(ctx, &wf, user_code("partial_sum"))
 }
 
 /// O1: user-code speedups are not affected significantly by block size
@@ -55,19 +64,13 @@ fn o1_kmeans_user_speedup_flat_in_block_size() {
 fn o2_coarse_tasks_do_not_lift_parallel_task_speedup() {
     let ctx = ctx();
     let ds = gpuflow::data::paper::kmeans_10gb();
-    let ptask = |grid: u64, p: ProcessorKind| {
+    let ptask = |grid: u64| {
         let wf = KmeansConfig::new(ds.clone(), grid, 10, 1)
             .unwrap()
             .build_workflow();
-        ctx.run_default(&wf, p)
-            .report()
-            .expect("fits")
-            .metrics
-            .parallel_task_time
+        speedup(&ctx, &wf, |r| r.metrics.parallel_task_time)
     };
-    let s32 = signed_speedup(ptask(32, ProcessorKind::Cpu), ptask(32, ProcessorKind::Gpu));
-    let s4 = signed_speedup(ptask(4, ProcessorKind::Cpu), ptask(4, ProcessorKind::Gpu));
-    let s2 = signed_speedup(ptask(2, ProcessorKind::Cpu), ptask(2, ProcessorKind::Gpu));
+    let (s32, s4, s2) = (ptask(32), ptask(4), ptask(2));
     // Coarsening 16x (32 -> 2 blocks) moves the parallel-task speedup by
     // far less than it moves the parallel-fraction speedup (which grows
     // ~8x over that range).
@@ -91,19 +94,7 @@ fn o3_low_complexity_tasks_never_win_regardless_of_granularity() {
         let wf = MatmulConfig::new(ds.clone(), grid)
             .unwrap()
             .build_workflow();
-        let stat = |p| {
-            ctx.run_default(&wf, p)
-                .report()
-                .expect("fits")
-                .metrics
-                .task_type("add_func")
-                .expect("ran")
-                .user_code
-        };
-        adds.push(signed_speedup(
-            stat(ProcessorKind::Cpu),
-            stat(ProcessorKind::Gpu),
-        ));
+        adds.push(speedup(&ctx, &wf, user_code("add_func")));
     }
     assert!(
         adds.iter().all(|s| *s < 0.0),
