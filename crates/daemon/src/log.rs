@@ -564,6 +564,36 @@ mod tests {
             }
         }
 
+        /// Edits of a rendered journal never panic the parser, and what
+        /// it accepts renders to a journal it parses the same. An edit
+        /// deletes a character, inserts one of the grammar's or any
+        /// other, or truncates the text.
+        #[test]
+        fn edited_journals_never_panic_the_parser(
+            raw in prop::collection::vec((0u64..6, 0u64..u64::MAX), 1..8),
+            edits in prop::collection::vec((0u64..4, 0u64..u64::MAX, 0u64..u64::MAX), 0..4),
+        ) {
+            const PIECES: &[u8] = b"0123456789 =.-x\n";
+            let lines: Vec<LogLine> =
+                raw.iter().map(|&(kind, bits)| line_from(kind, bits)).collect();
+            let mut text: Vec<char> = render_journal(&lines).chars().collect();
+            for &(kind, at, arg) in &edits {
+                let at = at as usize % (text.len() + 1);
+                match kind {
+                    0 if at < text.len() => {
+                        text.remove(at);
+                    }
+                    1 => text.insert(at, PIECES[arg as usize % PIECES.len()] as char),
+                    2 => text.insert(at, char::from_u32(arg as u32 % 0x11_0000).unwrap_or('?')),
+                    _ => text.truncate(at),
+                }
+            }
+            let text: String = text.into_iter().collect();
+            if let Ok(parsed) = parse_journal(&text) {
+                prop_assert_eq!(parse_journal(&render_journal(&parsed)), Ok(parsed));
+            }
+        }
+
         /// parse ∘ render = id over the canonical value space, and
         /// render ∘ parse = id over rendered text.
         #[test]

@@ -1,17 +1,25 @@
 //! Figure 11: Spearman correlation matrix of the execution factors.
 //!
-//! Rebuilds the paper's 192-sample study: every combination of algorithm,
-//! dataset (including the supplementary 128 MB Matmul and 100 MB K-means
-//! sets), grid dimension, processor type, and — for the Fig. 10 subsets —
-//! storage architecture and scheduling policy. Each completed run yields
-//! one sample of 15 features; OOM combinations drop out, exactly as they
-//! could not be measured on the real cluster.
+//! Rebuilds the paper's correlation study (§5.4) from an inventory of
+//! 232 configurations: the end-to-end sweeps of every algorithm and
+//! dataset over its grids (including the supplementary 128 MB Matmul
+//! and 100 MB K-means sets), the Fig. 9a cluster-count sweeps, and the
+//! Fig. 10 storage × scheduling sweeps, every point on CPUs and on GPUs.
+//! Each completed run yields one sample of 15 features; the 17 OOM
+//! combinations drop out, exactly as they could not be measured on the
+//! real cluster, leaving 215 samples. The Fig. 10 shared-disk /
+//! generation-order Matmul panel repeats ten end-to-end runs; each
+//! counts twice as a sample but runs once.
+//!
+//! The inventory lists cheap descriptions of its DAGs, 69 distinct
+//! ones. Each is built once, runs each of its distinct configurations
+//! once, and is dropped before its worker builds the next.
 
 use gpuflow_algorithms::{calibration, KmeansConfig, MatmulConfig};
 use gpuflow_analysis::{one_hot, CorrMatrix, FeatureTable};
 use gpuflow_cluster::{ProcessorKind, StorageArchitecture};
-use gpuflow_data::DsArraySpec;
-use gpuflow_runtime::{SchedulingPolicy, Workflow};
+use gpuflow_data::{DatasetSpec, DsArraySpec};
+use gpuflow_runtime::{DagShape, SchedulingPolicy, Workflow};
 
 use crate::measure::Context;
 
@@ -45,58 +53,69 @@ pub struct Fig11 {
     pub dropped_oom: usize,
 }
 
-struct SampleSpec {
+/// One DAG of the study, described by its parameters: cheap to list and
+/// compare, and built only when its runs are due.
+#[derive(Debug, Clone, PartialEq)]
+enum Dag {
+    /// A Matmul of the dataset on a square grid of this dimension.
+    Matmul(DatasetSpec, u64),
+    /// A K-means of the dataset on this many block-rows, with its
+    /// cluster count and iterations.
+    Kmeans(DatasetSpec, u64, u64, u32),
+}
+
+/// The processor, storage architecture and scheduling policy of a run.
+type Config = (ProcessorKind, StorageArchitecture, SchedulingPolicy);
+
+/// A built DAG and the features every run of it shares.
+struct Sample {
     workflow: Workflow,
     array: DsArraySpec,
     algo_param: f64,
     complexity: f64,
+    shape: DagShape,
 }
 
-fn matmul_sample(dataset: &gpuflow_data::DatasetSpec, grid: u64) -> SampleSpec {
-    let cfg = MatmulConfig::new(dataset.clone(), grid).expect("valid grid");
-    let order = cfg.spec.block.rows;
-    SampleSpec {
-        workflow: cfg.build_workflow(),
-        array: cfg.spec.clone(),
-        // Matmul has no algorithm-specific parameter; NaN drops these
-        // samples from correlations involving the feature (pairwise-
-        // complete observations, as in the paper's pandas pipeline).
-        algo_param: f64::NAN,
-        complexity: calibration::matmul_nominal_complexity(order),
+impl Dag {
+    /// Builds the workflow and its run-independent features.
+    fn build(&self) -> Sample {
+        let (workflow, array, algo_param, complexity) = match self {
+            Dag::Matmul(dataset, grid) => {
+                let cfg = MatmulConfig::new(dataset.clone(), *grid).expect("valid grid");
+                let complexity = calibration::matmul_nominal_complexity(cfg.spec.block.rows);
+                // Matmul has no algorithm-specific parameter; NaN drops
+                // these samples from correlations involving the feature
+                // (pairwise-complete observations, as in the paper's
+                // pandas pipeline).
+                (cfg.build_workflow(), cfg.spec, f64::NAN, complexity)
+            }
+            Dag::Kmeans(dataset, grid, clusters, iterations) => {
+                let cfg = KmeansConfig::new(dataset.clone(), *grid, *clusters, *iterations)
+                    .expect("valid grid");
+                let complexity = calibration::kmeans_nominal_complexity(
+                    cfg.spec.block.rows,
+                    cfg.spec.dataset.dim.cols,
+                    *clusters,
+                );
+                (cfg.build_workflow(), cfg.spec, *clusters as f64, complexity)
+            }
+        };
+        let shape = workflow.shape();
+        Sample {
+            workflow,
+            array,
+            algo_param,
+            complexity,
+            shape,
+        }
     }
 }
 
-fn kmeans_sample(
-    dataset: &gpuflow_data::DatasetSpec,
-    grid: u64,
-    clusters: u64,
-    iterations: u32,
-) -> SampleSpec {
-    let cfg = KmeansConfig::new(dataset.clone(), grid, clusters, iterations).expect("valid grid");
-    let spec = cfg.spec.clone();
-    SampleSpec {
-        workflow: cfg.build_workflow(),
-        array: spec.clone(),
-        algo_param: clusters as f64,
-        complexity: calibration::kmeans_nominal_complexity(
-            spec.block.rows,
-            spec.dataset.dim.cols,
-            clusters,
-        ),
-    }
-}
-
-/// Collects one sample row, or `None` on OOM.
-fn collect(
-    ctx: &Context,
-    sample: &SampleSpec,
-    processor: ProcessorKind,
-    storage: StorageArchitecture,
-    policy: SchedulingPolicy,
-) -> Option<Vec<f64>> {
+/// Runs `sample` under `config`: one sample row, or `None` on OOM.
+fn collect(ctx: &Context, sample: &Sample, config: Config) -> Option<Vec<f64>> {
+    let (processor, storage, policy) = config;
     let outcome = ctx.run(&sample.workflow, processor, storage, policy);
     let report = outcome.report()?;
-    let shape = sample.workflow.shape();
     // Parallel fraction as *measured* on the executing processor: the
     // share of user-code time spent in the parallel part. On GPU runs the
     // parallel part shrinks, which is exactly the paper's finding (d) —
@@ -114,8 +133,8 @@ fn collect(
         pf,
         sample.algo_param,
         sample.complexity,
-        shape.max_width as f64,
-        shape.height as f64,
+        sample.shape.max_width as f64,
+        sample.shape.height as f64,
         sample.array.dataset.bytes() as f64,
     ];
     row.extend(one_hot(&["CPU", "GPU"], processor.label()));
@@ -127,15 +146,15 @@ fn collect(
     Some(row)
 }
 
-/// Runs the full correlation study with the paper's sample inventory.
-pub fn run(ctx: &Context) -> Fig11 {
+/// The paper study's inventory, in sample order.
+fn paper_inventory() -> Vec<(Dag, Config)> {
     use gpuflow_data::paper;
-    let mut samples: Vec<(
-        SampleSpec,
-        ProcessorKind,
-        StorageArchitecture,
-        SchedulingPolicy,
-    )> = Vec::new();
+    let mut entries = Vec::new();
+    let mut on_each_processor = |dag: Dag, storage, policy| {
+        for proc in ProcessorKind::ALL {
+            entries.push((dag.clone(), (proc, storage, policy)));
+        }
+    };
     let shared = StorageArchitecture::SharedDisk;
     let fifo = SchedulingPolicy::GenerationOrder;
 
@@ -146,9 +165,7 @@ pub fn run(ctx: &Context) -> Fig11 {
         paper::matmul_128mb(),
     ] {
         for grid in crate::fig7::MATMUL_GRIDS {
-            for proc in ProcessorKind::ALL {
-                samples.push((matmul_sample(&ds, grid), proc, shared, fifo));
-            }
+            on_each_processor(Dag::Matmul(ds.clone(), grid), shared, fifo);
         }
     }
     for ds in [
@@ -157,9 +174,7 @@ pub fn run(ctx: &Context) -> Fig11 {
         paper::kmeans_100mb(),
     ] {
         for grid in crate::fig7::KMEANS_GRIDS {
-            for proc in ProcessorKind::ALL {
-                samples.push((kmeans_sample(&ds, grid, 10, 1), proc, shared, fifo));
-            }
+            on_each_processor(Dag::Kmeans(ds.clone(), grid, 10, 1), shared, fifo);
         }
     }
     // Algorithm-specific-parameter sweeps (Fig. 9a settings): the higher
@@ -167,68 +182,38 @@ pub fn run(ctx: &Context) -> Fig11 {
     // parallel fraction within the K-means family.
     for clusters in [100u64, 1000] {
         for grid in crate::fig7::KMEANS_GRIDS {
-            for proc in ProcessorKind::ALL {
-                samples.push((
-                    kmeans_sample(&paper::kmeans_10gb(), grid, clusters, 1),
-                    proc,
-                    shared,
-                    fifo,
-                ));
-            }
+            let dag = Dag::Kmeans(paper::kmeans_10gb(), grid, clusters, 1);
+            on_each_processor(dag, shared, fifo);
         }
     }
-    // Storage x scheduling sweeps (Fig. 10 settings).
+    // Storage x scheduling sweeps (Fig. 10 settings). The shared-disk /
+    // generation-order Matmul panel repeats the end-to-end 8 GB runs.
     for combo in crate::fig10::COMBOS {
         for grid in crate::fig7::MATMUL_GRIDS {
-            for proc in ProcessorKind::ALL {
-                samples.push((
-                    matmul_sample(&paper::matmul_8gb(), grid),
-                    proc,
-                    combo.storage,
-                    combo.policy,
-                ));
-            }
+            let dag = Dag::Matmul(paper::matmul_8gb(), grid);
+            on_each_processor(dag, combo.storage, combo.policy);
         }
         for grid in crate::fig7::KMEANS_GRIDS {
-            for proc in ProcessorKind::ALL {
-                samples.push((
-                    kmeans_sample(
-                        &paper::kmeans_10gb(),
-                        grid,
-                        10,
-                        crate::fig10::KMEANS_ITERATIONS,
-                    ),
-                    proc,
-                    combo.storage,
-                    combo.policy,
-                ));
-            }
+            let iterations = crate::fig10::KMEANS_ITERATIONS;
+            let dag = Dag::Kmeans(paper::kmeans_10gb(), grid, 10, iterations);
+            on_each_processor(dag, combo.storage, combo.policy);
         }
     }
-    build(ctx, samples)
+    entries
 }
 
-/// Runs a reduced sample set (for tests and quick benches).
-pub fn run_quick(ctx: &Context) -> Fig11 {
+/// The reduced inventory of [`run_quick`], in sample order.
+fn quick_inventory() -> Vec<(Dag, Config)> {
     use gpuflow_data::paper;
     let shared = StorageArchitecture::SharedDisk;
     let fifo = SchedulingPolicy::GenerationOrder;
-    let mut samples = Vec::new();
+    let mut entries = Vec::new();
     for grid in [4u64, 16] {
         for proc in ProcessorKind::ALL {
             for combo in crate::fig10::COMBOS {
-                samples.push((
-                    matmul_sample(&paper::matmul_128mb(), grid),
-                    proc,
-                    combo.storage,
-                    combo.policy,
-                ));
-                samples.push((
-                    kmeans_sample(&paper::kmeans_100mb(), grid * 4, 10, 2),
-                    proc,
-                    combo.storage,
-                    combo.policy,
-                ));
+                let config = (proc, combo.storage, combo.policy);
+                entries.push((Dag::Matmul(paper::matmul_128mb(), grid), config));
+                entries.push((Dag::Kmeans(paper::kmeans_100mb(), grid * 4, 10, 2), config));
             }
         }
     }
@@ -237,42 +222,72 @@ pub fn run_quick(ctx: &Context) -> Fig11 {
     // family (finding (a) of §5.4.2).
     for grid in [2u64, 4, 8, 16] {
         for proc in ProcessorKind::ALL {
-            samples.push((
-                matmul_sample(&paper::matmul_2gb_skewed(0.0), grid),
-                proc,
-                shared,
-                fifo,
-            ));
-            samples.push((
-                kmeans_sample(&paper::kmeans_10gb(), grid * 16, 10, 2),
-                proc,
-                shared,
-                fifo,
-            ));
+            let config = (proc, shared, fifo);
+            entries.push((Dag::Matmul(paper::matmul_2gb_skewed(0.0), grid), config));
+            entries.push((Dag::Kmeans(paper::kmeans_10gb(), grid * 16, 10, 2), config));
         }
     }
-    build(ctx, samples)
+    entries
 }
 
-fn build(
-    ctx: &Context,
-    samples: Vec<(
-        SampleSpec,
-        ProcessorKind,
-        StorageArchitecture,
-        SchedulingPolicy,
-    )>,
-) -> Fig11 {
+/// Runs the full correlation study with the paper's sample inventory.
+pub fn run(ctx: &Context) -> Fig11 {
+    build(ctx, paper_inventory())
+}
+
+/// Runs a reduced sample set (for tests and quick benches).
+pub fn run_quick(ctx: &Context) -> Fig11 {
+    build(ctx, quick_inventory())
+}
+
+/// An inventory grouped by DAG: each distinct DAG once, in order of
+/// first appearance, with its distinct configurations; and for each
+/// entry, in inventory order, the positions of its DAG and of its
+/// configuration among that DAG's.
+struct Plan {
+    dags: Vec<(Dag, Vec<Config>)>,
+    entries: Vec<(usize, usize)>,
+}
+
+impl Plan {
+    fn new(inventory: Vec<(Dag, Config)>) -> Plan {
+        let mut dags: Vec<(Dag, Vec<Config>)> = Vec::new();
+        let mut entries = Vec::with_capacity(inventory.len());
+        for (dag, config) in inventory {
+            let d = dags.iter().position(|(d, _)| *d == dag).unwrap_or_else(|| {
+                dags.push((dag, Vec::new()));
+                dags.len() - 1
+            });
+            let configs = &mut dags[d].1;
+            let c = configs
+                .iter()
+                .position(|c| *c == config)
+                .unwrap_or_else(|| {
+                    configs.push(config);
+                    configs.len() - 1
+                });
+            entries.push((d, c));
+        }
+        Plan { dags, entries }
+    }
+}
+
+fn build(ctx: &Context, inventory: Vec<(Dag, Config)>) -> Fig11 {
+    let plan = Plan::new(inventory);
+    // DAGs are independent: a worker builds one, runs each of its
+    // configurations once and drops it before taking the next. Rows
+    // are laid out in inventory order (a repeated configuration adds
+    // its row twice), so the table is identical at any thread count.
+    let runs = ctx.par_map(&plan.dags, |_, (dag, configs)| {
+        let sample = dag.build();
+        let rows = configs.iter().map(|&config| collect(ctx, &sample, config));
+        rows.collect::<Vec<_>>()
+    });
     let mut table = FeatureTable::new(FEATURES);
     let mut dropped = 0;
-    // Samples are independent runs; rows are re-assembled in sample
-    // order, so the table is identical at any thread count.
-    let rows = ctx.par_map(&samples, |_, (sample, proc, storage, policy)| {
-        collect(ctx, sample, *proc, *storage, *policy)
-    });
-    for row in rows {
-        match row {
-            Some(row) => table.push_row(&row),
+    for (d, c) in plan.entries {
+        match &runs[d][c] {
+            Some(row) => table.push_row(row),
             None => dropped += 1,
         }
     }
@@ -299,6 +314,22 @@ impl Fig11 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each inventory's entries, distinct DAGs and distinct runs: the
+    /// paper study's ten repeated Matmul 8 GB configurations run once.
+    #[test]
+    fn inventories_build_each_dag_and_run_each_configuration_once() {
+        for (inventory, entries, dags, runs) in [
+            (paper_inventory(), 232, 69, 222),
+            (quick_inventory(), 48, 12, 48),
+        ] {
+            let plan = Plan::new(inventory);
+            assert_eq!(plan.entries.len(), entries);
+            assert_eq!(plan.dags.len(), dags);
+            let distinct: usize = plan.dags.iter().map(|(_, configs)| configs.len()).sum();
+            assert_eq!(distinct, runs);
+        }
+    }
 
     #[test]
     fn quick_study_reproduces_key_signs() {

@@ -70,11 +70,19 @@ impl Value {
     }
 }
 
-/// Parses a JSON document. Rejects trailing garbage.
+/// The deepest nesting of arrays and objects [`parse`] accepts. Each
+/// level is a recursive call, so a deeper document is refused instead
+/// of overflowing the stack (10,000 levels overflow a 2 MiB thread
+/// stack, which aborts the process).
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document. Rejects trailing garbage and nesting deeper
+/// than [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Value, String> {
     let mut p = Parser {
         b: src.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.ws();
     let v = p.value()?;
@@ -88,6 +96,8 @@ pub fn parse(src: &str) -> Result<Value, String> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open at `i`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -117,8 +127,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.i
+                    ));
+                }
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -351,6 +375,18 @@ mod tests {
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x"));
         assert_eq!(v.get("b").unwrap().get("e"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_refused() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        assert!(parse(&"[{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

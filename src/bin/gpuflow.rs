@@ -642,8 +642,8 @@ doctor/lint mode, refuses any flag it does not read):
   --storage shared|local   (default shared)
   --policy P               fifo|locality|critical-path (default fifo)
   --threads N              CPU threads per task (default 1)
-  --clusters K --iterations I   (kmeans)
-  --queries Q --k K        (knn)
+  --clusters K --iterations I   (kmeans only; each at least 1)
+  --queries Q --k K        (knn only; each at least 1)
   --seed S                 jitter/dataset seed
   --prv FILE --csv FILE    trace exports (run)
   --faults SPEC            deterministic fault plan, e.g.

@@ -18,32 +18,70 @@ pub const WORKLOAD: &str = "--workload --rows --cols --seed --clusters --iterati
 pub const RUN: &str = "--grid --processor --storage --policy --threads --faults --max-retries \
                        --backoff --resubmit --fallback";
 
+/// The workload parameters, each with the one workload that reads it.
+const PARAMETERS: [(&str, &str); 4] = [
+    ("--clusters", "kmeans"),
+    ("--iterations", "kmeans"),
+    ("--queries", "knn"),
+    ("--k", "knn"),
+];
+
 /// Builds the workload described by `--workload` and its parameters.
 ///
 /// # Errors
-/// Reports unknown workloads and missing dimensions.
+/// Reports unknown workloads, missing dimensions, a parameter of
+/// another workload and a zero parameter.
 pub fn workload_from(args: &Args) -> Result<Workload, String> {
     let rows = args.required_int("--rows")?;
     let cols = args.required_int("--cols")?;
     let seed = args.int("--seed")?.unwrap_or(0xD151B);
     let dataset = DatasetSpec::uniform("cli", rows, cols, seed);
-    match args.get("--workload").unwrap_or("kmeans") {
-        "matmul" => Ok(Workload::Matmul { dataset }),
-        "fma" => Ok(Workload::MatmulFma { dataset }),
-        "cholesky" => Ok(Workload::Cholesky { dataset }),
-        "kmeans" => Ok(Workload::Kmeans {
+    let name = args.get("--workload").unwrap_or("kmeans");
+    let workload = match name {
+        "matmul" => Workload::Matmul { dataset },
+        "fma" => Workload::MatmulFma { dataset },
+        "cholesky" => Workload::Cholesky { dataset },
+        "kmeans" => Workload::Kmeans {
             dataset,
-            clusters: args.int("--clusters")?.unwrap_or(10),
-            iterations: args.int("--iterations")?.unwrap_or(3),
-        }),
-        "knn" => Ok(Workload::Knn {
+            clusters: count(args, "--clusters", 10)?,
+            iterations: count(args, "--iterations", 3)?,
+        },
+        "knn" => Workload::Knn {
             dataset,
-            queries: args.int("--queries")?.unwrap_or(256),
-            k: args.int("--k")?.unwrap_or(10),
-        }),
-        other => Err(format!(
-            "unknown workload '{other}' (matmul, fma, kmeans, knn, cholesky)"
+            queries: count(args, "--queries", 256)?,
+            k: count(args, "--k", 10)?,
+        },
+        other => {
+            return Err(format!(
+                "unknown workload '{other}' (matmul, fma, kmeans, knn, cholesky)"
+            ))
+        }
+    };
+    match PARAMETERS
+        .iter()
+        .find(|(flag, owner)| *owner != name && args.switch(flag))
+    {
+        Some((flag, owner)) => Err(format!(
+            "{flag} does not go with --workload {name} (only {owner} reads it)"
         )),
+        None => Ok(workload),
+    }
+}
+
+/// The workload parameter `flag`, or `default` without it. Each is a
+/// count of at least one: a K-means without clusters or iterations, or
+/// a KNN without queries or neighbours, simulates nothing.
+///
+/// # Errors
+/// Reports an unparsable value and zero.
+fn count<T: TryFrom<u64> + Default + PartialEq>(
+    args: &Args,
+    flag: &str,
+    default: T,
+) -> Result<T, String> {
+    match args.int(flag)? {
+        Some(n) if n == T::default() => Err(format!("{flag} must be at least 1")),
+        given => Ok(given.unwrap_or(default)),
     }
 }
 
@@ -284,6 +322,36 @@ mod tests {
         let w = workload_from(&a).unwrap();
         assert!(w.label().contains("k=7"));
         assert!(w.label().contains("iters=2"));
+    }
+
+    /// A workload takes its own parameters, each at least 1, and
+    /// refuses every other workload's.
+    #[test]
+    fn workload_parameters_belong_to_their_workload() {
+        for name in ["matmul", "fma", "kmeans", "knn", "cholesky"] {
+            for (flag, owner) in PARAMETERS {
+                let with = |value| {
+                    let line = [
+                        "--workload",
+                        name,
+                        "--rows",
+                        "64",
+                        "--cols",
+                        "64",
+                        flag,
+                        value,
+                    ];
+                    workload_from(&args(&line))
+                };
+                if owner == name {
+                    assert!(with("2").is_ok(), "{name} {flag} 2");
+                    assert_eq!(with("0").unwrap_err(), format!("{flag} must be at least 1"));
+                } else {
+                    let err = with("2").unwrap_err();
+                    assert!(err.starts_with(&format!("{flag} does not go with --workload {name}")));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The `gpuflow` binary refuses a command line that its command does not
 //! read before anything runs: a misspelled factor flag, a flag given
 //! twice, a flag without its value, a word the command does not take,
-//! an integer too wide for its field, a misspelled `obs` view and a flag
-//! of another mode of the command each exit 1 with nothing on stdout
-//! and an error naming the fault, where each used to run at a default,
-//! run without the flag, or fail only after the run.
+//! an integer too wide for its field, a misspelled `obs` view, a flag
+//! of another mode of the command, a parameter of another workload and
+//! a zero workload parameter each exit 1 with nothing on stdout and an
+//! error naming the fault, where each used to run at a default, run
+//! without the flag, run an empty workload, or fail only after the run.
 
 use std::process::{Command, Output};
 
@@ -113,6 +114,40 @@ fn usage_errors_exit_1_before_running() {
         (
             "obs summary --workload matmul --rows 64 --cols 64 --grid 2 --metrics-interval 0.5",
             "--metrics-interval goes only with summary --json",
+        ),
+        // A workload reads only its own parameters: the others were
+        // ignored, and the run's output was that of the line without
+        // them.
+        (
+            "run --workload matmul --rows 64 --cols 64 --grid 2 --clusters 7 --k 3",
+            "--clusters does not go with --workload matmul (only kmeans reads it)",
+        ),
+        (
+            "dag --workload knn --rows 64 --cols 8 --grid 2 --iterations 2",
+            "--iterations does not go with --workload knn (only kmeans reads it)",
+        ),
+        (
+            "advise --workload kmeans --rows 64 --cols 8 --queries 16",
+            "--queries does not go with --workload kmeans (only knn reads it)",
+        ),
+        // Each workload parameter counts something of which the run
+        // needs at least one: a zero ran an empty or degenerate
+        // workload (`--iterations 0` printed `makespan: 0.000 s`).
+        (
+            "run --workload kmeans --rows 64 --cols 8 --grid 2 --iterations 0",
+            "--iterations must be at least 1",
+        ),
+        (
+            "run --workload kmeans --rows 64 --cols 8 --grid 2 --clusters 0",
+            "--clusters must be at least 1",
+        ),
+        (
+            "run --workload knn --rows 64 --cols 8 --grid 2 --k 0",
+            "--k must be at least 1",
+        ),
+        (
+            "run --workload knn --rows 64 --cols 8 --grid 2 --queries 0",
+            "--queries must be at least 1",
         ),
     ] {
         let out = gpuflow(args);
